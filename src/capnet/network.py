@@ -340,14 +340,11 @@ class EdgeCorrelations:
     """Sparse pairwise correlation lookup (order-insensitive)."""
 
     def __init__(self, values: Mapping | Iterable[tuple[CapabilityId, CapabilityId, float]]):
-        self._values: dict[frozenset[CapabilityId], float] = {}
-        items = values.items() if isinstance(values, Mapping) else ((a, b, r) for a, b, r in values)
         if isinstance(values, Mapping):
-            for (a, b), r in items:
-                self._values[frozenset((a, b))] = float(r)
-        else:
-            for a, b, r in values:
-                self._values[frozenset((a, b))] = float(r)
+            values = ((a, b, r) for (a, b), r in values.items())
+        self._values: dict[frozenset[CapabilityId], float] = {
+            frozenset((a, b)): float(r) for a, b, r in values
+        }
 
     def pair(self, a: CapabilityId, b: CapabilityId) -> float | None:
         return self._values.get(frozenset((a, b)))
@@ -515,11 +512,15 @@ def import_graph(text: str) -> ConjugationGraph:
 # -- fixture loading -------------------------------------------------------
 
 
-def read_interrelations(lines: Iterable[str]) -> InterrelationTable:
+def _table_reader(lines: Iterable[str], expected: tuple[str, ...], what: str) -> csv.DictReader:
     reader = csv.DictReader(lines)
-    expected = ("row_id", "col_id", "relation", "manufacturing")
     if reader.fieldnames is None or tuple(reader.fieldnames) != expected:
-        raise GraphConstructionError(f"interrelation header must be {','.join(expected)}")
+        raise GraphConstructionError(f"{what} header must be {','.join(expected)}")
+    return reader
+
+
+def read_interrelations(lines: Iterable[str]) -> InterrelationTable:
+    reader = _table_reader(lines, ("row_id", "col_id", "relation", "manufacturing"), "interrelation")
     entries = []
     for row in reader:
         entries.append(
@@ -532,25 +533,43 @@ def read_interrelations(lines: Iterable[str]) -> InterrelationTable:
     return InterrelationTable(entries)
 
 
+def _parse_r(text, line: int) -> float:
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        raise GraphConstructionError(f"line {line}: correlation {text!r} is not a number") from None
+
+
 def read_candidates(lines: Iterable[str]) -> StrongCandidateTable:
-    reader = csv.DictReader(lines)
-    entries = [
-        StrongCandidate(
-            c1=parse_capability_id(row["c1"]),
-            c2=parse_capability_id(row["c2"]),
-            r=float(row["r"]),
-            verdict=CandidateVerdict(row["verdict"].strip()),
+    reader = _table_reader(lines, ("c1", "c2", "r", "verdict"), "candidate")
+    entries = []
+    for row in reader:
+        try:
+            verdict = CandidateVerdict((row["verdict"] or "").strip())
+        except ValueError:
+            raise GraphConstructionError(
+                f"line {reader.line_num}: unknown candidate verdict {row['verdict']!r}"
+            ) from None
+        entries.append(
+            StrongCandidate(
+                c1=parse_capability_id(row["c1"]),
+                c2=parse_capability_id(row["c2"]),
+                r=_parse_r(row["r"], reader.line_num),
+                verdict=verdict,
+            )
         )
-        for row in reader
-    ]
     return StrongCandidateTable(entries)
 
 
 def read_correlations(lines: Iterable[str]) -> EdgeCorrelations:
-    reader = csv.DictReader(lines)
+    reader = _table_reader(lines, ("id1", "id2", "r"), "correlation")
     return EdgeCorrelations(
         [
-            (parse_capability_id(row["id1"]), parse_capability_id(row["id2"]), float(row["r"]))
+            (
+                parse_capability_id(row["id1"]),
+                parse_capability_id(row["id2"]),
+                _parse_r(row["r"], reader.line_num),
+            )
             for row in reader
         ]
     )

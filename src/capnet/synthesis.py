@@ -51,7 +51,6 @@ _HORIZONTAL_LIFT = parse_capability_id("5.01.01")
 _REACH_BACKWARD = parse_capability_id("3.03.08")
 _REACH_OVERHEAD = parse_capability_id("3.03.02")
 _ARMS_OVERHEAD = parse_capability_id("1.06.02")
-_REACH_FORWARD = parse_capability_id("3.03.04")
 _REACH_SIDEWAYS = parse_capability_id("3.03.06")
 _HEAD_SIDEWAYS = parse_capability_id("3.01.03")
 _TRUNK_ROTATION = parse_capability_id("3.02.01")
@@ -191,8 +190,6 @@ def name_sequence(sequence: MovementSequence) -> str:
         return "pick & place, from side"
     if _REACH_SIDEWAYS in caps or _HEAD_SIDEWAYS in caps or _TRUNK_ROTATION in caps:
         return "reach & push, sideways"
-    if _REACH_FORWARD in caps:
-        return "reach & push, frontal"
     return "reach & push, frontal"
 
 

@@ -59,6 +59,23 @@ class TestBuildGraph:
         result = runner.invoke(main, ["build-graph", "--interrelations", str(bad)])
         assert result.exit_code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            pytest.param("--correlations", "a,b,c\n1.01,1.05.01,0.5\n", id="correlations-header"),
+            pytest.param("--correlations", "id1,id2,r\n1.01,1.05.01,strong\n", id="correlations-r"),
+            pytest.param("--candidates", "a,b,c,d\n1.05.01,1.05.02,0.81,impossible\n", id="candidates-header"),
+            pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,1.05.02,0.81,maybe\n", id="candidates-verdict"),
+            pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,1.05.02,high,impossible\n", id="candidates-r"),
+        ],
+    )
+    def test_malformed_table_data_error(self, runner, tmp_path, flag, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        result = runner.invoke(main, ["build-graph", flag, str(bad)])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "error:" in result.output
+
 
 class TestSynthesize:
     def test_small_bounds_run(self, runner, graph_artifact, tmp_path):

@@ -112,16 +112,16 @@ class TestSolveCover:
                 assert solve_cover(problem).objective == expected
 
     def test_lexicographic_minimum_matches_brute_force(self):
-        rng = random.Random(808)
+        rng = random.Random(1616)
         nodes = [A, B, C, D]
-        for _ in range(40):
+        for _ in range(60):
             node_set = tuple(nodes[: rng.randint(2, 4)])
-            n_paths = rng.randint(2, 9)
+            n_paths = rng.randint(2, 15)
             paths = tuple(
                 tuple(sorted(rng.sample(node_set, rng.randint(1, len(node_set))), key=lambda x: x.sort_key()))
                 for _ in range(n_paths)
             )
-            p_max = rng.randint(1, 2)
+            p_max = rng.randint(1, 3)
             problem = CoverProblem(paths=paths, node_set=node_set, p_max=p_max, p_hat_max=p_max + 1)
             expected = brute_force_lex_min_cover(paths, node_set, p_max, p_max + 1)
             if expected is None:
@@ -138,6 +138,17 @@ class TestSolveCover:
         assert counts == {A: 6, B: 6}
         with pytest.raises(AnnotationError):
             verify_cover(problem, (0,))
+
+    def test_solver_without_verdict_is_an_error(self, monkeypatch):
+        from scipy.optimize import OptimizeResult
+
+        import capnet.cover
+
+        stopped = OptimizeResult(status=1, message="time limit reached", x=None)
+        monkeypatch.setattr(capnet.cover, "milp", lambda *args, **kwargs: stopped)
+        problem = CoverProblem(paths=((A, B),), node_set=(A, B), p_max=1, p_hat_max=1)
+        with pytest.raises(AnnotationError, match="status 1"):
+            solve_cover(problem)
 
     def test_empty_node_set(self):
         problem = CoverProblem(paths=((A,),), node_set=(), p_max=1, p_hat_max=1)
