@@ -148,7 +148,7 @@ def cmd_synthesize(graph_path, catalog_path, n_min, p_max, p_hat_max, out_path, 
 @click.option("--catalog", "catalog_path", type=click.Path(), default=None)
 @click.option("--phase", type=click.Choice(["pre_rehab", "post_rehab", "all"]), default="post_rehab", show_default=True)
 @click.option("--threshold", type=float, default=0.2, show_default=True, help="Dispersion filter threshold.")
-@click.option("--resamples", type=int, default=10_000, show_default=True, help="Monte Carlo resamples per pair.")
+@click.option("--resamples", type=click.IntRange(min=1), default=10_000, show_default=True, help="Monte Carlo resamples shared by all pairs.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out-corr", type=click.Path(), default=None, help="Write the correlation matrix CSV here.")
 @click.option("--out-pvalues", type=click.Path(), default=None, help="Write the permutation p-value table here.")

@@ -323,9 +323,10 @@ def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None)
             phase = Phase(row[1])
         except ValueError:
             raise DatasetError(f"unknown phase {row[1]!r} for agent {row[0]!r}") from None
-        values = {
-            cap: int(cell) for cap, cell in zip(ids, row[2:]) if cell != ""
-        }
+        try:
+            values = {cap: int(cell) for cap, cell in zip(ids, row[2:]) if cell != ""}
+        except ValueError as exc:
+            raise DatasetError(f"non-integer level for agent {row[0]!r}: {exc}") from None
         profile = Profile(agent_id=row[0], phase=phase, values=values)
         if catalog is not None:
             profile.validate_against(catalog)

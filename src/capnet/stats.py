@@ -1,11 +1,12 @@
 """Pearson correlation, Monte Carlo exact permutation tests, classification.
 
 Determinism contract: every stochastic routine is a pure function of its
-inputs and an explicit integer seed. The permutation test derives the
-randomness of resample ``i`` from row ``i`` of a single counter-based
-(Philox) stream keyed by the seed, and evaluates statistics with plain
-einsum reductions, so results are bit-identical across runs and across
-BLAS/OpenMP thread settings.
+inputs and an explicit integer seed. Resample ``i`` is row ``i`` of a single
+counter-based (Philox) stream keyed by the seed, drawn in fixed chunks of
+rows; a p-value table applies the same rows to every pair (no seed is
+derived per pair), so its entries are dependent across pairs. Statistics are
+plain einsum reductions, so results are bit-identical across runs and
+across BLAS/OpenMP thread settings.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
     "pairwise_permutation_pvalues",
     "classify_correlation",
 ]
+
+_CHUNK = 256  # resample rows drawn, argsorted and applied at a time
 
 
 def _as_vector(x) -> np.ndarray:
@@ -115,15 +118,8 @@ class CorrelationMatrix:
         return buffer.getvalue()
 
 
-def correlation_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> CorrelationMatrix:
-    """Pairwise Pearson matrix over profile columns.
-
-    The dataset must already be filtered: every profile complete over
-    ``ids``. Constant columns yield recorded-undefined (NaN) cells rather
-    than propagating through. Symmetric by construction (upper triangle
-    mirrored).
-    """
-    ids = tuple(ids)
+def _data_matrix(dataset: ProfileDataset, ids: tuple[CapabilityId, ...]) -> np.ndarray:
+    """Profiles x ids float matrix; every profile must be complete over ``ids``."""
     if len(dataset) < 2:
         raise DatasetError(f"need at least 2 profiles, got {len(dataset)}")
     rows = []
@@ -135,19 +131,28 @@ def correlation_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> 
                 + ", ".join(str(m) for m in missing)
             )
         rows.append([profile.values[cap] for cap in ids])
-    data = np.array(rows, dtype=float)
+    return np.array(rows, dtype=float)
+
+
+def correlation_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> CorrelationMatrix:
+    """Pairwise Pearson matrix over profile columns.
+
+    The dataset must already be filtered: every profile complete over
+    ``ids``. Constant columns yield recorded-undefined (NaN) cells rather
+    than propagating through. Symmetric by construction (upper triangle
+    mirrored).
+    """
+    ids = tuple(ids)
+    data = _data_matrix(dataset, ids)
+    centred = data - data.mean(axis=0)
+    products = np.einsum("ki,kj->ij", centred, centred, optimize=False)
+    sums = np.diag(products)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(products / np.sqrt(np.outer(sums, sums)), -1.0, 1.0)
+    r = np.triu(r) + np.triu(r, 1).T
     constant = np.ptp(data, axis=0) == 0
-    n = len(ids)
-    r = np.full((n, n), np.nan)
-    for i in range(n):
-        if not constant[i]:
-            r[i, i] = 1.0
-        for j in range(i + 1, n):
-            if constant[i] or constant[j]:
-                continue
-            value = pearson(data[:, i], data[:, j])
-            r[i, j] = value
-            r[j, i] = value
+    r[constant] = np.nan
+    r[:, constant] = np.nan
     return CorrelationMatrix(ids=ids, r=r, n_samples=len(dataset))
 
 
@@ -163,16 +168,34 @@ class PermutationTestResult:
             raise ValueError(f"p_value {self.p_value} outside (0, 1]")
 
 
-def _resample_permutations(n: int, n_resamples: int, seed: int) -> np.ndarray:
-    """Permutation indices, one row per resample.
+def _permutation_pvalues(
+    columns: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], n_resamples: int, seed: int
+) -> np.ndarray:
+    """Add-one Monte Carlo p-value of pearson(columns[i], columns[j]) per pair (i, j).
 
-    Row i is a function of (seed, i) only: a single Philox stream keyed by
-    the seed is reshaped to (n_resamples, n) and each row is argsorted into
-    a permutation, so resamples are independent of evaluation order.
+    The null permutes column j. Every pair sees the same resample rows:
+    row r is argsort of row r of the Philox stream keyed by ``seed``, so it
+    depends on (seed, r) only, however many pairs share it.
     """
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
+    centred = [c - c.mean() for c in columns]
+    sums = [float(np.einsum("i,i->", c, c)) for c in centred]
+    tests_by_y = {}
+    for k, (i, j) in enumerate(pairs):
+        observed = abs(pearson(columns[i], columns[j]))
+        tests_by_y.setdefault(j, []).append((k, centred[i], np.sqrt(sums[i] * sums[j]), observed))
+    exceed = np.zeros(len(pairs), dtype=np.int64)
     bits = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    keys = bits.random((n_resamples, n))
-    return np.argsort(keys, axis=1, kind="stable")
+    for start in range(0, n_resamples if pairs else 0, _CHUNK):  # no defined pair: draw nothing
+        keys = bits.random((min(_CHUNK, n_resamples - start), len(columns[0])))
+        perms = np.argsort(keys, axis=1, kind="stable")
+        for j, tests in tests_by_y.items():
+            permuted = centred[j][perms]
+            for k, xc, denom, observed in tests:
+                null_r = np.einsum("ij,j->i", permuted, xc) / denom
+                exceed[k] += np.sum(np.abs(null_r) >= observed)
+    return (exceed + 1) / (n_resamples + 1)
 
 
 def permutation_test(x, y, n_resamples: int = 10_000, seed: int = 0) -> PermutationTestResult:
@@ -182,25 +205,12 @@ def permutation_test(x, y, n_resamples: int = 10_000, seed: int = 0) -> Permutat
     y. The p-value uses the add-one rule p = (b + 1) / (m + 1) with
     b = #{resamples with |r| >= |observed|}, so p is never exactly zero.
     """
-    if n_resamples < 1:
-        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
     x = _as_vector(x)
     y = _as_vector(y)
-    observed = pearson(x, y)
-
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(np.einsum("i,i->", xc, xc))
-    syy = float(np.einsum("i,i->", yc, yc))
-    denom = np.sqrt(sxx * syy)
-
-    perms = _resample_permutations(len(y), n_resamples, seed)
-    permuted = yc[perms]
-    numerators = np.einsum("ij,j->i", permuted, xc)
-    null_r = numerators / denom
-    b = int(np.sum(np.abs(null_r) >= abs(observed)))
-    p = (b + 1) / (n_resamples + 1)
-    return PermutationTestResult(statistic=observed, p_value=p, n_resamples=n_resamples, seed=seed)
+    p = _permutation_pvalues([x, y], [(0, 1)], n_resamples, seed)
+    return PermutationTestResult(
+        statistic=pearson(x, y), p_value=float(p[0]), n_resamples=n_resamples, seed=seed
+    )
 
 
 def pairwise_permutation_pvalues(
@@ -211,31 +221,20 @@ def pairwise_permutation_pvalues(
 ) -> CorrelationMatrix:
     """Permutation p-values for every id pair, in correlation-matrix shape.
 
-    The pair (i, j) uses a seed derived from (seed, i, j), so the table is
-    reproducible regardless of computation order. Pairs touching a constant
-    column are undefined (NaN).
+    All pairs share the run's resample rows (no seed is derived per pair),
+    so entry (i, j) equals ``permutation_test(column i, column j,
+    n_resamples, seed)`` exactly, and entries are dependent across pairs.
+    Pairs touching a constant column are undefined (NaN).
     """
     ids = tuple(ids)
-    rows = []
-    for profile in dataset:
-        missing = profile.missing_from(ids)
-        if missing:
-            raise DatasetError(
-                f"profile {profile.agent_id}/{profile.phase.value} incomplete over ids"
-            )
-        rows.append([profile.values[cap] for cap in ids])
-    data = np.array(rows, dtype=float)
+    data = _data_matrix(dataset, ids)
     constant = np.ptp(data, axis=0) == 0
     n = len(ids)
+    pairs = [(i, j) for j in range(n) for i in range(j) if not (constant[i] or constant[j])]
+    pvalues = _permutation_pvalues([data[:, k] for k in range(n)], pairs, n_resamples, seed)
     p = np.full((n, n), np.nan)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if constant[i] or constant[j]:
-                continue
-            pair_seed = int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
-            result = permutation_test(data[:, i], data[:, j], n_resamples, pair_seed)
-            p[i, j] = result.p_value
-            p[j, i] = result.p_value
+    for (i, j), value in zip(pairs, pvalues):
+        p[i, j] = p[j, i] = value
     return CorrelationMatrix(ids=ids, r=p, n_samples=len(dataset))
 
 

@@ -280,7 +280,7 @@ def test_criterion_8_determinism(tmp_path):
         "--data",
         "data.csv",
         "--resamples",
-        "150",
+        "600",
         "--seed",
         "21",
         "--out-corr",

@@ -7,6 +7,7 @@ from capnet import network
 from capnet.cli import (
     EXIT_DATA,
     EXIT_INFEASIBLE,
+    EXIT_USAGE,
     main,
 )
 
@@ -157,6 +158,26 @@ class TestAnalyze:
         data.write_text(header + "\n" + row + "\n")
         result = runner.invoke(main, ["analyze", "--data", str(data)])
         assert result.exit_code == EXIT_DATA
+
+    def test_non_integer_cell_data_error(self, runner, tmp_path):
+        from capnet import taxonomy
+
+        ids = taxonomy.sitting_over_table_set(taxonomy.load_default_catalog())
+        header = "agent_id,phase," + ",".join(str(c) for c in ids)
+        row = "a,post_rehab,x," + ",".join("3" for _ in ids[1:])
+        data = tmp_path / "bad.csv"
+        data.write_text(header + "\n" + row + "\n")
+        result = runner.invoke(main, ["analyze", "--data", str(data)])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "error:" in result.output
+
+    def test_resamples_below_one_usage_error(self, runner, tmp_path):
+        data = tmp_path / "data.csv"
+        runner.invoke(main, ["gen-data", "--count", "20", "--seed", "5", "--out", str(data)])
+        result = runner.invoke(
+            main, ["analyze", "--data", str(data), "--resamples", "0", "--out-pvalues", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == EXIT_USAGE, result.output
 
     def test_zero_threshold_keeps_complete_profiles(self, runner, tmp_path):
         data = tmp_path / "data.csv"

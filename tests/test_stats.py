@@ -183,8 +183,65 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             permutation_test([1, 2, 3], [1, 2, 3], 0, seed=0)
 
+    @pytest.mark.parametrize("n_resamples", [255, 256, 257, 600])
+    def test_matches_unchunked_reference(self, n_resamples):
+        # reference: all resample rows drawn and argsorted in one block
+        rng = np.random.default_rng(19)
+        x = rng.integers(0, 7, size=90).astype(float)
+        y = rng.integers(0, 7, size=90).astype(float)
+        keys = np.random.Generator(np.random.Philox(key=np.uint64(23))).random((n_resamples, 90))
+        permuted = (y - y.mean())[np.argsort(keys, axis=1, kind="stable")]
+        xc = x - x.mean()
+        null_r = np.einsum("ij,j->i", permuted, xc) / np.sqrt(
+            float(np.einsum("i,i->", xc, xc)) * float(np.einsum("i,i->", y - y.mean(), y - y.mean()))
+        )
+        b = int(np.sum(np.abs(null_r) >= abs(pearson(x, y))))
+        result = permutation_test(x, y, n_resamples, seed=23)
+        assert 0 < b < n_resamples
+        assert result.p_value == (b + 1) / (n_resamples + 1)
+
 
 class TestPairwisePvalues:
+    def _dataset(self):
+        rng = np.random.default_rng(41)
+        ids = [pid("1.05.01"), pid("1.05.02"), pid("3.01.01"), pid("3.03.02"), pid("3.04.08")]
+        base = rng.integers(0, 7, size=70)
+        columns = np.column_stack(
+            [
+                base,
+                np.clip(base + rng.integers(-1, 2, size=70), 0, 6),
+                rng.integers(0, 7, size=70),
+                np.full(70, 4),
+                np.clip(6 - base + rng.integers(-3, 4, size=70), 0, 6),
+            ]
+        )
+        profiles = [
+            Profile(f"a{k}", Phase.POST_REHAB, {cap: int(v) for cap, v in zip(ids, row)})
+            for k, row in enumerate(columns)
+        ]
+        return ProfileDataset(profiles), ids, columns.astype(float)
+
+    @pytest.mark.parametrize("n_resamples", [1, 255, 256, 257, 600])
+    def test_entries_equal_single_pair_test(self, n_resamples):
+        dataset, ids, data = self._dataset()
+        table = pairwise_permutation_pvalues(dataset, ids, n_resamples, seed=12)
+        defined = 0
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                if np.isnan(table.r[i, j]):
+                    continue
+                defined += 1
+                single = permutation_test(data[:, i], data[:, j], n_resamples, seed=12)
+                assert table.r[i, j] == single.p_value
+                assert table.r[j, i] == single.p_value
+        assert defined == 6
+        assert np.isnan(table.r[3]).all() and np.isnan(table.r[:, 3]).all()
+
+    def test_resample_count_validated(self):
+        dataset, ids, _ = self._dataset()
+        with pytest.raises(ValueError):
+            pairwise_permutation_pvalues(dataset, ids, 0, seed=0)
+
     def test_shape_and_symmetry(self):
         rng = np.random.default_rng(6)
         ids = [pid("1.05.01"), pid("1.05.02"), pid("3.01.01")]
