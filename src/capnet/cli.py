@@ -170,7 +170,8 @@ def cmd_analyze(data_path, catalog_path, phase, threshold, resamples, seed, out_
     if len(kept) < 2:
         _fail(EXIT_DATA, "fewer than 2 profiles survive the completeness/dispersion filter")
     try:
-        matrix = stats.correlation_matrix(kept, evaluation_set)
+        data = stats.profile_matrix(kept, evaluation_set)
+        matrix = stats.correlation_matrix(data, evaluation_set)
     except CapnetError as exc:
         _fail(EXIT_DATA, str(exc))
     if matrix.undefined_ids():
@@ -179,8 +180,24 @@ def cmd_analyze(data_path, catalog_path, phase, threshold, resamples, seed, out_
     if out_corr:
         _write(Path(out_corr), matrix.to_csv())
     if out_pvalues:
-        pvalues = stats.pairwise_permutation_pvalues(kept, evaluation_set, resamples, seed)
+        pvalues = stats.pairwise_permutation_pvalues(data, evaluation_set, resamples, seed)
         _write(Path(out_pvalues), pvalues.to_csv())
+
+
+def _parse_xi(ctx, param, items) -> dict:
+    """``--xi ID=SLACK`` items as a capability -> slack map; a bad item is a usage error."""
+    xi = {}
+    for item in items:
+        key, sep, value = item.partition("=")
+        try:
+            if not sep:
+                raise ValueError("expected ID=SLACK")
+            cap, slack = taxonomy.parse_capability_id(key), int(value)
+            deltas_mod.FuzzyParams(xi={cap: slack})
+        except (ValueError, CapnetError) as exc:
+            raise click.BadParameter(f"{item!r}: {exc}") from None
+        xi[cap] = slack
+    return xi
 
 
 @main.command("allocate")
@@ -189,20 +206,16 @@ def cmd_analyze(data_path, catalog_path, phase, threshold, resamples, seed, out_
 @click.option("--agent", required=True, help="Agent id to allocate for.")
 @click.option("--phase", type=click.Choice(["pre_rehab", "post_rehab", "unspecified"]), default=None, help="Phase of the agent's profile (default: only row for the agent).")
 @click.option("--graph", "graph_path", type=click.Path(), required=True, help="Structured graph document.")
-@click.option("--xi", "xi_items", multiple=True, help="Per-capability slack, e.g. --xi 3.03.04=1 (repeatable).")
-@click.option("--theta", type=int, default=0, show_default=True, help="Aggregate deficit slack.")
+@click.option("--xi", multiple=True, callback=_parse_xi, help="Per-capability slack, e.g. --xi 3.03.04=1 (repeatable).")
+@click.option("--theta", type=click.IntRange(min=0), default=0, show_default=True, help="Aggregate deficit slack.")
 @click.option("--out-trace", type=click.Path(), default=None, help="Write the machine-readable trace document here.")
-def cmd_allocate(req_path, data_path, agent, phase, graph_path, xi_items, theta, out_trace):
+def cmd_allocate(req_path, data_path, agent, phase, graph_path, xi, theta, out_trace):
     """Judge an agent against an action, compensating deltas if needed."""
     try:
         catalog = taxonomy.load_default_catalog()
         graph = network.import_graph(Path(graph_path).read_text(encoding="utf-8"))
         dataset = profiles.load_dataset(data_path, catalog)
         requirements = _read_requirements(req_path)
-        xi = {}
-        for item in xi_items:
-            key, _, value = item.partition("=")
-            xi[taxonomy.parse_capability_id(key)] = int(value)
         fuzz = deltas_mod.FuzzyParams(xi=xi, theta=theta)
         profile = dataset.select(agent, profiles.Phase(phase) if phase else None)
         profile = profiles.propagate_main_level(profile)

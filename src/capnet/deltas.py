@@ -5,8 +5,10 @@ deficits, negative values usable reserves. An agent can take an action if
 every delta stays within its per-capability slack and the summed deficit
 stays within the aggregate slack. When the test fails, requirement units
 are shifted from deficient capabilities to conjugated capabilities with
-reserves, one unit at a time, until the test holds or no shift sequence
-can make it hold.
+reserves. Whether some shift sequence makes the test hold is decided as a
+flow from deficits to conjugated reserves, by augmenting paths, in time
+polynomial in the number of capabilities; a feasible trace shifts the
+fewest units that any sequence can.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 from .errors import ConfigError, IncompleteProfileError
 from .network import ConjugationGraph
 from .profiles import Profile, RequirementSet
-from .taxonomy import QUANT_MAX, QUANT_MIN, CapabilityId
+from .taxonomy import QUANT_MAX, CapabilityId
 
 __all__ = [
     "DeltaSet",
@@ -179,35 +180,6 @@ class CompensationTrace:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _admissible_shifts(
-    requirements: dict[CapabilityId, int],
-    profile: Profile,
-    neighbors: dict[CapabilityId, set[CapabilityId]],
-    fuzz: FuzzyParams,
-) -> list[tuple[CapabilityId, CapabilityId]]:
-    """Candidate (deficient, reserve) unit shifts, in deterministic order.
-
-    A shift lowers the deficient requirement by one and raises the reserve
-    requirement by one. Admissible when the deficient delta is positive,
-    the reserve delta negative, the pair is conjugated, the moved unit
-    stays on the scale, and the receiving capability does not acquire a
-    per-capability violation.
-    """
-    deltas = {cap: req - profile.values[cap] for cap, req in requirements.items()}
-    deficits = [(cap, d) for cap, d in deltas.items() if d > 0 and requirements[cap] > QUANT_MIN]
-    reserves = [cap for cap, d in deltas.items() if d < 0 and requirements[cap] < QUANT_MAX]
-    deficits.sort(key=lambda item: (-item[1], item[0].sort_key()))
-    out = []
-    for deficient, _ in deficits:
-        for reserve in sorted(reserves):
-            if reserve not in neighbors.get(deficient, ()):
-                continue
-            if deltas[reserve] + 1 > fuzz.xi_for(reserve):
-                continue
-            out.append((deficient, reserve))
-    return out
-
-
 def compensate(
     requirements: RequirementSet,
     profile: Profile,
@@ -216,100 +188,91 @@ def compensate(
 ) -> CompensationTrace:
     """Delta-compensation allocation over a conjugation graph.
 
-    Computes deltas, tests the fuzzy clauses, and while infeasible shifts
-    one requirement unit from a deficient capability to a conjugated
-    capability with usable reserve, re-testing after every shift. The
-    candidate order is largest deficit first, ties by canonical id of the
-    deficient then the reserve capability; dead ends backtrack, so the
-    verdict is infeasible exactly when no unit-shift sequence reaches a
-    feasible state. Shifts are confined to capabilities carrying an
-    explicit requirement, and conjugation works in either direction of the
-    stored edge orientation.
+    Shifting a unit from a deficient capability d to a conjugated reserve r
+    lowers delta_d and raises delta_r, and is admissible only while
+    delta_d > 0 and delta_r < 0, so the deficit/reserve split never changes.
+    The verdict is therefore a bipartite flow: d sends between
+    max(0, delta_d - xi_d) and delta_d units, r takes at most -delta_r, and
+    the total must reach the deficit sum minus theta. Augmenting paths
+    first route every lower bound, then add units until the total suffices;
+    deficits are taken largest delta first, ties by id. The action is
+    infeasible exactly when no unit-shift sequence reaches a feasible
+    state, and a feasible trace shifts the fewest units any sequence can.
+    Each step is the total flow on one (deficient, reserve) pair, listed by
+    deficient in that order, then by reserve id. Shifts are confined to
+    capabilities carrying an explicit requirement, and conjugation works in
+    either direction of the stored edge orientation.
     """
-    missing = profile.missing_from(requirements.ids())
-    if missing:
-        raise IncompleteProfileError(missing)
+    delta_set = compute_delta(requirements, profile)
+    deltas = delta_set.deltas
+    deficits = sorted(delta_set.deficits(), key=lambda cap: (-deltas[cap], cap.sort_key()))
+    spare = {cap: -d for cap, d in delta_set.reserves().items()}
+    neighbours = {d: [r for r in graph.adjacency.get(d, ()) if r in spare] for d in deficits}
+    flow: dict[CapabilityId, dict[CapabilityId, int]] = {d: {} for d in deficits}
+    sent = dict.fromkeys(deficits, 0)
 
-    neighbors: dict[CapabilityId, set[CapabilityId]] = {}
-    req_ids = set(requirements.requirements)
-    for edge in graph.edges:
-        if edge.source in req_ids and edge.target in req_ids:
-            neighbors.setdefault(edge.source, set()).add(edge.target)
-            neighbors.setdefault(edge.target, set()).add(edge.source)
+    def push(deficient: CapabilityId, limit: int, visited: set[CapabilityId]) -> int:
+        # Depth-first augmenting path: a reserve with room takes the units,
+        # a full one passes them on by rerouting another deficit's flow into
+        # it. Each reserve is entered once, so depth is at most the reserves.
+        for reserve in neighbours[deficient]:
+            if reserve in visited:
+                continue
+            visited.add(reserve)
+            moved = min(limit, spare[reserve])
+            if moved:
+                spare[reserve] -= moved
+            else:
+                for other in deficits:
+                    held = flow[other].get(reserve, 0)
+                    if held and other != deficient:
+                        moved = push(other, min(limit, held), visited)
+                        if moved:
+                            flow[other][reserve] = held - moved
+                            break
+            if moved:
+                flow[deficient][reserve] = flow[deficient].get(reserve, 0) + moved
+                return moved
+        return 0
 
-    initial = dict(requirements.requirements)
+    def route(deficient: CapabilityId, goal: int) -> bool:
+        while sent[deficient] < goal:
+            moved = push(deficient, goal - sent[deficient], set())
+            if not moved:
+                return False
+            sent[deficient] += moved
+        return True
 
-    def report_for(reqs: dict[CapabilityId, int]) -> FeasibilityReport:
-        delta_set = DeltaSet(
-            action_id=requirements.action_id,
-            agent_id=profile.agent_id,
-            deltas={cap: req - profile.values[cap] for cap, req in reqs.items()},
-        )
-        return is_feasible_fuzzy(delta_set, fuzz)
+    # Augmentation never lowers what another deficit sends, and a deficit
+    # with no augmenting path never gains one later, so one pass in order
+    # reaches the maximum flow: a failed lower bound is a Hall violation.
+    feasible = all(route(d, max(0, deltas[d] - fuzz.xi_for(d))) for d in deficits)
+    need = deficit_sum(delta_set) - fuzz.theta
+    for d in deficits:
+        shortfall = need - sum(sent.values())
+        if not feasible or shortfall <= 0:
+            break
+        route(d, min(deltas[d], sent[d] + shortfall))
+    feasible = feasible and sum(sent.values()) >= need
 
-    # Depth-first search over unit shifts; memoized on requirement state.
-    # Every accepted shift lowers the deficit sum by one, so depth is
-    # bounded by the initial deficit sum.
-    seen: set[tuple[int, ...]] = set()
-    order = sorted(initial)
-
-    def search(reqs: dict[CapabilityId, int]) -> list[CompensationStep] | None:
-        state = tuple(reqs[cap] for cap in order)
-        if state in seen:
-            return None
-        seen.add(state)
-        if report_for(reqs):
-            return []
-        for deficient, reserve in _admissible_shifts(reqs, profile, neighbors, fuzz):
-            reqs[deficient] -= 1
-            reqs[reserve] += 1
-            tail = search(reqs)
-            if tail is not None:
-                return [CompensationStep(deficient, reserve, 1)] + tail
-            reqs[deficient] += 1
-            reqs[reserve] -= 1
-        return None
-
-    working = dict(initial)
-    steps = search(working)
-
-    if steps is None:
-        final = RequirementSet(requirements.action_id, initial)
-        return CompensationTrace(
-            outcome=CompensationOutcome.INFEASIBLE,
-            steps=(),
-            initial_requirements=requirements,
-            final_requirements=final,
-            final_report=report_for(initial),
-        )
-
-    merged = _merge_steps(steps)
-    final_reqs = dict(initial)
-    for step in merged:
+    steps = tuple(
+        CompensationStep(d, r, flow[d][r]) for d in deficits for r in neighbours[d] if flow[d].get(r)
+    ) if feasible else ()
+    final_reqs = dict(requirements.requirements)
+    for step in steps:
         final_reqs[step.deficient] -= step.amount
         final_reqs[step.reserve] += step.amount
     final = RequirementSet(requirements.action_id, final_reqs)
-    outcome = (
-        CompensationOutcome.FEASIBLE_DIRECT
-        if not merged
-        else CompensationOutcome.FEASIBLE_AFTER_COMPENSATION
-    )
+    if not feasible:
+        outcome = CompensationOutcome.INFEASIBLE
+    elif steps:
+        outcome = CompensationOutcome.FEASIBLE_AFTER_COMPENSATION
+    else:
+        outcome = CompensationOutcome.FEASIBLE_DIRECT
     return CompensationTrace(
         outcome=outcome,
-        steps=tuple(merged),
+        steps=steps,
         initial_requirements=requirements,
         final_requirements=final,
-        final_report=report_for(final_reqs),
+        final_report=is_feasible_fuzzy(compute_delta(final, profile), fuzz),
     )
-
-
-def _merge_steps(steps: Iterable[CompensationStep]) -> list[CompensationStep]:
-    """Coalesce consecutive shifts along the same pair."""
-    merged: list[CompensationStep] = []
-    for step in steps:
-        if merged and merged[-1].deficient == step.deficient and merged[-1].reserve == step.reserve:
-            last = merged[-1]
-            merged[-1] = CompensationStep(last.deficient, last.reserve, last.amount + step.amount)
-        else:
-            merged.append(step)
-    return merged

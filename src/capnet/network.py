@@ -21,7 +21,9 @@ import csv
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from importlib import resources
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -155,18 +157,32 @@ class ConjugationGraph:
 
     # -- queries ---------------------------------------------------------
 
+    @cached_property
+    def _arcs(self) -> frozenset[tuple[CapabilityId, CapabilityId]]:
+        """Every (source, target) edge orientation."""
+        return frozenset((e.source, e.target) for e in self.edges)
+
+    @cached_property
+    def adjacency(self) -> Mapping[CapabilityId, tuple[CapabilityId, ...]]:
+        """Node -> sorted neighbours joined by an edge in either direction."""
+        joined: dict[CapabilityId, set[CapabilityId]] = {node: set() for node in self.nodes}
+        for source, target in self._arcs:
+            joined[source].add(target)
+            joined[target].add(source)
+        return MappingProxyType({node: tuple(sorted(near)) for node, near in joined.items()})
+
     def successors(self, node: CapabilityId) -> list[CapabilityId]:
-        return sorted(e.target for e in self.edges if e.source == node)
+        return [n for n in self.adjacency.get(node, ()) if (node, n) in self._arcs]
 
     def predecessors(self, node: CapabilityId) -> list[CapabilityId]:
-        return sorted(e.source for e in self.edges if e.target == node)
+        return [n for n in self.adjacency.get(node, ()) if (n, node) in self._arcs]
 
     def has_edge(self, a: CapabilityId, b: CapabilityId) -> bool:
-        return any(e.source == a and e.target == b for e in self.edges)
+        return (a, b) in self._arcs
 
     def are_conjugated(self, a: CapabilityId, b: CapabilityId) -> bool:
         """True when an edge joins a and b in either direction."""
-        return self.has_edge(a, b) or self.has_edge(b, a)
+        return (a, b) in self._arcs or (b, a) in self._arcs
 
     def edge_pairs(self) -> set[frozenset[CapabilityId]]:
         return {e.pair() for e in self.edges}

@@ -28,6 +28,7 @@ __all__ = [
     "PermutationTestResult",
     "CorrelationStrength",
     "pearson",
+    "profile_matrix",
     "correlation_matrix",
     "permutation_test",
     "pairwise_permutation_pvalues",
@@ -118,8 +119,12 @@ class CorrelationMatrix:
         return buffer.getvalue()
 
 
-def _data_matrix(dataset: ProfileDataset, ids: tuple[CapabilityId, ...]) -> np.ndarray:
-    """Profiles x ids float matrix; every profile must be complete over ``ids``."""
+def profile_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> np.ndarray:
+    """Profiles x ids float matrix; every profile must be complete over ``ids``.
+
+    Both table functions below accept this matrix in place of the dataset,
+    so a caller that needs both builds it once.
+    """
     if len(dataset) < 2:
         raise DatasetError(f"need at least 2 profiles, got {len(dataset)}")
     rows = []
@@ -134,16 +139,16 @@ def _data_matrix(dataset: ProfileDataset, ids: tuple[CapabilityId, ...]) -> np.n
     return np.array(rows, dtype=float)
 
 
-def correlation_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> CorrelationMatrix:
+def correlation_matrix(dataset: ProfileDataset | np.ndarray, ids: Sequence[CapabilityId]) -> CorrelationMatrix:
     """Pairwise Pearson matrix over profile columns.
 
     The dataset must already be filtered: every profile complete over
-    ``ids``. Constant columns yield recorded-undefined (NaN) cells rather
-    than propagating through. Symmetric by construction (upper triangle
-    mirrored).
+    ``ids``; it may also be given as its ``profile_matrix``. Constant
+    columns yield recorded-undefined (NaN) cells rather than propagating
+    through. Symmetric by construction (upper triangle mirrored).
     """
     ids = tuple(ids)
-    data = _data_matrix(dataset, ids)
+    data = dataset if isinstance(dataset, np.ndarray) else profile_matrix(dataset, ids)
     centred = data - data.mean(axis=0)
     products = np.einsum("ki,kj->ij", centred, centred, optimize=False)
     sums = np.diag(products)
@@ -153,7 +158,7 @@ def correlation_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> 
     constant = np.ptp(data, axis=0) == 0
     r[constant] = np.nan
     r[:, constant] = np.nan
-    return CorrelationMatrix(ids=ids, r=r, n_samples=len(dataset))
+    return CorrelationMatrix(ids=ids, r=r, n_samples=len(data))
 
 
 @dataclass(frozen=True)
@@ -214,7 +219,7 @@ def permutation_test(x, y, n_resamples: int = 10_000, seed: int = 0) -> Permutat
 
 
 def pairwise_permutation_pvalues(
-    dataset: ProfileDataset,
+    dataset: ProfileDataset | np.ndarray,
     ids: Sequence[CapabilityId],
     n_resamples: int = 10_000,
     seed: int = 0,
@@ -224,10 +229,11 @@ def pairwise_permutation_pvalues(
     All pairs share the run's resample rows (no seed is derived per pair),
     so entry (i, j) equals ``permutation_test(column i, column j,
     n_resamples, seed)`` exactly, and entries are dependent across pairs.
-    Pairs touching a constant column are undefined (NaN).
+    Pairs touching a constant column are undefined (NaN). The dataset may
+    also be given as its ``profile_matrix``.
     """
     ids = tuple(ids)
-    data = _data_matrix(dataset, ids)
+    data = dataset if isinstance(dataset, np.ndarray) else profile_matrix(dataset, ids)
     constant = np.ptp(data, axis=0) == 0
     n = len(ids)
     pairs = [(i, j) for j in range(n) for i in range(j) if not (constant[i] or constant[j])]
@@ -235,7 +241,7 @@ def pairwise_permutation_pvalues(
     p = np.full((n, n), np.nan)
     for (i, j), value in zip(pairs, pvalues):
         p[i, j] = p[j, i] = value
-    return CorrelationMatrix(ids=ids, r=p, n_samples=len(dataset))
+    return CorrelationMatrix(ids=ids, r=p, n_samples=len(data))
 
 
 class CorrelationStrength(str, Enum):

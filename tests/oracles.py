@@ -83,7 +83,7 @@ def brute_force_lex_min_cover(paths, node_set, p_max, p_hat_max):
 
 
 def exhaustive_shift_feasible(requirements, capacities, pairs, xi, theta, max_requirement=6):
-    """Breadth-first search over every admissible unit-shift sequence.
+    """Depth-first (LIFO) search over every admissible unit-shift sequence.
 
     requirements/capacities/xi: dict capability -> int; pairs: set of
     frozenset pairs that are conjugated. Returns True when some reachable

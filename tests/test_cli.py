@@ -179,6 +179,22 @@ class TestAnalyze:
         )
         assert result.exit_code == EXIT_USAGE, result.output
 
+    def test_profile_matrix_built_once(self, runner, tmp_path, monkeypatch):
+        from capnet import stats
+
+        built = []
+        real = stats.profile_matrix
+        monkeypatch.setattr(stats, "profile_matrix", lambda *a: built.append(1) or real(*a))
+        data = tmp_path / "data.csv"
+        runner.invoke(main, ["gen-data", "--count", "40", "--seed", "5", "--out", str(data)])
+        result = runner.invoke(
+            main,
+            ["analyze", "--data", str(data), "--resamples", "9",
+             "--out-corr", str(tmp_path / "c.csv"), "--out-pvalues", str(tmp_path / "p.csv")],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(built) == 1
+
     def test_zero_threshold_keeps_complete_profiles(self, runner, tmp_path):
         data = tmp_path / "data.csv"
         runner.invoke(main, ["gen-data", "--count", "40", "--seed", "5", "--out", str(data)])
@@ -277,6 +293,36 @@ class TestAllocate:
         assert result.exit_code == 0
         assert "feasible_direct" in result.output
         assert "shift" not in result.output
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--theta", "-1"],
+            ["--theta", "99"],
+            ["--xi", "3.03.04"],
+            ["--xi", "3.03.04=x"],
+            ["--xi", "bogus=1"],
+            ["--xi", "3.03.04=9"],
+        ],
+        ids=["theta-negative", "theta-above-cap", "xi-no-value", "xi-non-integer", "xi-bad-id", "xi-above-scale"],
+    )
+    def test_bad_slack_option_usage_error(self, runner, graph_artifact, option):
+        result = runner.invoke(
+            main,
+            [
+                "allocate",
+                "--requirements",
+                fixture_path("demo_requirements.csv"),
+                "--profiles",
+                fixture_path("demo_profile.csv"),
+                "--agent",
+                "demo",
+                "--graph",
+                str(graph_artifact),
+                *option,
+            ],
+        )
+        assert result.exit_code == EXIT_USAGE, result.output
 
     def test_incomplete_profile_lists_missing(self, runner, graph_artifact, tmp_path):
         profile = tmp_path / "p.csv"

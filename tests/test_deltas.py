@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -24,6 +25,20 @@ from capnet.taxonomy import parse_capability_id as pid
 from oracles import exhaustive_shift_feasible
 
 A, B, C, D = pid("3.03.04"), pid("3.02.03"), pid("3.04.02"), pid("5.01.01")
+WIDE = [pid(f"3.04.{i:02d}") for i in range(1, 9)]
+
+
+def random_instance(rng):
+    """6-8 capabilities, deficit sum at most 8, random pairs, xi and theta."""
+    ids = WIDE[: rng.randint(6, 8)]
+    while True:
+        caps = {cap: rng.randint(0, 6) for cap in ids}
+        reqs = {cap: min(6, max(0, caps[cap] + rng.randint(-3, 3))) for cap in ids}
+        if sum(max(0, reqs[c] - caps[c]) for c in ids) <= 8:
+            break
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if rng.random() < 0.4] or [(ids[0], ids[1])]
+    xi = {cap: rng.randint(0, 2) for cap in ids if rng.random() < 0.3}
+    return reqs, caps, pairs, FuzzyParams(xi=xi, theta=rng.randint(0, 3))
 
 
 def graph_of(*pairs):
@@ -256,3 +271,56 @@ class TestCompensate:
                 graph_of((A, B)),
                 FuzzyParams(),
             )
+
+    def test_verdict_matches_oracle_on_wider_instances(self):
+        rng = random.Random(4711)
+        feasible = 0
+        for _ in range(600):
+            reqs, caps, pairs, fuzz = random_instance(rng)
+            trace = compensate(RequirementSet("k", reqs), profile_of(caps), graph_of(*pairs), fuzz)
+            expected = exhaustive_shift_feasible(reqs, caps, {frozenset(p) for p in pairs}, fuzz.xi, fuzz.theta)
+            assert (trace.outcome is not CompensationOutcome.INFEASIBLE) == expected
+            feasible += expected
+        assert 100 <= feasible <= 500
+
+    def test_trace_shifts_fewest_units_in_canonical_order(self):
+        rng = random.Random(4712)
+        compensated = 0
+        for _ in range(600):
+            reqs, caps, pairs, fuzz = random_instance(rng)
+            trace = compensate(RequirementSet("k", reqs), profile_of(caps), graph_of(*pairs), fuzz)
+            if trace.outcome is not CompensationOutcome.FEASIBLE_AFTER_COMPENSATION:
+                continue
+            compensated += 1
+            assert trace.final_report.feasible
+            delta = {cap: reqs[cap] - caps[cap] for cap in reqs}
+            lower = sum(max(0, d - fuzz.xi_for(cap)) for cap, d in delta.items() if d > 0)
+            aggregate = sum(d for d in delta.values() if d > 0) - fuzz.theta
+            assert sum(step.amount for step in trace.steps) == max(lower, aggregate)
+            used = [(step.deficient, step.reserve) for step in trace.steps]
+            assert len(set(used)) == len(used)
+            keys = [((-delta[d], d.sort_key()), r.sort_key()) for d, r in used]
+            assert keys == sorted(keys)
+            assert all(step.amount > 0 for step in trace.steps)
+        assert compensated >= 100
+
+    @pytest.mark.parametrize("short_reserve, feasible", [(True, False), (False, True)])
+    def test_fully_conjugated_k12_is_fast(self, short_reserve, feasible):
+        # 12 deficits of 2 with no slack and 12 reserves of 2, every pair
+        # conjugated. Taking one unit off a reserve leaves 23 units of room
+        # for 24 units of deficit: Hall's condition fails on the whole set.
+        deficient = [pid(f"3.03.{i:02d}") for i in range(1, 13)]
+        reserves = [pid(f"3.04.{i:02d}") for i in range(1, 13)]
+        reqs = {**{cap: 4 for cap in deficient}, **{cap: 2 for cap in reserves}}
+        if short_reserve:
+            reqs[reserves[-1]] = 3
+        caps = {**{cap: 2 for cap in deficient}, **{cap: 4 for cap in reserves}}
+        everything = deficient + reserves
+        graph = graph_of(*[(a, b) for i, a in enumerate(everything) for b in everything[i + 1 :]])
+        start = time.perf_counter()
+        trace = compensate(RequirementSet("k", reqs), profile_of(caps), graph, FuzzyParams())
+        assert time.perf_counter() - start < 2.0
+        assert (trace.outcome is not CompensationOutcome.INFEASIBLE) == feasible
+        if feasible:
+            assert trace.final_report.feasible
+            assert sum(step.amount for step in trace.steps) == 24

@@ -257,3 +257,16 @@ class TestGraphType:
         assert final_graph.are_conjugated(pid("3.02.03"), pid("3.03.04"))
         assert final_graph.are_conjugated(pid("3.03.04"), pid("3.02.03"))
         assert not final_graph.are_conjugated(pid("1.05.01"), pid("5.01.04"))
+
+    def test_cached_adjacency_equals_edge_scan(self, final_graph):
+        edges = final_graph.edges
+        for node in final_graph.nodes:
+            out = sorted(e.target for e in edges if e.source == node)
+            into = sorted(e.source for e in edges if e.target == node)
+            assert final_graph.successors(node) == out
+            assert final_graph.predecessors(node) == into
+            assert final_graph.adjacency[node] == tuple(sorted(out + into))
+            for other in final_graph.nodes:
+                scan = any(e.source == node and e.target == other for e in edges)
+                assert final_graph.has_edge(node, other) == scan
+                assert final_graph.are_conjugated(node, other) == (other in out or other in into)

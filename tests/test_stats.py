@@ -12,6 +12,7 @@ from capnet.stats import (
     pairwise_permutation_pvalues,
     pearson,
     permutation_test,
+    profile_matrix,
 )
 from capnet.taxonomy import parse_capability_id as pid
 
@@ -241,6 +242,15 @@ class TestPairwisePvalues:
         dataset, ids, _ = self._dataset()
         with pytest.raises(ValueError):
             pairwise_permutation_pvalues(dataset, ids, 0, seed=0)
+
+    def test_prebuilt_profile_matrix_gives_same_tables(self):
+        dataset, ids, data = self._dataset()
+        built = profile_matrix(dataset, ids)
+        assert np.array_equal(built, data)
+        for table in (correlation_matrix, lambda d, i: pairwise_permutation_pvalues(d, i, 99, seed=5)):
+            direct, reused = table(dataset, ids), table(built, ids)
+            assert reused.ids == direct.ids and reused.n_samples == direct.n_samples
+            assert np.array_equal(reused.r, direct.r, equal_nan=True)
 
     def test_shape_and_symmetry(self):
         rng = np.random.default_rng(6)
