@@ -10,6 +10,7 @@ Exit codes: 0 success/feasible, 2 usage error, 3 input or data error,
 
 from __future__ import annotations
 
+import csv
 import sys
 from pathlib import Path
 
@@ -72,7 +73,7 @@ def cmd_build_graph(catalog_path, table_path, cand_path, corr_path, threshold, r
         table = network.load_interrelations(table_path) if table_path else network.load_default_interrelations()
         candidates = network.load_candidates(cand_path) if cand_path else network.load_default_candidates()
         correlations = network.load_correlations(corr_path) if corr_path else network.load_default_correlations()
-    except (OSError, CapnetError) as exc:
+    except (OSError, UnicodeDecodeError, CapnetError) as exc:
         _fail(EXIT_DATA, str(exc))
 
     try:
@@ -118,7 +119,7 @@ def cmd_synthesize(graph_path, catalog_path, n_min, p_max, p_hat_max, out_path, 
     try:
         catalog = _load_catalog(catalog_path)
         graph = network.import_graph(Path(graph_path).read_text(encoding="utf-8"))
-    except (OSError, CapnetError) as exc:
+    except (OSError, UnicodeDecodeError, CapnetError) as exc:
         _fail(EXIT_DATA, str(exc))
     node_set = [n for n in taxonomy.sitting_over_table_set(catalog) if n in set(graph.nodes)]
     try:
@@ -157,7 +158,7 @@ def cmd_analyze(data_path, catalog_path, phase, threshold, resamples, seed, out_
     try:
         catalog = _load_catalog(catalog_path)
         dataset = profiles.load_dataset(data_path, catalog)
-    except (OSError, CapnetError) as exc:
+    except (OSError, UnicodeDecodeError, CapnetError) as exc:
         _fail(EXIT_DATA, str(exc))
     if phase != "all":
         dataset = dataset.with_phase(profiles.Phase(phase))
@@ -261,15 +262,19 @@ def cmd_gen_data(count, seed, correlation, degenerate_fraction, out_path):
 
 
 def _read_requirements(path) -> "profiles.RequirementSet":
-    import csv as _csv
-
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = _csv.DictReader(handle)
+        reader = csv.DictReader(handle)
         if reader.fieldnames is None or tuple(reader.fieldnames) != ("id", "level"):
             raise DatasetError("requirement file header must be id,level")
-        values = {
-            taxonomy.parse_capability_id(row["id"]): int(row["level"]) for row in reader
-        }
+        values = {}
+        for row in reader:
+            cap = taxonomy.parse_capability_id(row["id"])
+            try:
+                values[cap] = int(row["level"])
+            except (TypeError, ValueError):
+                raise DatasetError(
+                    f"line {reader.line_num}: requirement level {row['level']!r} is not an integer"
+                ) from None
     return profiles.RequirementSet(action_id=str(path), requirements=values)
 
 

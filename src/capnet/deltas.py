@@ -205,7 +205,7 @@ def compensate(
     """
     delta_set = compute_delta(requirements, profile)
     deltas = delta_set.deltas
-    deficits = sorted(delta_set.deficits(), key=lambda cap: (-deltas[cap], cap.sort_key()))
+    deficits = sorted(delta_set.deficits(), key=lambda cap: (-deltas[cap], cap))
     spare = {cap: -d for cap, d in delta_set.reserves().items()}
     neighbours = {d: [r for r in graph.adjacency.get(d, ()) if r in spare] for d in deficits}
     flow: dict[CapabilityId, dict[CapabilityId, int]] = {d: {} for d in deficits}

@@ -13,6 +13,11 @@ dependency entries take precedence over appears_with, which takes
 precedence over replaced_by. Symmetric edges that would close a cycle
 against the already oriented edges are dropped and reported, keeping the
 graph acyclic by construction.
+
+A ConjugationGraph stores itself in canonical order (nodes sorted, edges
+sorted by (source, target)), so every export and every traversal follows
+that one order whatever order the graph was built in. Cycles are found by
+the standard library's ``graphlib``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -128,8 +134,9 @@ class ConjugationGraph:
     """Immutable directed acyclic graph of conjugated capabilities.
 
     Nodes carry the catalog category tag so downstream stages can filter
-    out upstream-tested capabilities. Equality covers nodes and edges but
-    not build metadata (dropped_edges).
+    out upstream-tested capabilities. Nodes are stored sorted and edges
+    sorted by (source, target), whatever order they are given in. Equality
+    covers nodes and edges but not build metadata (dropped_edges).
     """
 
     nodes: tuple[CapabilityId, ...]
@@ -138,6 +145,8 @@ class ConjugationGraph:
     dropped_edges: tuple[Edge, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: (e.source, e.target))))
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise GraphConstructionError("duplicate nodes")
@@ -192,65 +201,34 @@ class ConjugationGraph:
 
     def over_table_nodes(self) -> list[CapabilityId]:
         tags = dict(self.categories)
-        return sorted(n for n in self.nodes if tags.get(n) == Category.OVER_TABLE.value)
+        return [n for n in self.nodes if tags.get(n) == Category.OVER_TABLE.value]
 
     def restricted_to(self, keep: Iterable[CapabilityId]) -> "ConjugationGraph":
         """Induced subgraph on the given nodes."""
         keep_set = set(keep)
-        nodes = tuple(sorted(n for n in self.nodes if n in keep_set))
-        edges = tuple(
-            sorted(
-                (e for e in self.edges if e.source in keep_set and e.target in keep_set),
-                key=lambda e: (e.source.sort_key(), e.target.sort_key()),
-            )
-        )
+        nodes = tuple(n for n in self.nodes if n in keep_set)
+        edges = tuple(e for e in self.edges if e.source in keep_set and e.target in keep_set)
         cats = tuple((n, c) for n, c in self.categories if n in keep_set)
         return ConjugationGraph(nodes=nodes, edges=edges, categories=cats)
 
     def replace_edges(self, edges: Iterable[Edge], dropped: Iterable[Edge] = ()) -> "ConjugationGraph":
-        ordered = tuple(sorted(edges, key=lambda e: (e.source.sort_key(), e.target.sort_key())))
         return ConjugationGraph(
             nodes=self.nodes,
-            edges=ordered,
+            edges=tuple(edges),
             categories=self.categories,
             dropped_edges=tuple(dropped),
         )
 
 
 def find_cycle(nodes, arcs) -> list | None:
-    """Iterative DFS cycle finder; returns one cycle as a node list or None."""
-    adjacency: dict = {n: [] for n in nodes}
+    """One cycle in edge direction, first node repeated last, or None."""
+    sources: dict = {node: [] for node in nodes}
     for source, target in arcs:
-        adjacency[source].append(target)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    parent: dict = {}
-    for root in nodes:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(adjacency[root]))]
-        color[root] = GRAY
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    parent[child] = node
-                    stack.append((child, iter(adjacency[child])))
-                    advanced = True
-                    break
-                if color[child] == GRAY:
-                    cycle = [child, node]
-                    walker = node
-                    while walker != child:
-                        walker = parent[walker]
-                        cycle.append(walker)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+        sources[target].append(source)
+    try:
+        TopologicalSorter(sources).prepare()
+    except CycleError as exc:
+        return exc.args[1]
     return None
 
 
@@ -298,7 +276,7 @@ def build_graph(
     directed: dict[tuple[CapabilityId, CapabilityId], Relation] = {}
     symmetric: dict[tuple[CapabilityId, CapabilityId], Relation] = {}
 
-    for pair, entries in sorted(by_pair.items(), key=lambda kv: sorted(k.sort_key() for k in kv[0])):
+    for pair, entries in sorted(by_pair.items(), key=lambda kv: sorted(kv[0])):
         best = min(_RELATION_PRECEDENCE[e.relation.kind] for e in entries)
         chosen = [e for e in entries if _RELATION_PRECEDENCE[e.relation.kind] == best]
         manufacturing = any(e.relation.manufacturing for e in entries)
@@ -333,7 +311,7 @@ def build_graph(
 
     edges = [Edge(s, t, rel) for (s, t), rel in directed.items()]
     dropped: list[Edge] = []
-    for (source, target), rel in sorted(symmetric.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())):
+    for (source, target), rel in sorted(symmetric.items()):
         if _reachable(adjacency, target, source):
             dropped.append(Edge(source, target, rel))
             continue
@@ -343,7 +321,6 @@ def build_graph(
     categories = ()
     if catalog is not None:
         categories = tuple((n, catalog[n].category.value) for n in nodes)
-    edges.sort(key=lambda e: (e.source.sort_key(), e.target.sort_key()))
     return ConjugationGraph(
         nodes=tuple(nodes),
         edges=tuple(edges),
@@ -473,7 +450,7 @@ def export_graph(graph: ConjugationGraph, fmt: str = "structured", catalog: Capa
         doc = {
             "nodes": [
                 {"id": str(n), "category": graph.category_of(n)}
-                for n in sorted(graph.nodes)
+                for n in graph.nodes
             ],
             "edges": [
                 {
@@ -483,18 +460,18 @@ def export_graph(graph: ConjugationGraph, fmt: str = "structured", catalog: Capa
                     "manufacturing": e.relation.manufacturing,
                     "correlation": e.correlation,
                 }
-                for e in sorted(graph.edges, key=lambda e: (e.source.sort_key(), e.target.sort_key()))
+                for e in graph.edges
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "dot":
         lines = ["digraph conjugated_capabilities {", "  rankdir=LR;"]
-        for node in sorted(graph.nodes):
+        for node in graph.nodes:
             label = str(node)
             if catalog is not None and node in catalog:
                 label = f"{node} {catalog.name_of(node)}"
             lines.append(f'  "{node}" [label="{label}"];')
-        for edge in sorted(graph.edges, key=lambda e: (e.source.sort_key(), e.target.sort_key())):
+        for edge in graph.edges:
             attrs = [f'label="{edge.relation.letter()}"']
             if edge.correlation is not None:
                 attrs.append(f'tooltip="r={edge.correlation:g}"')
@@ -505,24 +482,37 @@ def export_graph(graph: ConjugationGraph, fmt: str = "structured", catalog: Capa
 
 
 def import_graph(text: str) -> ConjugationGraph:
-    """Rebuild a graph from its structured export."""
-    doc = json.loads(text)
-    nodes = tuple(sorted(parse_capability_id(n["id"]) for n in doc["nodes"]))
-    categories = tuple(
-        (parse_capability_id(n["id"]), n["category"])
-        for n in doc["nodes"]
-        if n.get("category") is not None
-    )
-    edges = tuple(
-        Edge(
-            parse_capability_id(e["from"]),
-            parse_capability_id(e["to"]),
-            Relation(RelationKind(e["relation"]), bool(e["manufacturing"])),
-            e["correlation"],
-        )
-        for e in doc["edges"]
-    )
-    return ConjugationGraph(nodes=nodes, edges=edges, categories=categories)
+    """Rebuild a graph from its structured export.
+
+    Text that is not such a document raises GraphConstructionError.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise GraphConstructionError(f"graph document is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise GraphConstructionError("graph document must be a JSON object")
+    try:
+        nodes, categories = [], []
+        for n in doc["nodes"]:
+            node = parse_capability_id(n["id"])
+            nodes.append(node)
+            if n.get("category") is not None:
+                categories.append((node, n["category"]))
+        edges = [
+            Edge(
+                parse_capability_id(e["from"]),
+                parse_capability_id(e["to"]),
+                Relation(RelationKind(e["relation"]), bool(e["manufacturing"])),
+                e["correlation"],
+            )
+            for e in doc["edges"]
+        ]
+    except KeyError as exc:
+        raise GraphConstructionError(f"graph document lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise GraphConstructionError(f"malformed graph document: {exc}") from None
+    return ConjugationGraph(nodes=tuple(nodes), edges=tuple(edges), categories=tuple(categories))
 
 
 # -- fixture loading -------------------------------------------------------
@@ -539,11 +529,17 @@ def read_interrelations(lines: Iterable[str]) -> InterrelationTable:
     reader = _table_reader(lines, ("row_id", "col_id", "relation", "manufacturing"), "interrelation")
     entries = []
     for row in reader:
+        try:
+            kind = RelationKind((row["relation"] or "").strip())
+        except ValueError:
+            raise GraphConstructionError(
+                f"line {reader.line_num}: unknown relation {row['relation']!r}"
+            ) from None
         entries.append(
             InterrelationEntry(
                 row=parse_capability_id(row["row_id"]),
                 col=parse_capability_id(row["col_id"]),
-                relation=Relation(RelationKind(row["relation"].strip()), row["manufacturing"].strip() == "1"),
+                relation=Relation(kind, (row["manufacturing"] or "").strip() == "1"),
             )
         )
     return InterrelationTable(entries)

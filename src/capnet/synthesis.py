@@ -77,8 +77,10 @@ def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> Path
     """All simple directed paths with at least n_min nodes.
 
     Paths may begin and end on any node. Order is lexicographic by node
-    sequence. Every emitted step is checked against the adjacency, so a
-    corrupted traversal cannot slip through.
+    sequence: a preorder walk from each node in canonical order over
+    canonically ordered successors emits them so. Every emitted step is
+    checked against the adjacency, so a corrupted traversal cannot slip
+    through.
     """
     if n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {n_min}")
@@ -97,9 +99,8 @@ def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> Path
             walk(child, trail)
         trail.pop()
 
-    for start in sorted(graph.nodes):
+    for start in graph.nodes:
         walk(start, [])
-    collected.sort(key=lambda path: tuple(node.sort_key() for node in path))
     return PathSet(paths=tuple(collected), n_min=n_min)
 
 
@@ -165,7 +166,7 @@ def annotate_requirements(
             raise AnnotationError(f"{cap} occurs {total} times, above the cap {p_hat_max}")
 
     level_at: dict[tuple[int, int], int] = {}
-    for (cap, stream), places in sorted(encounters.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1])):
+    for (cap, stream), places in encounters.items():
         low, high = _STREAM_RANGE[stream]
         for place, level in zip(places, _spread_levels(len(places), low, high)):
             level_at[place] = level
@@ -243,7 +244,7 @@ def synthesize(
     path_set = enumerate_paths(subgraph, n_min)
     problem = CoverProblem(
         paths=path_set.paths,
-        node_set=tuple(sorted(subgraph.nodes)),
+        node_set=subgraph.nodes,
         p_max=p_max,
         p_hat_max=p_hat_max,
     )

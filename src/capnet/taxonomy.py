@@ -2,9 +2,13 @@
 
 Capabilities are identified hierarchically as complex.main.detail
 (e.g. "3.04.08"); the detail component is omitted for main-level entries
-(e.g. "4.01"). Quantifications live on the integer scale 0..6, where the
-raw scale labels are 0,1,2,3-,3+,4,5 (3- and 3+ are stored as 3 and 4 so
-that arithmetic on scores stays plain integer arithmetic).
+(e.g. "4.01") and stored as 0, which no parsed component can be. Ids
+order by their fields, so a main-level id sorts just before its details
+and every artifact lists ids in that one canonical order.
+
+Quantifications live on the integer scale 0..6, where the raw scale
+labels are 0,1,2,3-,3+,4,5 (3- and 3+ are stored as 3 and 4 so that
+arithmetic on scores stays plain integer arithmetic).
 """
 
 from __future__ import annotations
@@ -35,47 +39,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=True)
 class CapabilityId:
-    """Hierarchical capability identifier: complex.main[.detail]."""
+    """Hierarchical capability identifier: complex.main[.detail].
+
+    ``detail`` is 0 for a main-level id. Field order is the canonical
+    order: "3.04" < "3.04.01" < "3.04.08" < "3.05".
+    """
 
     complex: int
     main: int
-    detail: int | None = None
+    detail: int = 0
 
     def __post_init__(self):
         for part, value in (("complex", self.complex), ("main", self.main)):
             if not isinstance(value, int) or value <= 0:
                 raise CapabilityIdError(f"{part} component must be a positive integer, got {value!r}")
-        if self.detail is not None and (not isinstance(self.detail, int) or self.detail <= 0):
-            raise CapabilityIdError(f"detail component must be a positive integer, got {self.detail!r}")
+        if not isinstance(self.detail, int) or self.detail < 0:
+            raise CapabilityIdError(f"detail component must be a non-negative integer, got {self.detail!r}")
 
     @property
     def is_main_level(self) -> bool:
-        return self.detail is None
+        return self.detail == 0
 
     def main_id(self) -> "CapabilityId":
         """The main-level id this capability aggregates under."""
         return CapabilityId(self.complex, self.main)
 
-    def sort_key(self) -> tuple[int, int, int, int]:
-        # detail-absent entries order before their details
-        return (self.complex, self.main, 0 if self.detail is None else 1, self.detail or 0)
-
-    def __lt__(self, other: "CapabilityId") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "CapabilityId") -> bool:
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "CapabilityId") -> bool:
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "CapabilityId") -> bool:
-        return self.sort_key() >= other.sort_key()
-
     def __str__(self) -> str:
-        if self.detail is None:
+        if self.is_main_level:
             return f"{self.complex}.{self.main:02d}"
         return f"{self.complex}.{self.main:02d}.{self.detail:02d}"
 
@@ -107,9 +99,7 @@ def parse_capability_id(text: str) -> CapabilityId:
     if any(v <= 0 for v in values):
         bad = names[[v <= 0 for v in values].index(True)]
         raise CapabilityIdError(f"{text!r}: zero-valued {bad} component")
-    if len(values) == 2:
-        return CapabilityId(values[0], values[1])
-    return CapabilityId(values[0], values[1], values[2])
+    return CapabilityId(*values)
 
 
 QUANT_MIN = 0
@@ -239,6 +229,8 @@ def read_catalog(lines: Iterable[str]) -> CapabilityCatalog:
         raise CatalogError(f"catalog header must be {','.join(_CATALOG_COLUMNS)}")
     entries = []
     for row in reader:
+        if any(row[column] is None for column in _CATALOG_COLUMNS):
+            raise CatalogError(f"line {reader.line_num}: catalog row needs {len(_CATALOG_COLUMNS)} cells")
         try:
             entries.append(
                 CatalogEntry(

@@ -131,7 +131,7 @@ def test_criterion_4_solver_exactness():
         node_set = tuple(nodes[:n_nodes])
         n_paths = rng.randint(1, 14)
         paths = tuple(
-            tuple(sorted(rng.sample(node_set, rng.randint(1, n_nodes)), key=lambda c: c.sort_key()))
+            tuple(sorted(rng.sample(node_set, rng.randint(1, n_nodes))))
             for _ in range(n_paths)
         )
         p_max = rng.randint(1, 3)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from capnet import network
 from capnet.cli import (
@@ -68,6 +70,9 @@ class TestBuildGraph:
             pytest.param("--candidates", "a,b,c,d\n1.05.01,1.05.02,0.81,impossible\n", id="candidates-header"),
             pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,1.05.02,0.81,maybe\n", id="candidates-verdict"),
             pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,1.05.02,high,impossible\n", id="candidates-r"),
+            pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,1.05.01,z,0\n", id="interrelations-letter"),
+            pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,1.05.01\n", id="interrelations-short"),
+            pytest.param("--catalog", "id,name,category,posture,laterality\n1.01,Sitting\n", id="catalog-short"),
         ],
     )
     def test_malformed_table_data_error(self, runner, tmp_path, flag, text):
@@ -111,6 +116,32 @@ class TestSynthesize:
             result = CliRunner().invoke(main, ["synthesize", "--graph", "g.json"])
             assert result.exit_code == EXIT_INFEASIBLE
             assert "3.01.03" in result.output or "3.01.03" in (result.stderr or "")
+
+
+class TestGraphDocument:
+    @pytest.mark.parametrize("command", ["synthesize", "allocate"])
+    @pytest.mark.parametrize(
+        "text", ["{bad", "[]", '{"edges": []}'], ids=["not-json", "not-object", "no-nodes"]
+    )
+    def test_malformed_graph_data_error(self, runner, tmp_path, command, text):
+        bad = tmp_path / "g.json"
+        bad.write_text(text)
+        args = ["synthesize", "--graph", str(bad)]
+        if command == "allocate":
+            args = [
+                "allocate",
+                "--requirements",
+                fixture_path("demo_requirements.csv"),
+                "--profiles",
+                fixture_path("demo_profile.csv"),
+                "--agent",
+                "demo",
+                "--graph",
+                str(bad),
+            ]
+        result = runner.invoke(main, args)
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "error:" in result.output
 
 
 class TestAnalyze:
@@ -324,6 +355,27 @@ class TestAllocate:
         )
         assert result.exit_code == EXIT_USAGE, result.output
 
+    @pytest.mark.parametrize("text", ["id,level\n3.03.04\n", "id,level\n3.03.04,high\n"], ids=["short", "non-integer"])
+    def test_bad_requirement_row_data_error(self, runner, graph_artifact, tmp_path, text):
+        reqs = tmp_path / "r.csv"
+        reqs.write_text(text)
+        result = runner.invoke(
+            main,
+            [
+                "allocate",
+                "--requirements",
+                str(reqs),
+                "--profiles",
+                fixture_path("demo_profile.csv"),
+                "--agent",
+                "demo",
+                "--graph",
+                str(graph_artifact),
+            ],
+        )
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "line 2" in result.output
+
     def test_incomplete_profile_lists_missing(self, runner, graph_artifact, tmp_path):
         profile = tmp_path / "p.csv"
         profile.write_text("agent_id,phase,3.02.03\npartial,unspecified,5\n")
@@ -366,3 +418,71 @@ class TestGenData:
             ["gen-data", "--count", "-2", "--out", str(tmp_path / "x.csv")],
         )
         assert result.exit_code == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_partners(tmp_path_factory, graph_artifact):
+    """Valid files for every option a fuzzed file is not standing in for."""
+    workdir = tmp_path_factory.mktemp("fuzz")
+    data = workdir / "data.csv"
+    result = CliRunner().invoke(main, ["gen-data", "--count", "20", "--seed", "5", "--out", str(data)])
+    assert result.exit_code == 0, result.output
+    return {"dir": workdir, "graph": str(graph_artifact), "data": str(data)}
+
+
+_CATALOG_HEADER = b"id,name,category,posture,laterality\n"
+_GRAPH_PREFIX = b'{"nodes": [], "edges": ['
+
+# (subcommand, fuzzed option, a valid first line to prefix some inputs with)
+_FUZZ_TARGETS = [
+    ("build-graph", "--catalog", _CATALOG_HEADER),
+    ("build-graph", "--interrelations", b"row_id,col_id,relation,manufacturing\n"),
+    ("build-graph", "--candidates", b"c1,c2,r,verdict\n"),
+    ("build-graph", "--correlations", b"id1,id2,r\n"),
+    ("synthesize", "--graph", _GRAPH_PREFIX),
+    ("analyze", "--data", b"agent_id,phase,1.05.01,1.05.02\n"),
+    ("analyze", "--catalog", _CATALOG_HEADER),
+    ("allocate", "--requirements", b"id,level\n"),
+    ("allocate", "--profiles", b"agent_id,phase,3.02.03,3.03.04\n"),
+    ("allocate", "--graph", _GRAPH_PREFIX),
+]
+
+_fuzz_tails = st.one_of(
+    st.binary(max_size=200),
+    st.text(alphabet="0123456789.,;\"\n -acdrz_", max_size=200).map(str.encode),
+)
+
+
+@pytest.mark.parametrize("command, option, first_line", _FUZZ_TARGETS, ids=[f"{c}{o}" for c, o, _ in _FUZZ_TARGETS])
+@settings(
+    derandomize=True,
+    max_examples=50,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(prefixed=st.booleans(), tail=_fuzz_tails)
+@example(prefixed=False, tail=b"\xff\xfe")
+def test_arbitrary_file_bytes_never_crash(fuzz_partners, command, option, first_line, prefixed, tail):
+    """Any file content ends in success or a documented exit code, never a traceback."""
+    fuzzed = fuzz_partners["dir"] / "fuzzed"
+    fuzzed.write_bytes((first_line if prefixed else b"") + tail)
+    base = {
+        "build-graph": ["build-graph"],
+        "synthesize": ["synthesize", "--graph", fuzz_partners["graph"]],
+        "analyze": ["analyze", "--data", fuzz_partners["data"], "--resamples", "9"],
+        "allocate": [
+            "allocate",
+            "--requirements",
+            fixture_path("demo_requirements.csv"),
+            "--profiles",
+            fixture_path("demo_profile.csv"),
+            "--agent",
+            "demo",
+            "--graph",
+            fuzz_partners["graph"],
+        ],
+    }[command]
+    # a repeated option takes its last value, so the fuzzed file replaces the partner
+    result = CliRunner().invoke(main, base + [option, str(fuzzed)])
+    assert result.exit_code in (0, EXIT_USAGE, EXIT_DATA, EXIT_INFEASIBLE), (result.output, repr(result.exception))

@@ -299,7 +299,7 @@ class TestCompensate:
             assert sum(step.amount for step in trace.steps) == max(lower, aggregate)
             used = [(step.deficient, step.reserve) for step in trace.steps]
             assert len(set(used)) == len(used)
-            keys = [((-delta[d], d.sort_key()), r.sort_key()) for d, r in used]
+            keys = [((-delta[d], d), r) for d, r in used]
             assert keys == sorted(keys)
             assert all(step.amount > 0 for step in trace.steps)
         assert compensated >= 100

@@ -1,4 +1,9 @@
+import json
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from capnet.errors import GraphConstructionError, MissingCorrelationError
 from capnet.network import (
@@ -15,8 +20,10 @@ from capnet.network import (
     augment_strong,
     build_graph,
     export_graph,
+    find_cycle,
     import_graph,
     prune_weak,
+    read_interrelations,
 )
 from capnet.taxonomy import parse_capability_id as pid
 
@@ -104,6 +111,11 @@ class TestBuildGraph:
     def test_self_entry_rejected(self):
         with pytest.raises(GraphConstructionError):
             entry("1.01", "1.01", "a")
+
+    def test_unknown_relation_letter_names_line(self):
+        lines = ["row_id,col_id,relation,manufacturing", "1.01,1.05.01,c,0", "1.01,2.01,z,0"]
+        with pytest.raises(GraphConstructionError, match="line 3"):
+            read_interrelations(lines)
 
 
 class TestPruneWeak:
@@ -225,6 +237,69 @@ class TestExport:
     def test_dot_labels_include_names(self, final_graph, catalog):
         dot = export_graph(final_graph, "dot", catalog=catalog)
         assert '"3.03.04" [label="3.03.04 Reaching Forward - Unilateral"];' in dot
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("{bad", id="not-json"),
+            pytest.param("[1, 2]", id="not-object"),
+            pytest.param('{"edges": []}', id="no-nodes"),
+            pytest.param('{"nodes": []}', id="no-edges"),
+            pytest.param('{"nodes": [{"category": null}], "edges": []}', id="no-node-id"),
+            pytest.param('{"nodes": ["1.01"], "edges": []}', id="node-not-object"),
+            pytest.param('{"nodes": 3, "edges": []}', id="nodes-not-list"),
+        ],
+    )
+    def test_malformed_document_rejected(self, text):
+        with pytest.raises(GraphConstructionError):
+            import_graph(text)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("relation", "z"), ("from", "9.99"), ("correlation", "0.5"), ("manufacturing", KeyError)],
+    )
+    def test_malformed_edge_rejected(self, final_graph, field, value):
+        doc = json.loads(export_graph(final_graph, "structured"))
+        if value is KeyError:
+            del doc["edges"][0][field]
+        else:
+            doc["edges"][0][field] = value
+        with pytest.raises(GraphConstructionError):
+            import_graph(json.dumps(doc))
+
+
+class TestCanonicalStorage:
+    def test_shuffled_construction_equals_sorted(self, final_graph, catalog):
+        rng = random.Random(11)
+        nodes, edges = list(final_graph.nodes), list(final_graph.edges)
+        rng.shuffle(nodes)
+        rng.shuffle(edges)
+        shuffled = ConjugationGraph(nodes=tuple(nodes), edges=tuple(edges), categories=final_graph.categories)
+        assert shuffled == final_graph
+        assert list(shuffled.nodes) == sorted(nodes)
+        arcs = [(e.source, e.target) for e in shuffled.edges]
+        assert arcs == sorted(arcs)
+        for fmt in ("structured", "dot"):
+            assert export_graph(shuffled, fmt, catalog=catalog) == export_graph(final_graph, fmt, catalog=catalog)
+
+
+_digraphs = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(list(range(n))),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14, unique=True),
+    )
+)
+
+
+class TestFindCycle:
+    @given(_digraphs)
+    def test_returns_closed_cycle_and_agrees_with_oracle(self, graph):
+        nodes, arcs = graph
+        cycle = find_cycle(nodes, arcs)
+        assert (cycle is not None) == has_cycle_dfs(nodes, arcs)
+        if cycle is not None:
+            assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+            assert set(zip(cycle, cycle[1:])) <= set(arcs)
 
 
 class TestGraphType:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -40,7 +44,7 @@ class TestParseCapabilityId:
     @given(
         st.integers(1, 9),
         st.integers(1, 99),
-        st.one_of(st.none(), st.integers(1, 99)),
+        st.integers(0, 99),
     )
     def test_round_trip(self, complex_, main, detail):
         cap = CapabilityId(complex_, main, detail)
@@ -50,6 +54,45 @@ class TestParseCapabilityId:
         assert parse_capability_id("3.04") < parse_capability_id("3.04.01")
         assert parse_capability_id("3.04.08") < parse_capability_id("3.05")
         assert parse_capability_id("1.06.02") < parse_capability_id("3.01.01")
+
+    def test_main_level_constructor_rejects_none(self):
+        with pytest.raises(CapabilityIdError):
+            CapabilityId(3, 4, None)
+        assert CapabilityId(3, 4).detail == 0
+        assert parse_capability_id("3.04").is_main_level
+
+    def test_hash_stable_across_interpreters(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = "from capnet.taxonomy import parse_capability_id as p; print(hash(p('3.04')), hash(p('3.04.08')))"
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, outputs
+
+
+def _reference_key(cap):
+    """Order read off the rendered id: complex, main, main level before its details, detail."""
+    parts = [int(part) for part in str(cap).split(".")]
+    return (parts[0], parts[1], len(parts) - 2, parts[2] if len(parts) == 3 else 0)
+
+
+_ids = st.builds(CapabilityId, st.integers(1, 3), st.integers(1, 3), st.integers(0, 3))
+
+
+class TestCanonicalOrder:
+    @given(_ids, _ids)
+    def test_comparisons_match_reference_key(self, a, b):
+        assert (a < b) == (_reference_key(a) < _reference_key(b))
+        assert (a <= b) == (_reference_key(a) <= _reference_key(b))
+        assert (a == b) == (_reference_key(a) == _reference_key(b))
+
+    @given(st.lists(_ids, max_size=12))
+    def test_sorted_matches_reference_key(self, caps):
+        assert sorted(caps) == sorted(caps, key=_reference_key)
 
 
 class TestQuantification:
@@ -93,6 +136,11 @@ class TestCatalog:
             "1.01,Sitting again,upstream,sitting,n/a",
         ]
         with pytest.raises(CatalogError):
+            read_catalog(lines)
+
+    def test_short_row_rejected(self):
+        lines = ["id,name,category,posture,laterality", "1.01,Sitting"]
+        with pytest.raises(CatalogError, match="line 2"):
             read_catalog(lines)
 
     def test_knows_main_aggregates_of_details(self, catalog):
