@@ -269,6 +269,8 @@ def _read_requirements(path) -> "profiles.RequirementSet":
         values = {}
         for row in reader:
             cap = taxonomy.parse_capability_id(row["id"])
+            if cap in values:
+                raise DatasetError(f"line {reader.line_num}: requirement id {cap} repeats")
             try:
                 values[cap] = int(row["level"])
             except (TypeError, ValueError):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -120,7 +121,7 @@ class Edge:
     correlation: float | None = None
 
     def __post_init__(self):
-        if self.correlation is not None and abs(self.correlation) > 1.0:
+        if self.correlation is not None and (not math.isfinite(self.correlation) or abs(self.correlation) > 1.0):
             raise GraphConstructionError(
                 f"edge {self.source}->{self.target} correlation {self.correlation} outside [-1, 1]"
             )
@@ -547,9 +548,12 @@ def read_interrelations(lines: Iterable[str]) -> InterrelationTable:
 
 def _parse_r(text, line: int) -> float:
     try:
-        return float(text)
+        r = float(text)
     except (TypeError, ValueError):
         raise GraphConstructionError(f"line {line}: correlation {text!r} is not a number") from None
+    if not math.isfinite(r):
+        raise GraphConstructionError(f"line {line}: correlation {text!r} is not finite")
+    return r
 
 
 def read_candidates(lines: Iterable[str]) -> StrongCandidateTable:

@@ -2,9 +2,11 @@
 
 Capabilities are identified hierarchically as complex.main.detail
 (e.g. "3.04.08"); the detail component is omitted for main-level entries
-(e.g. "4.01") and stored as 0, which no parsed component can be. Ids
-order by their fields, so a main-level id sorts just before its details
-and every artifact lists ids in that one canonical order.
+(e.g. "4.01") and stored as 0, which no parsed component can be. An id is
+an immutable ``(complex, main, detail)`` tuple of validated integers, so
+it hashes, compares and orders as that tuple does: a main-level id sorts
+just before its details, every artifact lists ids in that one canonical
+order, and an id equals the plain tuple of its components.
 
 Quantifications live on the integer scale 0..6, where the raw scale
 labels are 0,1,2,3-,3+,4,5 (3- and 3+ are stored as 3 and 4 so that
@@ -14,6 +16,7 @@ arithmetic on scores stays plain integer arithmetic).
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -39,24 +42,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class CapabilityId:
+class CapabilityId(namedtuple("CapabilityId", "complex main detail", defaults=(0,))):
     """Hierarchical capability identifier: complex.main[.detail].
 
-    ``detail`` is 0 for a main-level id. Field order is the canonical
-    order: "3.04" < "3.04.01" < "3.04.08" < "3.05".
+    An immutable ``(complex, main, detail)`` tuple of validated integers:
+    ``complex`` and ``main`` are positive, ``detail`` is 0 for a main-level
+    id. Field order is the canonical order: "3.04" < "3.04.01" < "3.04.08"
+    < "3.05". Hashing, equality and ordering are the tuple's own, so an id
+    equals (and hashes like) the plain tuple of its components.
     """
 
-    complex: int
-    main: int
-    detail: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for part, value in (("complex", self.complex), ("main", self.main)):
-            if not isinstance(value, int) or value <= 0:
+    def __new__(cls, complex: int, main: int, detail: int = 0):
+        for part, value in (("complex", complex), ("main", main)):
+            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
                 raise CapabilityIdError(f"{part} component must be a positive integer, got {value!r}")
-        if not isinstance(self.detail, int) or self.detail < 0:
-            raise CapabilityIdError(f"detail component must be a non-negative integer, got {self.detail!r}")
+        if not isinstance(detail, int) or isinstance(detail, bool) or detail < 0:
+            raise CapabilityIdError(f"detail component must be a non-negative integer, got {detail!r}")
+        return tuple.__new__(cls, (complex, main, detail))
+
+    @classmethod
+    def _make(cls, iterable) -> "CapabilityId":
+        # namedtuple's _make (and so _replace) would skip the checks in __new__.
+        return cls(*iterable)
 
     @property
     def is_main_level(self) -> bool:

@@ -82,6 +82,18 @@ class TestBuildGraph:
         assert result.exit_code == EXIT_DATA, result.output
         assert "error:" in result.output
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_correlation_data_error(self, runner, tmp_path, value):
+        with open(fixture_path("reference_correlations.csv"), encoding="utf-8") as handle:
+            header, first, *rest = handle.read().splitlines()
+        bad = tmp_path / "corr.csv"
+        bad.write_text("\n".join([header, first.rsplit(",", 1)[0] + "," + value, *rest]) + "\n")
+        out = tmp_path / "graph.json"
+        result = runner.invoke(main, ["build-graph", "--correlations", str(bad), "--out-graph", str(out)])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "line 2" in result.output
+        assert not out.exists()
+
 
 class TestSynthesize:
     def test_small_bounds_run(self, runner, graph_artifact, tmp_path):
@@ -375,6 +387,27 @@ class TestAllocate:
         )
         assert result.exit_code == EXIT_DATA, result.output
         assert "line 2" in result.output
+
+    def test_repeated_requirement_id_data_error(self, runner, graph_artifact, tmp_path):
+        reqs = tmp_path / "r.csv"
+        reqs.write_text("id,level\n3.03.04,6\n3.02.03,2\n3.3.4,1\n")
+        result = runner.invoke(
+            main,
+            [
+                "allocate",
+                "--requirements",
+                str(reqs),
+                "--profiles",
+                fixture_path("demo_profile.csv"),
+                "--agent",
+                "demo",
+                "--graph",
+                str(graph_artifact),
+            ],
+        )
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "line 4" in result.output
+        assert "3.03.04" in result.output
 
     def test_incomplete_profile_lists_missing(self, runner, graph_artifact, tmp_path):
         profile = tmp_path / "p.csv"

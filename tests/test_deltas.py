@@ -1,5 +1,7 @@
+import hashlib
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -324,3 +326,31 @@ class TestCompensate:
         if feasible:
             assert trace.final_report.feasible
             assert sum(step.amount for step in trace.steps) == 24
+
+
+# SHA-256 of the concatenated trace documents of the batch below. Any change
+# to verdicts, step order, amounts or id rendering shows up here; update the
+# digest only together with a declared change of the trace output.
+GOLDEN_TRACE_SHA256 = "6b6449fc102cd0440a67aa34bf7527afd22a7edcb84f3371e7baea4030c6bfea"
+
+
+def test_golden_trace_batch_on_default_graph(final_graph, sitting_set):
+    rng = random.Random(20260418)
+    agents = [
+        profile_of({cap: rng.randint(0, 6) for cap in sitting_set}) for _ in range(40)
+    ]
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for n in range(600):
+        agent = rng.choice(agents)
+        ids = rng.sample(sitting_set, rng.randint(2, 12))
+        reqs = {cap: min(6, max(0, agent.values[cap] + rng.randint(-2, 2))) for cap in ids}
+        fuzz = FuzzyParams(
+            xi={cap: rng.randint(0, 2) for cap in ids if rng.random() < 0.3},
+            theta=rng.randint(0, 3),
+        )
+        trace = compensate(RequirementSet(f"q{n}", reqs), agent, final_graph, fuzz)
+        outcomes[trace.outcome] += 1
+        digest.update(trace.to_document().encode("utf-8"))
+    assert min(outcomes[outcome] for outcome in CompensationOutcome) >= 50
+    assert digest.hexdigest() == GOLDEN_TRACE_SHA256

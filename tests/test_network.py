@@ -256,7 +256,15 @@ class TestExport:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("relation", "z"), ("from", "9.99"), ("correlation", "0.5"), ("manufacturing", KeyError)],
+        [
+            ("relation", "z"),
+            ("from", "9.99"),
+            ("correlation", "0.5"),
+            ("correlation", float("nan")),
+            ("correlation", float("inf")),
+            ("correlation", float("-inf")),
+            ("manufacturing", KeyError),
+        ],
     )
     def test_malformed_edge_rejected(self, final_graph, field, value):
         doc = json.loads(export_graph(final_graph, "structured"))

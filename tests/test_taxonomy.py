@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 
@@ -93,6 +95,54 @@ class TestCanonicalOrder:
     @given(st.lists(_ids, max_size=12))
     def test_sorted_matches_reference_key(self, caps):
         assert sorted(caps) == sorted(caps, key=_reference_key)
+
+
+_fields = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3))
+
+
+class TestTupleSemantics:
+    @given(st.lists(_fields, max_size=12), _fields, _fields)
+    def test_order_equality_and_hash_are_the_tuples(self, many, a, b):
+        assert sorted(CapabilityId(*t) for t in many) == [CapabilityId(*t) for t in sorted(many)]
+        assert (CapabilityId(*a) == CapabilityId(*b)) == (a == b)
+        assert (CapabilityId(*a) < CapabilityId(*b)) == (a < b)
+        assert hash(CapabilityId(*a)) == hash(a)
+
+    def test_comparison_methods_are_tuple_builtins(self):
+        for name in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(CapabilityId, name) is getattr(tuple, name), name
+
+    def test_equal_to_plain_tuple(self):
+        cap = parse_capability_id("3.04")
+        assert cap == (3, 4, 0)
+        assert cap < (3, 4, 1)
+        assert {cap: 1}[(3, 4, 0)] == 1
+
+    @pytest.mark.parametrize("round_trip", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy])
+    def test_copies_keep_the_type(self, round_trip):
+        for cap in (parse_capability_id("3.04"), parse_capability_id("3.04.08")):
+            again = round_trip(cap)
+            assert type(again) is CapabilityId
+            assert again == cap and str(again) == str(cap)
+
+    def test_no_instance_dict(self):
+        cap = parse_capability_id("3.04.08")
+        assert not hasattr(cap, "__dict__")
+        with pytest.raises(AttributeError):
+            cap.extra = 1
+
+    @pytest.mark.parametrize(
+        "args", [(True, 4), (3, True), (3, 4, True), (3, 4, False), (3, 4.0), ("3", 4)]
+    )
+    def test_bool_and_non_int_components_rejected(self, args):
+        with pytest.raises(CapabilityIdError):
+            CapabilityId(*args)
+
+    def test_replace_is_validated(self):
+        cap = parse_capability_id("3.04.08")
+        assert cap._replace(detail=0) == parse_capability_id("3.04")
+        with pytest.raises(CapabilityIdError):
+            cap._replace(main=True)
 
 
 class TestQuantification:
