@@ -5,7 +5,8 @@ run is reproducible: randomness flows through explicit --seed flags, and
 artifacts are written only to files named by flags (reports go to stdout).
 
 Exit codes: 0 success/feasible, 2 usage error, 3 input or data error,
-4 infeasible, 5 internal invariant violation.
+4 infeasible, 5 internal invariant violation. Commands raise; the group
+maps each error class to its code once (see ``_EXIT_CODES``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     CapnetError,
     ConfigError,
     DatasetError,
-    IncompleteProfileError,
     InfeasibleCoverError,
 )
 from .synthesis import DEFAULT_N_MIN
@@ -36,9 +36,29 @@ EXIT_INFEASIBLE = 4
 EXIT_INTERNAL = 5
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+# Error class -> exit code; the first matching class wins. An unreadable,
+# undecodable or malformed input file and an unwritable output path are
+# data errors, as is every CapnetError not listed before.
+_EXIT_CODES = {
+    ConfigError: EXIT_USAGE,
+    InfeasibleCoverError: EXIT_INFEASIBLE,
+    AnnotationError: EXIT_INTERNAL,
+    CapnetError: EXIT_DATA,
+    OSError: EXIT_DATA,
+    UnicodeDecodeError: EXIT_DATA,
+    csv.Error: EXIT_DATA,
+}
+
+
+class _Main(click.Group):
+    """Runs a subcommand and turns the errors it raises into exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)))
 
 
 def _load_catalog(path):
@@ -52,7 +72,7 @@ def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8", newline="")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Conjugated-capability network toolkit."""
 
@@ -68,21 +88,13 @@ def main():
 @click.option("--out-dot", type=click.Path(), default=None, help="Write the dot rendering here.")
 def cmd_build_graph(catalog_path, table_path, cand_path, corr_path, threshold, repair, out_graph, out_dot):
     """Build, prune, and augment the conjugated-capability graph."""
-    try:
-        catalog = _load_catalog(catalog_path)
-        table = network.load_interrelations(table_path) if table_path else network.load_default_interrelations()
-        candidates = network.load_candidates(cand_path) if cand_path else network.load_default_candidates()
-        correlations = network.load_correlations(corr_path) if corr_path else network.load_default_correlations()
-    except (OSError, UnicodeDecodeError, CapnetError) as exc:
-        _fail(EXIT_DATA, str(exc))
-
-    try:
-        built = network.build_graph(table, catalog)
-        pruned = network.prune_weak(built, correlations, threshold)
-        final = network.augment_strong(pruned, candidates, repair=repair)
-    except CapnetError as exc:
-        _fail(EXIT_DATA, str(exc))
-
+    catalog = _load_catalog(catalog_path)
+    table = network.load_interrelations(table_path) if table_path else network.load_default_interrelations()
+    candidates = network.load_candidates(cand_path) if cand_path else network.load_default_candidates()
+    correlations = network.load_correlations(corr_path) if corr_path else network.load_default_correlations()
+    built = network.build_graph(table, catalog)
+    pruned = network.prune_weak(built, correlations, threshold)
+    final = network.augment_strong(pruned, candidates, repair=repair)
     if out_graph:
         _write(Path(out_graph), network.export_graph(final, "structured"))
     if out_dot:
@@ -109,28 +121,17 @@ def cmd_build_graph(catalog_path, table_path, cand_path, corr_path, threshold, r
 @main.command("synthesize")
 @click.option("--graph", "graph_path", type=click.Path(), required=True, help="Structured graph document from build-graph.")
 @click.option("--catalog", "catalog_path", type=click.Path(), default=None)
-@click.option("--n-min", type=int, default=DEFAULT_N_MIN, show_default=True, help="Minimum nodes per movement sequence.")
+@click.option("--n-min", type=click.IntRange(min=1), default=DEFAULT_N_MIN, show_default=True, help="Minimum nodes per movement sequence.")
 @click.option("--p-max", type=int, default=DEFAULT_P_MAX, show_default=True, help="Minimum visits per node.")
 @click.option("--p-hat-max", type=int, default=DEFAULT_P_HAT_MAX, show_default=True, help="Maximum visits per node.")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write the sequence table CSV here.")
 @click.option("--out-text", type=click.Path(), default=None, help="Write the shaded text rendering here.")
 def cmd_synthesize(graph_path, catalog_path, n_min, p_max, p_hat_max, out_path, out_text):
     """Synthesize the minimal movement-sequence test plan."""
-    try:
-        catalog = _load_catalog(catalog_path)
-        graph = network.import_graph(Path(graph_path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, CapnetError) as exc:
-        _fail(EXIT_DATA, str(exc))
+    catalog = _load_catalog(catalog_path)
+    graph = network.import_graph(Path(graph_path).read_text(encoding="utf-8"))
     node_set = [n for n in taxonomy.sitting_over_table_set(catalog) if n in set(graph.nodes)]
-    try:
-        result = synthesis.synthesize(graph, node_set, n_min=n_min, p_max=p_max, p_hat_max=p_hat_max)
-    except InfeasibleCoverError as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
-    except ConfigError as exc:
-        _fail(EXIT_USAGE, str(exc))
-    except AnnotationError as exc:
-        _fail(EXIT_INTERNAL, str(exc))
-
+    result = synthesis.synthesize(graph, node_set, n_min=n_min, p_max=p_max, p_hat_max=p_hat_max)
     if out_path:
         _write(Path(out_path), synthesis.sequences_to_csv(result.sequences))
     if out_text:
@@ -155,26 +156,17 @@ def cmd_synthesize(graph_path, catalog_path, n_min, p_max, p_hat_max, out_path, 
 @click.option("--out-pvalues", type=click.Path(), default=None, help="Write the permutation p-value table here.")
 def cmd_analyze(data_path, catalog_path, phase, threshold, resamples, seed, out_corr, out_pvalues):
     """Filter a dataset, compute correlations and permutation p-values."""
-    try:
-        catalog = _load_catalog(catalog_path)
-        dataset = profiles.load_dataset(data_path, catalog)
-    except (OSError, UnicodeDecodeError, CapnetError) as exc:
-        _fail(EXIT_DATA, str(exc))
+    catalog = _load_catalog(catalog_path)
+    dataset = profiles.load_dataset(data_path, catalog)
     if phase != "all":
         dataset = dataset.with_phase(profiles.Phase(phase))
     evaluation_set = taxonomy.sitting_over_table_set(catalog)
-    try:
-        kept = profiles.filter_profiles(dataset, evaluation_set, threshold)
-    except ConfigError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    kept = profiles.filter_profiles(dataset, evaluation_set, threshold)
     click.echo(f"retained {len(kept)} of {len(dataset)} profiles")
     if len(kept) < 2:
-        _fail(EXIT_DATA, "fewer than 2 profiles survive the completeness/dispersion filter")
-    try:
-        data = stats.profile_matrix(kept, evaluation_set)
-        matrix = stats.correlation_matrix(data, evaluation_set)
-    except CapnetError as exc:
-        _fail(EXIT_DATA, str(exc))
+        raise DatasetError("fewer than 2 profiles survive the completeness/dispersion filter")
+    data = stats.profile_matrix(kept, evaluation_set)
+    matrix = stats.correlation_matrix(data, evaluation_set)
     if matrix.undefined_ids():
         names = ", ".join(str(c) for c in matrix.undefined_ids())
         click.echo(f"undefined (constant) columns: {names}")
@@ -212,24 +204,14 @@ def _parse_xi(ctx, param, items) -> dict:
 @click.option("--out-trace", type=click.Path(), default=None, help="Write the machine-readable trace document here.")
 def cmd_allocate(req_path, data_path, agent, phase, graph_path, xi, theta, out_trace):
     """Judge an agent against an action, compensating deltas if needed."""
-    try:
-        catalog = taxonomy.load_default_catalog()
-        graph = network.import_graph(Path(graph_path).read_text(encoding="utf-8"))
-        dataset = profiles.load_dataset(data_path, catalog)
-        requirements = _read_requirements(req_path)
-        fuzz = deltas_mod.FuzzyParams(xi=xi, theta=theta)
-        profile = dataset.select(agent, profiles.Phase(phase) if phase else None)
-        profile = profiles.propagate_main_level(profile)
-    except (OSError, ValueError, CapnetError) as exc:
-        _fail(EXIT_DATA, str(exc))
-
-    try:
-        trace = deltas_mod.compensate(requirements, profile, graph, fuzz)
-    except IncompleteProfileError as exc:
-        _fail(EXIT_DATA, str(exc))
-    except ConfigError as exc:
-        _fail(EXIT_USAGE, str(exc))
-
+    catalog = taxonomy.load_default_catalog()
+    graph = network.import_graph(Path(graph_path).read_text(encoding="utf-8"))
+    dataset = profiles.load_dataset(data_path, catalog)
+    requirements = _read_requirements(req_path)
+    fuzz = deltas_mod.FuzzyParams(xi=xi, theta=theta)
+    profile = dataset.select(agent, profiles.Phase(phase) if phase else None)
+    profile = profiles.propagate_main_level(profile)
+    trace = deltas_mod.compensate(requirements, profile, graph, fuzz)
     click.echo(trace.text_report(), nl=False)
     if out_trace:
         _write(Path(out_trace), trace.to_document())
@@ -247,15 +229,12 @@ def cmd_gen_data(count, seed, correlation, degenerate_fraction, out_path):
     """Generate a deterministic synthetic profile dataset."""
     catalog = taxonomy.load_default_catalog()
     ids = tuple(taxonomy.sitting_over_table_set(catalog))
-    try:
-        config = profiles.GeneratorConfig(
-            ids=ids,
-            agents=count,
-            within_main_correlation=correlation,
-            degenerate_fraction=degenerate_fraction,
-        )
-    except ConfigError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    config = profiles.GeneratorConfig(
+        ids=ids,
+        agents=count,
+        within_main_correlation=correlation,
+        degenerate_fraction=degenerate_fraction,
+    )
     dataset = profiles.generate_synthetic_profiles(config, seed)
     _write(Path(out_path), profiles.write_dataset(dataset, ids))
     click.echo(f"wrote {len(dataset)} profiles for {count} agents")
@@ -263,20 +242,15 @@ def cmd_gen_data(count, seed, correlation, degenerate_fraction, out_path):
 
 def _read_requirements(path) -> "profiles.RequirementSet":
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != ("id", "level"):
-            raise DatasetError("requirement file header must be id,level")
         values = {}
-        for row in reader:
+        for line, row in taxonomy.read_table(handle, ("id", "level"), "requirement", DatasetError):
             cap = taxonomy.parse_capability_id(row["id"])
             if cap in values:
-                raise DatasetError(f"line {reader.line_num}: requirement id {cap} repeats")
+                raise DatasetError(f"line {line}: requirement id {cap} repeats")
             try:
                 values[cap] = int(row["level"])
-            except (TypeError, ValueError):
-                raise DatasetError(
-                    f"line {reader.line_num}: requirement level {row['level']!r} is not an integer"
-                ) from None
+            except ValueError:
+                raise DatasetError(f"line {line}: requirement level {row['level']!r} is not an integer") from None
     return profiles.RequirementSet(action_id=str(path), requirements=values)
 
 

@@ -142,16 +142,12 @@ def _lexicographic_minimum(program: _CoverProgram, witness: np.ndarray) -> np.nd
 
 
 def _infeasibility_diagnostic(problem: CoverProblem, program: _CoverProgram) -> list[CapabilityId]:
-    """Best-effort naming of nodes blocking feasibility."""
-    membership = program.eta.sum(axis=0)
-    under = [
-        node
-        for node, count in zip(problem.node_set, membership)
-        if count < problem.p_max
-    ]
-    if under:
-        return sorted(under)
-    # Caps conflict: report nodes a greedy max-coverage pass cannot fill.
+    """Best-effort naming of nodes blocking feasibility when the caps conflict.
+
+    Every node lies on at least p_max paths (``solve_cover`` checks that
+    first), so these are the nodes a greedy max-coverage pass that respects
+    p_hat_max cannot fill.
+    """
     counts = np.zeros(len(problem.node_set), dtype=int)
     remaining = list(range(len(problem.paths)))
     while True:

@@ -22,7 +22,6 @@ the standard library's ``graphlib``.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,18 +42,17 @@ from .taxonomy import (
     CapabilityId,
     Category,
     parse_capability_id,
+    read_table,
 )
 
 __all__ = [
     "RelationKind",
     "Relation",
     "InterrelationEntry",
-    "InterrelationTable",
     "Edge",
     "ConjugationGraph",
     "CandidateVerdict",
     "StrongCandidate",
-    "StrongCandidateTable",
     "EdgeCorrelations",
     "build_graph",
     "prune_weak",
@@ -92,25 +90,6 @@ class InterrelationEntry:
     def __post_init__(self):
         if self.row == self.col:
             raise GraphConstructionError(f"self interrelation on {self.row}")
-
-
-class InterrelationTable:
-    """Pairwise interrelation entries, read row-to-column."""
-
-    def __init__(self, entries: Iterable[InterrelationEntry]):
-        self.entries = tuple(entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def validate_against(self, catalog: CapabilityCatalog) -> None:
-        for entry in self.entries:
-            for cap_id in (entry.row, entry.col):
-                if cap_id not in catalog:
-                    raise CatalogError(f"interrelation references unknown id {cap_id}")
 
 
 @dataclass(frozen=True)
@@ -256,17 +235,22 @@ _RELATION_PRECEDENCE = {
 
 
 def build_graph(
-    table: InterrelationTable,
+    table: Iterable[InterrelationEntry],
     catalog: CapabilityCatalog | None = None,
 ) -> ConjugationGraph:
-    """Orient an interrelation table into an acyclic conjugation graph.
+    """Orient interrelation table entries into an acyclic conjugation graph.
 
-    Raises GraphConstructionError when the condition/dependency entries are
-    contradictory or cyclic. Symmetric edges dropped to preserve acyclicity
-    are reported on the result's ``dropped_edges``.
+    Raises CatalogError when an entry names an id the catalog (if given)
+    lacks, and GraphConstructionError when the condition/dependency entries
+    are contradictory or cyclic. Symmetric edges dropped to preserve
+    acyclicity are reported on the result's ``dropped_edges``.
     """
+    table = tuple(table)
     if catalog is not None:
-        table.validate_against(catalog)
+        for entry in table:
+            for cap_id in (entry.row, entry.col):
+                if cap_id not in catalog:
+                    raise CatalogError(f"interrelation references unknown id {cap_id}")
 
     # Merge the two reading directions of each unordered pair.
     by_pair: dict[frozenset[CapabilityId], list[InterrelationEntry]] = {}
@@ -384,39 +368,16 @@ class StrongCandidate:
     verdict: CandidateVerdict
 
 
-class StrongCandidateTable:
-    def __init__(self, entries: Iterable[StrongCandidate]):
-        self.entries = tuple(entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def addable(self, repair: bool) -> list[StrongCandidate]:
-        """Candidates eligible for augmentation.
-
-        Pairs absent from the interrelation table and not excluded by a
-        feasibility class are added when strongly correlated (|r| >= 0.8).
-        The moderate reachability-repair pair is added only when requested.
-        """
-        out = []
-        for cand in self.entries:
-            if cand.verdict is not CandidateVerdict.NOT_IN_TABLE:
-                continue
-            if abs(cand.r) >= 0.8 or repair:
-                out.append(cand)
-        return out
-
-
 def augment_strong(
     graph: ConjugationGraph,
-    candidates: StrongCandidateTable,
+    candidates: Iterable[StrongCandidate],
     repair: bool = True,
 ) -> ConjugationGraph:
     """Add eligible strongly correlated pairs as canonical-order edges.
 
+    Pairs absent from the interrelation table and not excluded by a
+    feasibility class are added when strongly correlated (|r| >= 0.8).
+    The moderate reachability-repair pair is added only when requested.
     Raises GraphConstructionError if an added edge would create a cycle.
     """
     adjacency: dict[CapabilityId, list[CapabilityId]] = {n: [] for n in graph.nodes}
@@ -425,7 +386,9 @@ def augment_strong(
 
     edges = list(graph.edges)
     existing = graph.edge_pairs()
-    for cand in candidates.addable(repair):
+    for cand in candidates:
+        if cand.verdict is not CandidateVerdict.NOT_IN_TABLE or (abs(cand.r) < 0.8 and not repair):
+            continue
         pair = frozenset((cand.c1, cand.c2))
         if pair in existing:
             continue
@@ -519,74 +482,57 @@ def import_graph(text: str) -> ConjugationGraph:
 # -- fixture loading -------------------------------------------------------
 
 
-def _table_reader(lines: Iterable[str], expected: tuple[str, ...], what: str) -> csv.DictReader:
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != expected:
-        raise GraphConstructionError(f"{what} header must be {','.join(expected)}")
-    return reader
-
-
-def read_interrelations(lines: Iterable[str]) -> InterrelationTable:
-    reader = _table_reader(lines, ("row_id", "col_id", "relation", "manufacturing"), "interrelation")
+def read_interrelations(lines: Iterable[str]) -> tuple[InterrelationEntry, ...]:
+    columns = ("row_id", "col_id", "relation", "manufacturing")
     entries = []
-    for row in reader:
+    for line, row in read_table(lines, columns, "interrelation", GraphConstructionError):
         try:
-            kind = RelationKind((row["relation"] or "").strip())
+            kind = RelationKind(row["relation"].strip())
         except ValueError:
-            raise GraphConstructionError(
-                f"line {reader.line_num}: unknown relation {row['relation']!r}"
-            ) from None
+            raise GraphConstructionError(f"line {line}: unknown relation {row['relation']!r}") from None
         entries.append(
             InterrelationEntry(
                 row=parse_capability_id(row["row_id"]),
                 col=parse_capability_id(row["col_id"]),
-                relation=Relation(kind, (row["manufacturing"] or "").strip() == "1"),
+                relation=Relation(kind, row["manufacturing"].strip() == "1"),
             )
         )
-    return InterrelationTable(entries)
+    return tuple(entries)
 
 
 def _parse_r(text, line: int) -> float:
     try:
         r = float(text)
-    except (TypeError, ValueError):
+    except ValueError:
         raise GraphConstructionError(f"line {line}: correlation {text!r} is not a number") from None
     if not math.isfinite(r):
         raise GraphConstructionError(f"line {line}: correlation {text!r} is not finite")
     return r
 
 
-def read_candidates(lines: Iterable[str]) -> StrongCandidateTable:
-    reader = _table_reader(lines, ("c1", "c2", "r", "verdict"), "candidate")
+def read_candidates(lines: Iterable[str]) -> tuple[StrongCandidate, ...]:
     entries = []
-    for row in reader:
+    for line, row in read_table(lines, ("c1", "c2", "r", "verdict"), "candidate", GraphConstructionError):
         try:
-            verdict = CandidateVerdict((row["verdict"] or "").strip())
+            verdict = CandidateVerdict(row["verdict"].strip())
         except ValueError:
-            raise GraphConstructionError(
-                f"line {reader.line_num}: unknown candidate verdict {row['verdict']!r}"
-            ) from None
+            raise GraphConstructionError(f"line {line}: unknown candidate verdict {row['verdict']!r}") from None
         entries.append(
             StrongCandidate(
                 c1=parse_capability_id(row["c1"]),
                 c2=parse_capability_id(row["c2"]),
-                r=_parse_r(row["r"], reader.line_num),
+                r=_parse_r(row["r"], line),
                 verdict=verdict,
             )
         )
-    return StrongCandidateTable(entries)
+    return tuple(entries)
 
 
 def read_correlations(lines: Iterable[str]) -> EdgeCorrelations:
-    reader = _table_reader(lines, ("id1", "id2", "r"), "correlation")
     return EdgeCorrelations(
         [
-            (
-                parse_capability_id(row["id1"]),
-                parse_capability_id(row["id2"]),
-                _parse_r(row["r"], reader.line_num),
-            )
-            for row in reader
+            (parse_capability_id(row["id1"]), parse_capability_id(row["id2"]), _parse_r(row["r"], line))
+            for line, row in read_table(lines, ("id1", "id2", "r"), "correlation", GraphConstructionError)
         ]
     )
 
@@ -595,12 +541,12 @@ def _fixture_text(name: str) -> str:
     return resources.files("capnet.fixtures").joinpath(name).read_text("utf-8")
 
 
-def load_interrelations(path) -> InterrelationTable:
+def load_interrelations(path) -> tuple[InterrelationEntry, ...]:
     with open(path, newline="", encoding="utf-8") as handle:
         return read_interrelations(handle)
 
 
-def load_candidates(path) -> StrongCandidateTable:
+def load_candidates(path) -> tuple[StrongCandidate, ...]:
     with open(path, newline="", encoding="utf-8") as handle:
         return read_candidates(handle)
 
@@ -610,11 +556,11 @@ def load_correlations(path) -> EdgeCorrelations:
         return read_correlations(handle)
 
 
-def load_default_interrelations() -> InterrelationTable:
+def load_default_interrelations() -> tuple[InterrelationEntry, ...]:
     return read_interrelations(_fixture_text("interrelations.csv").splitlines())
 
 
-def load_default_candidates() -> StrongCandidateTable:
+def load_default_candidates() -> tuple[StrongCandidate, ...]:
     return read_candidates(_fixture_text("strong_candidates.csv").splitlines())
 
 

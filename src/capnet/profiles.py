@@ -21,8 +21,8 @@ from .errors import ConfigError, DatasetError, IncompleteProfileError
 from .taxonomy import (
     CapabilityCatalog,
     CapabilityId,
-    Quantification,
     parse_capability_id,
+    quantification,
 )
 
 __all__ = [
@@ -44,13 +44,6 @@ class Phase(str, Enum):
     UNSPECIFIED = "unspecified"
 
 
-def _validated_values(values) -> dict[CapabilityId, int]:
-    out = {}
-    for cap_id, value in values.items():
-        out[cap_id] = Quantification(int(value)).value
-    return out
-
-
 @dataclass(frozen=True)
 class Profile:
     """One agent's assessed capacities. Missing ids mean "not assessed"."""
@@ -60,7 +53,7 @@ class Profile:
     values: dict[CapabilityId, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _validated_values(self.values))
+        object.__setattr__(self, "values", {cap: quantification(v) for cap, v in self.values.items()})
 
     def value(self, cap_id: CapabilityId) -> int | None:
         return self.values.get(cap_id)
@@ -86,7 +79,9 @@ class RequirementSet:
     requirements: dict[CapabilityId, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "requirements", _validated_values(self.requirements))
+        object.__setattr__(
+            self, "requirements", {cap: quantification(v) for cap, v in self.requirements.items()}
+        )
 
     def ids(self) -> list[CapabilityId]:
         return sorted(self.requirements)

@@ -29,7 +29,6 @@ from .network import ConjugationGraph
 from .taxonomy import CapabilityId, parse_capability_id
 
 __all__ = [
-    "PathSet",
     "MovementSequence",
     "enumerate_paths",
     "annotate_requirements",
@@ -56,24 +55,7 @@ _HEAD_SIDEWAYS = parse_capability_id("3.01.03")
 _TRUNK_ROTATION = parse_capability_id("3.02.01")
 
 
-@dataclass(frozen=True)
-class PathSet:
-    """Deterministically ordered simple directed paths."""
-
-    paths: tuple[tuple[CapabilityId, ...], ...]
-    n_min: int
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __getitem__(self, index: int) -> tuple[CapabilityId, ...]:
-        return self.paths[index]
-
-
-def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> PathSet:
+def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> tuple[tuple[CapabilityId, ...], ...]:
     """All simple directed paths with at least n_min nodes.
 
     Paths may begin and end on any node. Order is lexicographic by node
@@ -101,7 +83,7 @@ def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> Path
 
     for start in graph.nodes:
         walk(start, [])
-    return PathSet(paths=tuple(collected), n_min=n_min)
+    return tuple(collected)
 
 
 @dataclass(frozen=True)
@@ -226,7 +208,7 @@ def lint_sequences(sequences: Iterable[MovementSequence]) -> list[str]:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    path_set: PathSet
+    path_set: tuple[tuple[CapabilityId, ...], ...]
     solution: CoverSolution
     sequences: tuple[MovementSequence, ...]
     warnings: tuple[str, ...]
@@ -243,7 +225,7 @@ def synthesize(
     subgraph = graph.restricted_to(node_set)
     path_set = enumerate_paths(subgraph, n_min)
     problem = CoverProblem(
-        paths=path_set.paths,
+        paths=path_set,
         node_set=subgraph.nodes,
         p_max=p_max,
         p_hat_max=p_hat_max,

@@ -16,6 +16,7 @@ arithmetic on scores stays plain integer arithmetic).
 from __future__ import annotations
 
 import csv
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +27,7 @@ from .errors import CapabilityIdError, CatalogError, QuantificationError
 
 __all__ = [
     "CapabilityId",
-    "Quantification",
+    "quantification",
     "QUANT_MIN",
     "QUANT_MAX",
     "QUANT_LABELS",
@@ -37,6 +38,7 @@ __all__ = [
     "CatalogEntry",
     "CapabilityCatalog",
     "parse_capability_id",
+    "read_table",
     "sitting_over_table_set",
     "load_default_catalog",
 ]
@@ -116,31 +118,24 @@ QUANT_MAX = 6
 QUANT_LABELS = ("0", "1", "2", "3-", "3+", "4", "5")
 
 
-@dataclass(frozen=True, order=True)
-class Quantification:
-    """One score on the 7-step scale, stored as an integer 0..6."""
+def quantification(value) -> int:
+    """Check one score on the 7-step scale and return it as a plain int 0..6.
 
-    value: int
-
-    def __post_init__(self):
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
-            raise QuantificationError(f"quantification must be an integer, got {self.value!r}")
-        if not QUANT_MIN <= self.value <= QUANT_MAX:
-            raise QuantificationError(
-                f"quantification {self.value} outside scale [{QUANT_MIN}, {QUANT_MAX}]"
-            )
-
-    @property
-    def label(self) -> str:
-        return QUANT_LABELS[self.value]
-
-    def __int__(self) -> int:
-        return self.value
+    Any integer type is accepted (a numpy integer too); a bool, a float or
+    a string raises QuantificationError rather than being coerced.
+    """
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise QuantificationError(f"quantification must be an integer, got {value!r}")
+        value = int(value)
+    if not QUANT_MIN <= value <= QUANT_MAX:
+        raise QuantificationError(f"quantification {value} outside scale [{QUANT_MIN}, {QUANT_MAX}]")
+    return value
 
 
 def quantification_label(value: int) -> str:
     """Raw scale label for a stored score (3 -> "3-", 4 -> "3+", 6 -> "5")."""
-    return Quantification(value).label
+    return QUANT_LABELS[quantification(value)]
 
 
 class Category(str, Enum):
@@ -228,18 +223,31 @@ def sitting_over_table_set(catalog: CapabilityCatalog) -> list[CapabilityId]:
     ]
 
 
-_CATALOG_COLUMNS = ("id", "name", "category", "posture", "laterality")
+def read_table(
+    lines: Iterable[str], columns: tuple[str, ...], what: str, error: type[Exception]
+) -> Iterator[tuple[int, dict[str, str]]]:
+    """Rows of a CSV table whose header is exactly ``columns``.
+
+    Yields ``(line number, {column: cell})`` per non-blank row. A different
+    header, or a row with more or fewer cells than the header, raises
+    ``error``; a bad row's message names its line.
+    """
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or tuple(header) != columns:
+        raise error(f"{what} header must be {','.join(columns)}")
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise error(f"line {reader.line_num}: {what} row has {len(row)} cells, expected {len(columns)}")
+        yield reader.line_num, dict(zip(columns, row))
 
 
 def read_catalog(lines: Iterable[str]) -> CapabilityCatalog:
     """Read a catalog from CSV lines (header row required)."""
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != _CATALOG_COLUMNS:
-        raise CatalogError(f"catalog header must be {','.join(_CATALOG_COLUMNS)}")
     entries = []
-    for row in reader:
-        if any(row[column] is None for column in _CATALOG_COLUMNS):
-            raise CatalogError(f"line {reader.line_num}: catalog row needs {len(_CATALOG_COLUMNS)} cells")
+    for _, row in read_table(lines, ("id", "name", "category", "posture", "laterality"), "catalog", CatalogError):
         try:
             entries.append(
                 CatalogEntry(

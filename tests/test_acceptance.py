@@ -108,7 +108,7 @@ def test_criterion_3_objective_reference_band():
     report = {}
     for p_hat in (6, 7, 8):
         problem = CoverProblem(
-            paths=paths.paths, node_set=tuple(sorted(sub.nodes)), p_max=6, p_hat_max=p_hat
+            paths=paths, node_set=tuple(sorted(sub.nodes)), p_max=6, p_hat_max=p_hat
         )
         try:
             report[p_hat] = solve_cover(problem).objective

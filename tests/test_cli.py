@@ -73,6 +73,11 @@ class TestBuildGraph:
             pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,1.05.01,z,0\n", id="interrelations-letter"),
             pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,1.05.01\n", id="interrelations-short"),
             pytest.param("--catalog", "id,name,category,posture,laterality\n1.01,Sitting\n", id="catalog-short"),
+            pytest.param(
+                "--interrelations",
+                "row_id,col_id,relation,manufacturing\n1.01,1.05.01,c," + "0" * (128 * 1024 + 1) + "\n",
+                id="interrelations-field-over-csv-limit",
+            ),
         ],
     )
     def test_malformed_table_data_error(self, runner, tmp_path, flag, text):
@@ -80,7 +85,35 @@ class TestBuildGraph:
         bad.write_text(text)
         result = runner.invoke(main, ["build-graph", flag, str(bad)])
         assert result.exit_code == EXIT_DATA, result.output
-        assert "error:" in result.output
+        assert "error:" in result.stderr
+
+    @pytest.mark.parametrize("width", ["short", "long"])
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            ("--catalog", "capabilities.csv"),
+            ("--interrelations", "interrelations.csv"),
+            ("--candidates", "strong_candidates.csv"),
+            ("--correlations", "reference_correlations.csv"),
+        ],
+    )
+    def test_row_of_wrong_width_data_error(self, runner, tmp_path, flag, name, width):
+        with open(fixture_path(name), encoding="utf-8") as handle:
+            header, first, *rest = handle.read().splitlines()
+        first = first.rsplit(",", 1)[0] if width == "short" else first + ",1"
+        bad = tmp_path / name
+        bad.write_text("\n".join([header, first, *rest]) + "\n")
+        result = runner.invoke(main, ["build-graph", flag, str(bad)])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "error: line 2:" in result.stderr
+        assert "cells" in result.stderr
+
+    def test_unwritable_output_path_data_error(self, runner, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        result = runner.invoke(main, ["build-graph", "--out-graph", str(blocker / "g.json")])
+        assert result.exit_code == EXIT_DATA, repr(result.exception)
+        assert "error:" in result.stderr
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_correlation_data_error(self, runner, tmp_path, value):
@@ -128,6 +161,11 @@ class TestSynthesize:
             result = CliRunner().invoke(main, ["synthesize", "--graph", "g.json"])
             assert result.exit_code == EXIT_INFEASIBLE
             assert "3.01.03" in result.output or "3.01.03" in (result.stderr or "")
+
+    @pytest.mark.parametrize("n_min", ["0", "-1"])
+    def test_n_min_below_one_usage_error(self, runner, graph_artifact, n_min):
+        result = runner.invoke(main, ["synthesize", "--graph", str(graph_artifact), "--n-min", n_min])
+        assert result.exit_code == EXIT_USAGE, repr(result.exception)
 
 
 class TestGraphDocument:
@@ -367,7 +405,11 @@ class TestAllocate:
         )
         assert result.exit_code == EXIT_USAGE, result.output
 
-    @pytest.mark.parametrize("text", ["id,level\n3.03.04\n", "id,level\n3.03.04,high\n"], ids=["short", "non-integer"])
+    @pytest.mark.parametrize(
+        "text",
+        ["id,level\n3.03.04\n", "id,level\n3.03.04,6,99\n", "id,level\n3.03.04,high\n"],
+        ids=["short", "long", "non-integer"],
+    )
     def test_bad_requirement_row_data_error(self, runner, graph_artifact, tmp_path, text):
         reqs = tmp_path / "r.csv"
         reqs.write_text(text)
@@ -496,6 +538,7 @@ _fuzz_tails = st.one_of(
 )
 @given(prefixed=st.booleans(), tail=_fuzz_tails)
 @example(prefixed=False, tail=b"\xff\xfe")
+@example(prefixed=True, tail=b"0" * (128 * 1024 + 1))  # one CSV field over csv's size limit
 def test_arbitrary_file_bytes_never_crash(fuzz_partners, command, option, first_line, prefixed, tail):
     """Any file content ends in success or a documented exit code, never a traceback."""
     fuzzed = fuzz_partners["dir"] / "fuzzed"

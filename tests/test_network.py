@@ -12,11 +12,9 @@ from capnet.network import (
     Edge,
     EdgeCorrelations,
     InterrelationEntry,
-    InterrelationTable,
     Relation,
     RelationKind,
     StrongCandidate,
-    StrongCandidateTable,
     augment_strong,
     build_graph,
     export_graph,
@@ -36,63 +34,51 @@ def entry(row, col, letter, m=False):
 
 class TestBuildGraph:
     def test_condition_orientation(self):
-        graph = build_graph(InterrelationTable([entry("1.01", "1.05.01", "c")]))
+        graph = build_graph([entry("1.01", "1.05.01", "c")])
         assert graph.has_edge(pid("1.01"), pid("1.05.01"))
 
     def test_depends_orientation_deduplicates(self):
-        table = InterrelationTable(
-            [entry("1.01", "1.05.01", "c"), entry("1.05.01", "1.01", "d")]
-        )
+        table = [entry("1.01", "1.05.01", "c"), entry("1.05.01", "1.01", "d")]
         graph = build_graph(table)
         assert len(graph.edges) == 1
         assert graph.has_edge(pid("1.01"), pid("1.05.01"))
 
     def test_contradictory_condition_pair_rejected(self):
-        table = InterrelationTable(
-            [entry("1.01", "1.05.01", "c"), entry("1.05.01", "1.01", "c")]
-        )
+        table = [entry("1.01", "1.05.01", "c"), entry("1.05.01", "1.01", "c")]
         with pytest.raises(GraphConstructionError, match="contradictory"):
             build_graph(table)
 
     def test_symmetric_canonical_orientation(self):
-        graph = build_graph(InterrelationTable([entry("3.03.10", "1.06.01", "a")]))
+        graph = build_graph([entry("3.03.10", "1.06.01", "a")])
         assert graph.has_edge(pid("1.06.01"), pid("3.03.10"))
 
     def test_condition_precedence_over_appears(self):
-        table = InterrelationTable(
-            [entry("2.01", "1.01", "a"), entry("1.01", "2.01", "c")]
-        )
+        table = [entry("2.01", "1.01", "a"), entry("1.01", "2.01", "c")]
         graph = build_graph(table)
         assert graph.has_edge(pid("1.01"), pid("2.01"))
         assert graph.edges[0].relation.kind is RelationKind.CONDITION_FOR
 
     def test_appears_precedence_over_replaced(self):
-        table = InterrelationTable(
-            [entry("2.01", "1.01", "r"), entry("1.01", "2.01", "a")]
-        )
+        table = [entry("2.01", "1.01", "r"), entry("1.01", "2.01", "a")]
         graph = build_graph(table)
         assert graph.edges[0].relation.kind is RelationKind.APPEARS_WITH
 
     def test_condition_cycle_is_irreducible(self):
-        table = InterrelationTable(
-            [
-                entry("2.01", "1.01", "d"),  # edge 1.01 -> 2.01
-                entry("2.01", "3.01", "c"),  # edge 2.01 -> 3.01
-                entry("3.01", "1.01", "c"),  # edge 3.01 -> 1.01
-            ]
-        )
+        table = [
+            entry("2.01", "1.01", "d"),  # edge 1.01 -> 2.01
+            entry("2.01", "3.01", "c"),  # edge 2.01 -> 3.01
+            entry("3.01", "1.01", "c"),  # edge 3.01 -> 1.01
+        ]
         with pytest.raises(GraphConstructionError, match="cycle"):
             build_graph(table)
 
     def test_cycle_closing_symmetric_edge_dropped(self):
-        table = InterrelationTable(
-            [
-                entry("4.01", "9.01", "c"),  # 4.01 -> 9.01
-                entry("9.01", "2.02", "c"),  # 9.01 -> 2.02
-                entry("2.02", "4.01", "a"),  # canonical 2.02 -> 4.01 closes a cycle
-                entry("2.02", "9.02", "a"),  # canonical 2.02 -> 9.02 is fine
-            ]
-        )
+        table = [
+            entry("4.01", "9.01", "c"),  # 4.01 -> 9.01
+            entry("9.01", "2.02", "c"),  # 9.01 -> 2.02
+            entry("2.02", "4.01", "a"),  # canonical 2.02 -> 4.01 closes a cycle
+            entry("2.02", "9.02", "a"),  # canonical 2.02 -> 9.02 is fine
+        ]
         graph = build_graph(table)
         dropped = [(str(e.source), str(e.target)) for e in graph.dropped_edges]
         assert dropped == [("2.02", "4.01")]
@@ -140,7 +126,7 @@ class TestPruneWeak:
         assert len(pruned.edges) == 0
 
     def test_missing_endpoint_errors(self):
-        graph = build_graph(InterrelationTable([entry("1.01", "1.05.01", "c")]))
+        graph = build_graph([entry("1.01", "1.05.01", "c")])
         with pytest.raises(MissingCorrelationError):
             prune_weak(graph, EdgeCorrelations([]), 0.4)
 
@@ -167,19 +153,15 @@ class TestAugmentStrong:
         assert len(final.edge_pairs() - pruned.edge_pairs()) == 2
 
     def test_empty_candidates_is_identity(self, final_graph):
-        again = augment_strong(final_graph, StrongCandidateTable([]), repair=True)
+        again = augment_strong(final_graph, [], repair=True)
         assert again.edge_pairs() == final_graph.edge_pairs()
 
     def test_cycle_creating_candidate_errors(self):
         # path 2.01 -> 5.01 -> 1.01; candidate (1.01, 2.01) orients
         # canonically 1.01 -> 2.01 and would close the cycle
-        table = InterrelationTable(
-            [entry("2.01", "5.01", "c"), entry("5.01", "1.01", "c")]
-        )
+        table = [entry("2.01", "5.01", "c"), entry("5.01", "1.01", "c")]
         g = build_graph(table)
-        cand = StrongCandidateTable(
-            [StrongCandidate(pid("1.01"), pid("2.01"), 0.9, CandidateVerdict.NOT_IN_TABLE)]
-        )
+        cand = [StrongCandidate(pid("1.01"), pid("2.01"), 0.9, CandidateVerdict.NOT_IN_TABLE)]
         with pytest.raises(GraphConstructionError, match="cycle"):
             augment_strong(g, cand)
 
@@ -220,7 +202,7 @@ class TestReachabilityInvariant:
 
 class TestExport:
     def test_single_edge_dot(self):
-        graph = build_graph(InterrelationTable([entry("1.01", "1.05.01", "c")]))
+        graph = build_graph([entry("1.01", "1.05.01", "c")])
         dot = export_graph(graph, "dot")
         assert dot.count("->") == 1
         assert dot.startswith("digraph")

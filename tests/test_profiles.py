@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from capnet.errors import ConfigError, DatasetError, IncompleteProfileError
+from capnet.errors import ConfigError, DatasetError, IncompleteProfileError, QuantificationError
 from capnet.profiles import (
     GeneratorConfig,
     Phase,
@@ -203,3 +204,18 @@ class TestDatasetFile:
         bad = RequirementSet("act", {pid("9.99.99"): 5})
         with pytest.raises(DatasetError):
             bad.validate_against(catalog)
+
+
+class TestScoreCheck:
+    @pytest.mark.parametrize("value", [3.9, True, "3"], ids=["float", "bool", "str"])
+    def test_non_integer_score_rejected(self, value):
+        with pytest.raises(QuantificationError):
+            Profile("a", values={pid("3.03.04"): value})
+        with pytest.raises(QuantificationError):
+            RequirementSet("act", {pid("3.03.04"): value})
+
+    def test_numpy_integer_stored_as_int(self):
+        profile = Profile("a", values={pid("3.03.04"): np.int64(3)})
+        requirements = RequirementSet("act", {pid("3.03.04"): np.uint8(5)})
+        assert type(profile.values[pid("3.03.04")]) is int and profile.values[pid("3.03.04")] == 3
+        assert type(requirements.requirements[pid("3.03.04")]) is int and requirements.total() == 5

@@ -41,7 +41,7 @@ class TestEnumeratePaths:
         sub = final_graph.restricted_to(sitting_set)
         paths = enumerate_paths(sub, 4)
         target = tuple(pid(x) for x in ("3.03.02", "1.06.02", "3.03.10", "3.04.10"))
-        assert target in set(paths.paths)
+        assert target in set(paths)
 
     def test_paths_are_simple_and_edge_respecting(self, final_graph, sitting_set):
         sub = final_graph.restricted_to(sitting_set)

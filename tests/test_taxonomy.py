@@ -13,9 +13,9 @@ from capnet.taxonomy import (
     CapabilityId,
     Category,
     Posture,
-    Quantification,
-    quantification_label,
     parse_capability_id,
+    quantification,
+    quantification_label,
     read_catalog,
     sitting_over_table_set,
 )
@@ -149,10 +149,10 @@ class TestQuantification:
     @pytest.mark.parametrize("value", [7, -1, 100])
     def test_out_of_range_rejected(self, value):
         with pytest.raises(QuantificationError):
-            Quantification(value)
+            quantification(value)
 
     def test_scale_accepted(self):
-        assert [Quantification(v).value for v in range(7)] == list(range(7))
+        assert [quantification(v) for v in range(7)] == list(range(7))
 
     def test_labels(self):
         assert quantification_label(3) == "3-"
@@ -163,7 +163,7 @@ class TestQuantification:
 
     def test_non_integer_rejected(self):
         with pytest.raises(QuantificationError):
-            Quantification(3.5)
+            quantification(3.5)
 
 
 class TestCatalog:
