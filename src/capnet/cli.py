@@ -12,8 +12,11 @@ maps each error class to its code once (see ``_EXIT_CODES``).
 from __future__ import annotations
 
 import csv
+import errno
+import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -29,7 +32,6 @@ from .errors import (
 )
 from .synthesis import DEFAULT_N_MIN
 
-EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
@@ -67,9 +69,26 @@ def _load_catalog(path):
     return taxonomy.load_catalog(path)
 
 
-def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="")
+def _write(*artifacts: tuple[str | None, Callable[[], str]]) -> None:
+    """Render each ``(path, render)`` artifact whose path is set, then write all or none.
+
+    The targets are replaced only once every text is staged beside its own,
+    so an unwritable path leaves no new file and every old one unchanged.
+    """
+    rendered = {Path(path).resolve(): render() for path, render in artifacts if path}
+    staged: dict[Path, Path] = {}
+    try:
+        for target, text in rendered.items():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            staged[target] = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            staged[target].write_text(text, encoding="utf-8", newline="")
+        for target, temporary in staged.items():
+            os.replace(temporary, target)
+    finally:
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
 
 
 @click.group(cls=_Main)
@@ -95,10 +114,10 @@ def cmd_build_graph(catalog_path, table_path, cand_path, corr_path, threshold, r
     built = network.build_graph(table, catalog)
     pruned = network.prune_weak(built, correlations, threshold)
     final = network.augment_strong(pruned, candidates, repair=repair)
-    if out_graph:
-        _write(Path(out_graph), network.export_graph(final, "structured"))
-    if out_dot:
-        _write(Path(out_dot), network.export_graph(final, "dot", catalog=catalog))
+    _write(
+        (out_graph, lambda: network.export_graph(final, "structured")),
+        (out_dot, lambda: network.export_graph(final, "dot", catalog=catalog)),
+    )
     removed = sorted(
         tuple(str(x) for x in sorted(pair)) for pair in built.edge_pairs() - pruned.edge_pairs()
     )
@@ -132,10 +151,10 @@ def cmd_synthesize(graph_path, catalog_path, n_min, p_max, p_hat_max, out_path, 
     graph = network.import_graph(Path(graph_path).read_text(encoding="utf-8"))
     node_set = [n for n in taxonomy.sitting_over_table_set(catalog) if n in set(graph.nodes)]
     result = synthesis.synthesize(graph, node_set, n_min=n_min, p_max=p_max, p_hat_max=p_hat_max)
-    if out_path:
-        _write(Path(out_path), synthesis.sequences_to_csv(result.sequences))
-    if out_text:
-        _write(Path(out_text), synthesis.sequences_to_text(result.sequences))
+    _write(
+        (out_path, lambda: synthesis.sequences_to_csv(result.sequences)),
+        (out_text, lambda: synthesis.sequences_to_text(result.sequences)),
+    )
     click.echo(f"candidate paths: {len(result.path_set)}")
     click.echo(f"selected sequences: {result.solution.objective}")
     click.echo("visits per node:")
@@ -170,11 +189,10 @@ def cmd_analyze(data_path, catalog_path, phase, threshold, resamples, seed, out_
     if matrix.undefined_ids():
         names = ", ".join(str(c) for c in matrix.undefined_ids())
         click.echo(f"undefined (constant) columns: {names}")
-    if out_corr:
-        _write(Path(out_corr), matrix.to_csv())
-    if out_pvalues:
-        pvalues = stats.pairwise_permutation_pvalues(data, evaluation_set, resamples, seed)
-        _write(Path(out_pvalues), pvalues.to_csv())
+    _write(
+        (out_corr, matrix.to_csv),
+        (out_pvalues, lambda: stats.pairwise_permutation_pvalues(data, evaluation_set, resamples, seed).to_csv()),
+    )
 
 
 def _parse_xi(ctx, param, items) -> dict:
@@ -208,13 +226,13 @@ def cmd_allocate(req_path, data_path, agent, phase, graph_path, xi, theta, out_t
     graph = network.import_graph(Path(graph_path).read_text(encoding="utf-8"))
     dataset = profiles.load_dataset(data_path, catalog)
     requirements = _read_requirements(req_path)
+    requirements.validate_against(catalog)
     fuzz = deltas_mod.FuzzyParams(xi=xi, theta=theta)
     profile = dataset.select(agent, profiles.Phase(phase) if phase else None)
     profile = profiles.propagate_main_level(profile)
     trace = deltas_mod.compensate(requirements, profile, graph, fuzz)
     click.echo(trace.text_report(), nl=False)
-    if out_trace:
-        _write(Path(out_trace), trace.to_document())
+    _write((out_trace, trace.to_document))
     if trace.outcome is deltas_mod.CompensationOutcome.INFEASIBLE:
         sys.exit(EXIT_INFEASIBLE)
 
@@ -236,7 +254,7 @@ def cmd_gen_data(count, seed, correlation, degenerate_fraction, out_path):
         degenerate_fraction=degenerate_fraction,
     )
     dataset = profiles.generate_synthetic_profiles(config, seed)
-    _write(Path(out_path), profiles.write_dataset(dataset, ids))
+    _write((out_path, lambda: profiles.write_dataset(dataset, ids)))
     click.echo(f"wrote {len(dataset)} profiles for {count} agents")
 
 

@@ -44,9 +44,6 @@ class DeltaSet:
     agent_id: str
     deltas: dict[CapabilityId, int] = field(default_factory=dict)
 
-    def ids(self) -> list[CapabilityId]:
-        return sorted(self.deltas)
-
     def deficits(self) -> dict[CapabilityId, int]:
         return {cap: d for cap, d in self.deltas.items() if d > 0}
 

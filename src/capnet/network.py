@@ -317,9 +317,7 @@ def build_graph(
 class EdgeCorrelations:
     """Sparse pairwise correlation lookup (order-insensitive)."""
 
-    def __init__(self, values: Mapping | Iterable[tuple[CapabilityId, CapabilityId, float]]):
-        if isinstance(values, Mapping):
-            values = ((a, b, r) for (a, b), r in values.items())
+    def __init__(self, values: Iterable[tuple[CapabilityId, CapabilityId, float]]):
         self._values: dict[frozenset[CapabilityId], float] = {
             frozenset((a, b)): float(r) for a, b, r in values
         }
@@ -378,12 +376,9 @@ def augment_strong(
     Pairs absent from the interrelation table and not excluded by a
     feasibility class are added when strongly correlated (|r| >= 0.8).
     The moderate reachability-repair pair is added only when requested.
-    Raises GraphConstructionError if an added edge would create a cycle.
+    Raises GraphConstructionError if an added edge names a node outside
+    the graph or would create a cycle; the unknown node is reported first.
     """
-    adjacency: dict[CapabilityId, list[CapabilityId]] = {n: [] for n in graph.nodes}
-    for edge in graph.edges:
-        adjacency[edge.source].append(edge.target)
-
     edges = list(graph.edges)
     existing = graph.edge_pairs()
     for cand in candidates:
@@ -393,13 +388,6 @@ def augment_strong(
         if pair in existing:
             continue
         source, target = sorted((cand.c1, cand.c2))
-        if source not in adjacency or target not in adjacency:
-            raise CatalogError(f"candidate pair {cand.c1}, {cand.c2} not in graph nodes")
-        if _reachable(adjacency, target, source):
-            raise GraphConstructionError(
-                f"augmenting {source}->{target} would create a cycle"
-            )
-        adjacency[source].append(target)
         edges.append(Edge(source, target, Relation(RelationKind.APPEARS_WITH), cand.r))
         existing.add(pair)
     return graph.replace_edges(edges, dropped=graph.dropped_edges)

@@ -55,9 +55,6 @@ class Profile:
     def __post_init__(self):
         object.__setattr__(self, "values", {cap: quantification(v) for cap, v in self.values.items()})
 
-    def value(self, cap_id: CapabilityId) -> int | None:
-        return self.values.get(cap_id)
-
     def complete_over(self, capability_set: Iterable[CapabilityId]) -> bool:
         return all(cap in self.values for cap in capability_set)
 
@@ -99,9 +96,8 @@ class RequirementSet:
 class ProfileDataset:
     """Ordered collection of profiles with unique (agent_id, phase) keys."""
 
-    def __init__(self, profiles: Iterable[Profile], provenance: str = ""):
+    def __init__(self, profiles: Iterable[Profile]):
         self.profiles = tuple(profiles)
-        self.provenance = provenance
         seen = set()
         for profile in self.profiles:
             key = (profile.agent_id, profile.phase)
@@ -116,16 +112,10 @@ class ProfileDataset:
         return iter(self.profiles)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ProfileDataset)
-            and self.profiles == other.profiles
-            and self.provenance == other.provenance
-        )
+        return isinstance(other, ProfileDataset) and self.profiles == other.profiles
 
     def with_phase(self, phase: Phase) -> "ProfileDataset":
-        return ProfileDataset(
-            (p for p in self.profiles if p.phase is phase), provenance=self.provenance
-        )
+        return ProfileDataset(p for p in self.profiles if p.phase is phase)
 
     def select(self, agent_id: str, phase: Phase | None = None) -> Profile:
         for profile in self.profiles:
@@ -134,15 +124,13 @@ class ProfileDataset:
         raise DatasetError(f"no profile for agent {agent_id!r}" + (f" phase {phase.value}" if phase else ""))
 
 
-def propagate_main_level(profile: Profile, catalog: CapabilityCatalog | None = None) -> Profile:
+def propagate_main_level(profile: Profile) -> Profile:
     """Extend a profile with main-level scores.
 
     The score of a main-level capability is the minimum over its assessed
     details. Detail entries are preserved; an already assessed main-level
     entry is never overwritten, which makes the operation idempotent.
     """
-    if catalog is not None:
-        profile.validate_against(catalog)
     groups: dict[CapabilityId, list[int]] = {}
     for cap_id, value in profile.values.items():
         if cap_id.is_main_level:
@@ -186,10 +174,15 @@ def filter_profiles(
             continue
         if profile_std(profile, capability_set) >= threshold:
             kept.append(profile)
-    return ProfileDataset(kept, provenance=dataset.provenance)
+    return ProfileDataset(kept)
 
 
 # -- synthetic generation ---------------------------------------------------
+
+
+_BASE_MEAN = 3.6
+_BASE_SD = 1.1
+_POST_IMPROVEMENT = 0.4
 
 
 @dataclass(frozen=True)
@@ -200,19 +193,18 @@ class GeneratorConfig:
     blend of a per-main-capability latent level and independent noise, so
     details of one main capability correlate with strength
     ``within_main_correlation`` while capabilities of different complexes
-    stay uncorrelated. Scores center on the middle of the scale (profiles
-    are assumed roughly normal around 3 and 4). A ``degenerate_fraction``
-    of profiles is emitted constant or with holes, mimicking real-world
-    assessment shortcuts that the filter stage must remove.
+    stay uncorrelated. Pre-rehabilitation scores have the fixed mean 3.6
+    and spread 1.1 (profiles are assumed roughly normal around 3 and 4);
+    post-rehabilitation scores add an improvement of |N(0.4, 0.3)| per
+    capability. A ``degenerate_fraction`` of profiles is emitted constant
+    or with holes, mimicking real-world assessment shortcuts that the
+    filter stage must remove.
     """
 
     ids: tuple[CapabilityId, ...]
     agents: int = 500
-    base_mean: float = 3.6
-    base_sd: float = 1.1
     within_main_correlation: float = 0.8
     degenerate_fraction: float = 0.15
-    post_improvement: float = 0.4
 
     def __post_init__(self):
         if self.agents < 0:
@@ -225,8 +217,6 @@ class GeneratorConfig:
             raise ConfigError(
                 f"degenerate_fraction must be in [0, 1], got {self.degenerate_fraction}"
             )
-        if self.base_sd < 0:
-            raise ConfigError(f"base_sd must be >= 0, got {self.base_sd}")
         if not self.ids:
             raise ConfigError("ids must not be empty")
 
@@ -236,46 +226,33 @@ def generate_synthetic_profiles(config: GeneratorConfig, seed: int) -> ProfileDa
     rng = np.random.default_rng(seed)
     ids = sorted(config.ids)
     mains = sorted({cap.main_id() for cap in ids})
-    main_index = {m: i for i, m in enumerate(mains)}
-    rho = config.within_main_correlation
-    latent_w = math.sqrt(rho)
-    noise_w = math.sqrt(1.0 - rho)
+    main_of = [mains.index(cap.main_id()) for cap in ids]
+    latent_w = math.sqrt(config.within_main_correlation)
+    noise_w = math.sqrt(1.0 - config.within_main_correlation)
 
     profiles = []
     for agent in range(config.agents):
-        agent_id = f"A{agent:05d}"
+        # Every draw is made, in this order: the stream order fixes the dataset of a seed.
         latents = rng.normal(0.0, 1.0, size=len(mains))
         noise = rng.normal(0.0, 1.0, size=len(ids))
-        raw = np.array(
-            [
-                config.base_mean
-                + config.base_sd * (latent_w * latents[main_index[cap.main_id()]] + noise_w * noise[k])
-                for k, cap in enumerate(ids)
-            ]
-        )
-        improvement = np.abs(rng.normal(config.post_improvement, 0.3, size=len(ids)))
-        degenerate_draw = rng.uniform()
-        degenerate_kind = int(rng.integers(0, 2))
-        hole_mask = rng.uniform(size=len(ids)) < 0.4
-        constant_value = int(rng.integers(3, 5))
+        improvement = np.abs(rng.normal(_POST_IMPROVEMENT, 0.3, size=len(ids)))
+        degenerate = rng.uniform() < config.degenerate_fraction
+        kind = rng.integers(0, 2)
+        holes = rng.uniform(size=len(ids)) < 0.4
+        constant = rng.integers(3, 5)
 
-        for phase, scores in (
-            (Phase.PRE_REHAB, raw),
-            (Phase.POST_REHAB, raw + improvement),
-        ):
-            values = {
-                cap: int(np.clip(np.rint(score), 0, 6))
-                for cap, score in zip(ids, scores)
-            }
-            if degenerate_draw < config.degenerate_fraction:
-                if degenerate_kind == 0:
-                    values = {cap: constant_value for cap in ids}
-                else:
-                    values = {cap: v for (cap, v), hole in zip(values.items(), hole_mask) if not hole}
-                    if len(values) == len(ids):
-                        values.pop(ids[0])
-            profiles.append(Profile(agent_id=agent_id, phase=phase, values=values))
-    return ProfileDataset(profiles, provenance=f"synthetic seed={seed} agents={config.agents}")
+        pre = _BASE_MEAN + _BASE_SD * (latent_w * latents[main_of] + noise_w * noise)
+        levels = np.clip(np.rint([pre, pre + improvement]), 0, 6).astype(int)
+        if degenerate and kind == 0:
+            levels[:] = constant
+        holed = degenerate and kind == 1
+        holes &= holed
+        if holed and not holes.any():
+            holes[0] = True  # a holed profile lacks at least one id
+        for phase, row in zip((Phase.PRE_REHAB, Phase.POST_REHAB), levels.tolist()):
+            values = {cap: v for cap, v, hole in zip(ids, row, holes) if not hole}
+            profiles.append(Profile(agent_id=f"A{agent:05d}", phase=phase, values=values))
+    return ProfileDataset(profiles)
 
 
 # -- dataset file format -----------------------------------------------------
@@ -308,6 +285,9 @@ def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None)
         ids = [parse_capability_id(text) for text in header[2:]]
     except Exception as exc:
         raise DatasetError(f"bad capability id in header: {exc}") from exc
+    for k, cap in enumerate(ids):
+        if cap in ids[:k]:
+            raise DatasetError(f"capability id {cap} repeats in the dataset header")
     profiles = []
     for row in reader:
         if not row:

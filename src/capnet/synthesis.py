@@ -67,14 +67,13 @@ def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> tupl
     if n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {n_min}")
     successors = {node: graph.successors(node) for node in graph.nodes}
-    edge_set = {(e.source, e.target) for e in graph.edges}
     collected: list[tuple[CapabilityId, ...]] = []
 
     def walk(node: CapabilityId, trail: list[CapabilityId]) -> None:
         trail.append(node)
         if len(trail) >= n_min:
             for a, b in zip(trail, trail[1:]):
-                if (a, b) not in edge_set:
+                if not graph.has_edge(a, b):
                     raise AnnotationError(f"enumerated step {a}->{b} is not an edge")
             collected.append(tuple(trail))
         for child in successors[node]:
@@ -185,24 +184,19 @@ def lint_sequences(sequences: Iterable[MovementSequence]) -> list[str]:
     """
     warnings = []
     for sequence in sequences:
-        ids = list(sequence.capability_ids())
-        for i, cap in enumerate(ids):
-            if cap != _REACH_BACKWARD:
-                continue
-            tail = ids[i + 1 :]
-            for later in tail:
-                if later == _HORIZONTAL_LIFT:
-                    break
-                if later in _UPWARD_LIFTS:
-                    warnings.append(
-                        f"sequence {sequence.sequence_id}: upward lift {later} follows "
-                        f"backward reach without an intervening horizontal lift; insert "
-                        f"{_HORIZONTAL_LIFT} before the lift or forbid lifts after backward reaches"
-                    )
-                    break
-            else:
-                continue
-            break
+        ids = sequence.capability_ids()
+        if _REACH_BACKWARD not in ids:
+            continue
+        for later in ids[ids.index(_REACH_BACKWARD) + 1 :]:
+            if later == _HORIZONTAL_LIFT:
+                break
+            if later in _UPWARD_LIFTS:
+                warnings.append(
+                    f"sequence {sequence.sequence_id}: upward lift {later} follows "
+                    f"backward reach without an intervening horizontal lift; insert "
+                    f"{_HORIZONTAL_LIFT} before the lift or forbid lifts after backward reaches"
+                )
+                break
     return warnings
 
 

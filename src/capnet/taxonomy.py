@@ -191,9 +191,6 @@ class CapabilityCatalog:
         except KeyError:
             raise CatalogError(f"unknown capability id {cap_id}") from None
 
-    def ids(self) -> tuple[CapabilityId, ...]:
-        return self._order
-
     def name_of(self, cap_id: CapabilityId) -> str:
         return self[cap_id].name
 

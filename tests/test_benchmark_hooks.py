@@ -1,0 +1,49 @@
+"""The traced benchmark run wraps capnet functions by name; check every name still resolves.
+
+``perfbench/layers.py`` swaps module attributes of capnet for span-recording
+wrappers. Deleting or renaming one of those attributes would break only the
+traced benchmark, so this loads the benchmark's tracer and layer table (read
+only, no bytecode written), instruments, and restores.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from capnet import cover, deltas, network, profiles, stats, synthesis, taxonomy
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+MODULES = (cover, deltas, network, profiles, stats, synthesis, taxonomy)
+
+
+def _load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # layers imports tracing by this name
+    spec.loader.exec_module(module)
+    return module
+
+
+def _attributes():
+    return {(module.__name__, attr): value for module in MODULES for attr, value in vars(module).items()}
+
+
+def test_benchmark_instrument_wraps_and_restores(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracing = _load("tracing", monkeypatch)
+    layers = _load("layers", monkeypatch)
+
+    before = _attributes()
+    tracer = tracing.Tracer()
+    try:
+        layers.instrument(tracer)
+        during = _attributes()
+    finally:
+        tracer.restore()
+    wrapped = {key for key, value in during.items() if value is not before[key]}
+    assert ("capnet.synthesis", "synthesize") in wrapped
+    assert ("capnet.profiles", "generate_synthetic_profiles") in wrapped
+    assert all(during[key].__wrapped__ is before[key] for key in wrapped)
+    after = _attributes()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

@@ -251,6 +251,11 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", "--data", str(data)])
         assert result.exit_code == EXIT_DATA, result.output
         assert "error:" in result.output
+        # A header that names one id twice is as malformed as a bad cell.
+        data.write_text(header + f",{ids[-1]}\n" + "a,post_rehab," + ",".join("3" for _ in ids) + ",4\n")
+        result = runner.invoke(main, ["analyze", "--data", str(data)])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert f"error: capability id {ids[-1]} repeats" in result.output
 
     def test_resamples_below_one_usage_error(self, runner, tmp_path):
         data = tmp_path / "data.csv"
@@ -451,6 +456,26 @@ class TestAllocate:
         assert "line 4" in result.output
         assert "3.03.04" in result.output
 
+    def test_unknown_requirement_id_data_error(self, runner, graph_artifact, tmp_path):
+        reqs = tmp_path / "r.csv"
+        reqs.write_text("id,level\n3.03.04,6\n9.99.99,2\n")
+        result = runner.invoke(
+            main,
+            [
+                "allocate",
+                "--requirements",
+                str(reqs),
+                "--profiles",
+                fixture_path("demo_profile.csv"),
+                "--agent",
+                "demo",
+                "--graph",
+                str(graph_artifact),
+            ],
+        )
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "unknown capability ids 9.99.99" in result.output
+
     def test_incomplete_profile_lists_missing(self, runner, graph_artifact, tmp_path):
         profile = tmp_path / "p.csv"
         profile.write_text("agent_id,phase,3.02.03\npartial,unspecified,5\n")
@@ -470,6 +495,44 @@ class TestAllocate:
         )
         assert result.exit_code == EXIT_DATA
         assert "3.03.04" in result.output
+
+
+class TestOutputsAllOrNothing:
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("data") / "data.csv"
+        result = CliRunner().invoke(main, ["gen-data", "--count", "40", "--seed", "2", "--out", str(path)])
+        assert result.exit_code == 0, result.output
+        return path
+
+    @pytest.mark.parametrize(
+        "command, first, second",
+        [("build-graph", "--out-graph", "--out-dot"), ("analyze", "--out-corr", "--out-pvalues")],
+    )
+    def test_unwritable_second_output_writes_neither(self, runner, tmp_path, dataset, command, first, second):
+        args = [command] if command == "build-graph" else [command, "--data", str(dataset), "--resamples", "9"]
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        (tmp_path / "dir").mkdir()
+        old = tmp_path / "old.txt"
+        old.write_text("old artifact")
+        for target in (tmp_path / "new.txt", old):
+            for unwritable in (blocker / "x.txt", tmp_path / "dir"):
+                result = runner.invoke(main, [*args, first, str(target), second, str(unwritable)])
+                assert result.exit_code == EXIT_DATA, result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file", "old.txt"]
+        assert not any((tmp_path / "dir").iterdir())
+        assert old.read_text() == "old artifact"
+
+    def test_output_through_symlink_keeps_link(self, runner, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text("old artifact")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        result = runner.invoke(main, ["build-graph", "--out-graph", str(link)])
+        assert result.exit_code == 0, result.output
+        assert link.is_symlink()
+        assert network.import_graph(real.read_text()).nodes
 
 
 class TestGenData:

@@ -165,6 +165,16 @@ class TestAugmentStrong:
         with pytest.raises(GraphConstructionError, match="cycle"):
             augment_strong(g, cand)
 
+    def test_candidate_outside_graph_errors(self):
+        g = build_graph([entry("2.01", "5.01", "c"), entry("5.01", "1.01", "c")])
+        outside = StrongCandidate(pid("2.01"), pid("4.01"), 0.9, CandidateVerdict.NOT_IN_TABLE)
+        with pytest.raises(GraphConstructionError, match="unknown node"):
+            augment_strong(g, [outside])
+        # With a cycle-closing candidate too, the unknown node is reported.
+        closing = StrongCandidate(pid("1.01"), pid("2.01"), 0.9, CandidateVerdict.NOT_IN_TABLE)
+        with pytest.raises(GraphConstructionError, match="unknown node"):
+            augment_strong(g, [closing, outside])
+
     def test_bookkeeping_edge_counts(self, built_graph, reference_correlations, candidates):
         pruned = prune_weak(built_graph, reference_correlations, 0.4)
         final = augment_strong(pruned, candidates, repair=True)

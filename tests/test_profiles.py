@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -126,6 +127,9 @@ class TestFilterProfiles:
         assert [p.agent_id for p in kept] == ["a", "b"]
 
 
+GOLDEN_DATASET_SHA256 = "2ea420e71443820cfc68a44d83a1c822464ac2f55899dfc90dae2d58ad254173"
+
+
 class TestGenerator:
     def test_zero_agents(self, sitting_set):
         config = GeneratorConfig(ids=tuple(sitting_set), agents=0)
@@ -156,6 +160,20 @@ class TestGenerator:
             GeneratorConfig(ids=tuple(sitting_set), agents=-1)
         with pytest.raises(ConfigError):
             GeneratorConfig(ids=tuple(sitting_set), within_main_correlation=1.5)
+
+    def test_golden_output_digest(self, sitting_set, catalog):
+        # Pins the generator's bytes: any change to its draws, rounding or
+        # degenerate handling changes the digest.
+        digest = hashlib.sha256()
+        for ids in (sitting_set, [entry.id for entry in catalog]):
+            for fraction in (0.0, 0.15, 1.0):
+                for rho in (0.0, 0.8, 1.0):
+                    config = GeneratorConfig(
+                        ids=tuple(ids), agents=30, within_main_correlation=rho, degenerate_fraction=fraction
+                    )
+                    dataset = generate_synthetic_profiles(config, seed=5)
+                    digest.update(write_dataset(dataset, ids).encode("utf-8"))
+        assert digest.hexdigest() == GOLDEN_DATASET_SHA256
 
     def test_within_main_correlation_exceeds_cross_complex(self, sitting_set):
         # generator self-check via the stats module
@@ -188,6 +206,11 @@ class TestDatasetFile:
         profile = dataset.profiles[0]
         assert pid("3.02.03") not in profile.values
         assert profile.values[pid("3.03.04")] == 4
+
+    def test_repeated_header_id_rejected(self):
+        lines = ["agent_id,phase,3.02.03,3.03.04,3.3.4", "demo,unspecified,5,0,4"]
+        with pytest.raises(DatasetError, match="3.03.04 repeats"):
+            read_dataset(lines)
 
     def test_duplicate_agent_phase_rejected(self):
         lines = [
