@@ -6,14 +6,15 @@ program by the HiGHS MIP solver (``scipy.optimize.milp``) with a zero
 relative gap, so the objective is exact.
 
 Tie-breaking: among optima the lexicographically smallest index set is
-returned whenever the candidate-column count is within
-``DEFAULT_LEX_LIMIT`` (512). It is found index by index, each one by
-bisection with MIP feasibility probes, about k*·log2(W) probes for k*
-selected of W columns. Larger instances return HiGHS's deterministic
-optimum, which depends on the scipy/HiGHS version; the result records
-which guarantee applied. The default instance of this package has ~10k
-columns, where lexicographic fixing costs ~320 probes of ~1 s each for no
-change in objective.
+returned whenever the candidate-column count W is within
+``DEFAULT_LEX_LIMIT`` (512). There column w costs W² + w, exact in
+doubles; W² > k·(W−1) for every k ≤ W, so the first solve returns a
+minimum-cardinality selection with the smallest index sum. Indices are
+then fixed in ascending order by a descent of MIP probes, each of which
+fixes an index or lowers the bound on the next: at most k* + W probes
+for k* selected of W columns, far fewer in practice. Larger instances
+count paths only and return HiGHS's deterministic optimum, which depends
+on the scipy/HiGHS version; the result records which guarantee applied.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ class _CoverProgram:
         self.eta = eta
         self.visits = LinearConstraint(sparse.csr_matrix(eta.T), problem.p_max, problem.p_hat_max)
         self.n_vars = W
+        self.lexicographic = W <= DEFAULT_LEX_LIMIT
+        self.cost = W * W + np.arange(W, dtype=float) if self.lexicographic else np.ones(W)
 
     def solve(self, lo: np.ndarray, hi: np.ndarray, extra=()) -> np.ndarray | None:
         """Indices of a minimum selection within the bounds, or None if infeasible.
@@ -91,7 +94,7 @@ class _CoverProgram:
         mistaken for either.
         """
         res = milp(
-            np.ones(self.n_vars),
+            self.cost,
             integrality=np.ones(self.n_vars),
             bounds=Bounds(lo, hi),
             constraints=[self.visits, *extra],
@@ -110,35 +113,34 @@ def _lexicographic_minimum(program: _CoverProgram, witness: np.ndarray) -> np.nd
     Fixes indices in ascending order. With the chosen prefix forced to 1,
     every index below ``low`` outside it forced to 0, and the selection
     capped at the optimum k*, the next index is the smallest one at or
-    above ``low`` that some feasible selection uses. The current witness
-    bounds it from above by ``high``; a probe demanding at least one index
-    in [low, mid] bisects that range: a feasible probe's witness lowers
-    ``high``, an infeasible one zeroes [low, mid]. About k*·log2(W) probes.
+    above ``low`` that some feasible selection uses. The witness's smallest
+    index ``high`` at or above ``low`` bounds it from above; a probe
+    demanding at least one index in [low, high) settles it: an infeasible
+    probe zeroes [low, high) and fixes ``high``, a feasible probe's witness
+    lowers ``high``. At most k* + W probes; the index-weighted cost keeps
+    witnesses low, so most indices need one probe or none.
     """
     W = program.n_vars
     k_star = len(witness)
     lo = np.zeros(W)
     hi = np.ones(W)
     at_most_k = LinearConstraint(np.ones((1, W)), -np.inf, k_star)
-    chosen: list[int] = []
     low = 0
-    while len(chosen) < k_star:
+    for _ in range(k_star):
         high = int(witness[witness >= low][0])
         while low < high:
-            mid = (low + high) // 2
             window = np.zeros((1, W))
-            window[0, low : mid + 1] = 1.0
+            window[0, low:high] = 1.0
             probe = program.solve(lo, hi, [at_most_k, LinearConstraint(window, 1, np.inf)])
             if probe is None:
-                hi[low : mid + 1] = 0.0
-                low = mid + 1
+                hi[low:high] = 0.0
+                low = high
             else:
                 witness = probe
                 high = int(witness[witness >= low][0])
         lo[high] = 1.0
-        chosen.append(high)
         low = high + 1
-    return np.array(chosen, dtype=int)
+    return np.flatnonzero(lo)
 
 
 def _infeasibility_diagnostic(problem: CoverProblem, program: _CoverProgram) -> list[CapabilityId]:
@@ -193,8 +195,7 @@ def solve_cover(problem: CoverProblem) -> CoverSolution:
     if selection is None:
         raise InfeasibleCoverError(_infeasibility_diagnostic(problem, program))
 
-    lexicographic = program.n_vars <= DEFAULT_LEX_LIMIT
-    if lexicographic:
+    if program.lexicographic:
         selection = _lexicographic_minimum(program, selection)
 
     selected = tuple(int(w) for w in selection)
@@ -203,7 +204,7 @@ def solve_cover(problem: CoverProblem) -> CoverSolution:
         selected=selected,
         objective=len(selected),
         visit_counts=counts,
-        lexicographic=lexicographic,
+        lexicographic=program.lexicographic,
     )
 
 

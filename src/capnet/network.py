@@ -34,6 +34,7 @@ from typing import Iterable, Mapping
 
 from .errors import (
     CatalogError,
+    ConfigError,
     GraphConstructionError,
     MissingCorrelationError,
 )
@@ -336,6 +337,8 @@ def prune_weak(graph: ConjugationGraph, corr, threshold: float) -> ConjugationGr
     EdgeCorrelations fixture or a computed CorrelationMatrix). A missing
     value for an edge endpoint pair is an error.
     """
+    if not threshold >= 0:
+        raise ConfigError(f"threshold must be non-negative, got {threshold}")
     kept: list[Edge] = []
     for edge in graph.edges:
         r = corr.pair(edge.source, edge.target)

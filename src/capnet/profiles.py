@@ -166,7 +166,7 @@ def filter_profiles(
     Near-constant profiles (therapists scoring everything the same) and
     incomplete profiles are dropped; input order is preserved.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ConfigError(f"threshold must be non-negative, got {threshold}")
     kept = []
     for profile in dataset:

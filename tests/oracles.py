@@ -1,12 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written from first principles (pure
-Python, brute force, exhaustive enumeration) and must not import the
-implementation modules it checks.
+Python, brute force, exhaustive enumeration, or one plain scipy MIP per
+decision) and must not import the implementation modules it checks.
 """
 
 import itertools
 import math
+
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 
 def pearson_two_pass(x, y):
@@ -80,6 +83,40 @@ def brute_force_lex_min_cover(paths, node_set, p_max, p_hat_max):
         if all(p_max <= counts[node] <= p_hat_max for node in node_set):
             return combo
     return None
+
+
+def lex_min_cover_by_columns(paths, node_set, p_max, p_hat_max):
+    """Lexicographically smallest optimal index set, one MIP per column.
+
+    Solves once for the optimum k*, then decides the columns in ascending
+    order: x_w stays 1 when the program with every earlier decision,
+    x_w = 1 and at most k* columns is still feasible, else x_w is 0.
+    Columns after the k*-th kept one are 0 without a probe. Returns None
+    when no selection satisfies the bounds.
+    """
+    n = len(paths)
+    visits = LinearConstraint(
+        np.array([[path.count(node) for path in paths] for node in node_set]), p_max, p_hat_max
+    )
+
+    def run(cost, lo, hi, extra=()):
+        res = milp(cost, integrality=np.ones(n), bounds=Bounds(lo, hi), constraints=[visits, *extra])
+        assert res.status in (0, 2), res.message
+        return res
+
+    first = run(np.ones(n), np.zeros(n), np.ones(n))
+    if first.status == 2:
+        return None
+    k_star = round(first.fun)
+    at_most_k = LinearConstraint(np.ones((1, n)), 0, k_star)
+    lo, hi = np.zeros(n), np.ones(n)
+    for w in range(n):
+        if lo.sum() == k_star:
+            break
+        lo[w] = 1
+        if run(np.zeros(n), lo, hi, [at_most_k]).status == 2:
+            lo[w] = hi[w] = 0
+    return tuple(int(w) for w in np.flatnonzero(lo))
 
 
 def exhaustive_shift_feasible(requirements, capacities, pairs, xi, theta, max_requirement=6):

@@ -43,6 +43,7 @@ def test_benchmark_instrument_wraps_and_restores(monkeypatch):
     wrapped = {key for key, value in during.items() if value is not before[key]}
     assert ("capnet.synthesis", "synthesize") in wrapped
     assert ("capnet.profiles", "generate_synthetic_profiles") in wrapped
+    assert ("capnet.cover", "milp") in wrapped  # the traced cover.solver_calls counter
     assert all(during[key].__wrapped__ is before[key] for key in wrapped)
     after = _attributes()
     assert after.keys() == before.keys()

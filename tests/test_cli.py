@@ -52,6 +52,13 @@ class TestBuildGraph:
         assert result.exit_code == 0
         assert "4 edges pruned, 2 edges added" in result.output
 
+    def test_nan_threshold_usage_error(self, runner, tmp_path):
+        out = tmp_path / "graph.json"
+        result = runner.invoke(main, ["build-graph", "--threshold", "nan", "--out-graph", str(out)])
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "threshold must be non-negative, got nan" in result.output
+        assert not out.exists()
+
     def test_missing_fixture_file_is_io_error(self, runner):
         result = runner.invoke(main, ["build-graph", "--interrelations", "/nonexistent.csv"])
         assert result.exit_code == EXIT_DATA
@@ -297,6 +304,13 @@ class TestAnalyze:
         dataset = profiles_mod.load_dataset(data, catalog).with_phase(profiles_mod.Phase.POST_REHAB)
         complete = sum(1 for p in dataset if all(cap in p.values for cap in ids))
         assert f"retained {complete} of" in result.output
+
+    def test_nan_threshold_usage_error(self, runner, tmp_path):
+        data = tmp_path / "data.csv"
+        runner.invoke(main, ["gen-data", "--count", "40", "--seed", "5", "--out", str(data)])
+        result = runner.invoke(main, ["analyze", "--data", str(data), "--threshold", "nan", "--resamples", "9"])
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "threshold must be non-negative, got nan" in result.output
 
 
 class TestAllocate:

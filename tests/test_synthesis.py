@@ -1,7 +1,10 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from capnet import cover
 from capnet.cover import CoverProblem, solve_cover, verify_cover
 from capnet.errors import AnnotationError, ConfigError, InfeasibleCoverError
 from capnet.network import ConjugationGraph, Edge, Relation, RelationKind
@@ -16,9 +19,10 @@ from capnet.synthesis import (
 )
 from capnet.taxonomy import parse_capability_id as pid
 
-from oracles import brute_force_cover, brute_force_lex_min_cover
+from oracles import brute_force_cover, brute_force_lex_min_cover, lex_min_cover_by_columns
 
 A, B, C, D, E = (pid(f"9.{i:02d}") for i in range(1, 6))
+LEX_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "lex_pool.json"
 
 
 def chain_graph(*nodes):
@@ -159,6 +163,43 @@ class TestSolveCover:
             CoverProblem(paths=((A,),), node_set=(A,), p_max=2, p_hat_max=1)
         with pytest.raises(ConfigError):
             CoverProblem(paths=((A,),), node_set=(A,), p_max=0, p_hat_max=1)
+
+
+class TestLexicographicCover:
+    def test_matches_column_oracle_on_default_graph_subsets(self, final_graph, sitting_set):
+        rng = random.Random(7)
+        feasible = 0
+        while feasible < 20:
+            sub = final_graph.restricted_to(sorted(rng.sample(sitting_set, rng.randint(6, 12))))
+            paths = enumerate_paths(sub, 4)
+            if not 20 <= len(paths) <= 80:
+                continue
+            p_max = rng.randint(1, 3)
+            p_hat = p_max + rng.randint(1, 3)
+            problem = CoverProblem(paths=paths, node_set=sub.nodes, p_max=p_max, p_hat_max=p_hat)
+            expected = lex_min_cover_by_columns(paths, sub.nodes, p_max, p_hat)
+            if expected is None:
+                with pytest.raises(InfeasibleCoverError):
+                    solve_cover(problem)
+            else:
+                assert solve_cover(problem).selected == expected
+                feasible += 1
+
+    def test_pinned_benchmark_instances(self, final_graph, monkeypatch):
+        from capnet.synthesis import synthesize
+
+        # The plan-lex benchmark's instances (131-489 columns), read only.
+        pool = json.loads(LEX_POOL.read_text(encoding="utf-8"))["instances"]
+        calls = []
+        real = cover.milp
+        monkeypatch.setattr(cover, "milp", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for inst in pool:
+            nodes = [pid(n) for n in inst["nodes"]]
+            result = synthesize(final_graph, nodes, inst["n_min"], inst["p_max"], inst["p_hat_max"])
+            assert len(result.path_set) == inst["columns"]
+            assert result.solution.selected == tuple(inst["selected"])
+            assert result.solution.lexicographic
+        assert len(calls) <= 90  # fixing each index by bisection takes 183
 
 
 class TestPipeline:
