@@ -170,7 +170,7 @@ def cmd_synthesize(graph_path, catalog_path, n_min, p_max, p_hat_max, out_path, 
 @click.option("--phase", type=click.Choice(["pre_rehab", "post_rehab", "all"]), default="post_rehab", show_default=True)
 @click.option("--threshold", type=float, default=0.2, show_default=True, help="Dispersion filter threshold.")
 @click.option("--resamples", type=click.IntRange(min=1), default=10_000, show_default=True, help="Monte Carlo resamples shared by all pairs.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True, help="Key of the resample stream.")
 @click.option("--out-corr", type=click.Path(), default=None, help="Write the correlation matrix CSV here.")
 @click.option("--out-pvalues", type=click.Path(), default=None, help="Write the permutation p-value table here.")
 def cmd_analyze(data_path, catalog_path, phase, threshold, resamples, seed, out_corr, out_pvalues):
@@ -239,7 +239,7 @@ def cmd_allocate(req_path, data_path, agent, phase, graph_path, xi, theta, out_t
 
 @main.command("gen-data")
 @click.option("--count", type=int, default=500, show_default=True, help="Number of agents; each emits a pre/post pair.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--correlation", type=float, default=0.8, show_default=True, help="Within-main-capability correlation strength.")
 @click.option("--degenerate-fraction", type=float, default=0.15, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Write the dataset CSV here.")

@@ -4,9 +4,11 @@ Determinism contract: every stochastic routine is a pure function of its
 inputs and an explicit integer seed. Resample ``i`` is row ``i`` of a single
 counter-based (Philox) stream keyed by the seed, drawn in fixed chunks of
 rows; a p-value table applies the same rows to every pair (no seed is
-derived per pair), so its entries are dependent across pairs. Statistics are
-plain einsum reductions, so results are bit-identical across runs and
-across BLAS/OpenMP thread settings.
+derived per pair), so its entries are dependent across pairs. Statistics
+are cross products of scale-centred columns n*x - sum(x): exact in float64
+on integer scores, so observed and permuted values tie where integers do.
+They are einsum reductions without BLAS, so results are bit-identical
+across runs and across BLAS/OpenMP thread settings.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ def _as_vector(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected 1-d vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("vector holds a non-finite value")
     return arr
 
 
@@ -61,16 +65,27 @@ def pearson(x, y) -> float:
 
     Raises UndefinedCorrelationError when either vector is constant.
     """
-    x = _as_vector(x)
-    y = _as_vector(y)
+    x, y = _as_vector(x), _as_vector(y)
     _check_pair(x, y)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxy = float(np.einsum("i,i->", xc, yc))
-    sxx = float(np.einsum("i,i->", xc, xc))
-    syy = float(np.einsum("i,i->", yc, yc))
-    r = sxy / np.sqrt(sxx * syy)
-    return float(min(1.0, max(-1.0, r)))
+    return float(_correlations(np.column_stack((x, y)))[0, 1])
+
+
+def _centred_products(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale-centred columns c = n*x - sum(x) and their cross-product matrix c'c."""
+    centred = len(data) * data - data.sum(axis=0)
+    return centred, np.einsum("ki,kj->ij", centred, centred, optimize=False)
+
+
+def _correlations(data: np.ndarray) -> np.ndarray:
+    """Pearson matrix of the columns; cells touching a constant column are NaN."""
+    products = _centred_products(data)[1]
+    sums = np.diag(products)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(products / np.sqrt(np.outer(sums, sums)), -1.0, 1.0)
+    r = np.triu(r) + np.triu(r, 1).T
+    constant = np.ptp(data, axis=0) == 0
+    r[constant] = r[:, constant] = np.nan
+    return r
 
 
 @dataclass(frozen=True)
@@ -110,12 +125,8 @@ class CorrelationMatrix:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["id"] + [str(c) for c in self.ids])
-        for i, cap in enumerate(self.ids):
-            row = [str(cap)]
-            for j in range(len(self.ids)):
-                value = self.r[i, j]
-                row.append("" if np.isnan(value) else f"{value:.6f}")
-            writer.writerow(row)
+        for cap, row in zip(self.ids, self.r):
+            writer.writerow([str(cap)] + ["" if np.isnan(value) else f"{value:.6f}" for value in row])
         return buffer.getvalue()
 
 
@@ -127,16 +138,19 @@ def profile_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> np.n
     """
     if len(dataset) < 2:
         raise DatasetError(f"need at least 2 profiles, got {len(dataset)}")
-    rows = []
     for profile in dataset:
-        missing = profile.missing_from(ids)
-        if missing:
-            raise DatasetError(
-                f"profile {profile.agent_id}/{profile.phase.value} incomplete over ids: "
-                + ", ".join(str(m) for m in missing)
-            )
-        rows.append([profile.values[cap] for cap in ids])
-    return np.array(rows, dtype=float)
+        if missing := profile.missing_from(ids):
+            names = ", ".join(str(m) for m in missing)
+            raise DatasetError(f"profile {profile.agent_id}/{profile.phase.value} incomplete over ids: {names}")
+    return np.array([[profile.values[cap] for cap in ids] for profile in dataset], dtype=float)
+
+
+def _data_matrix(dataset: ProfileDataset | np.ndarray, ids: tuple[CapabilityId, ...]) -> np.ndarray:
+    """The dataset's ``profile_matrix``; a prebuilt matrix must hold one column per id."""
+    data = dataset if isinstance(dataset, np.ndarray) else profile_matrix(dataset, ids)
+    if data.ndim != 2 or data.shape[1] != len(ids):
+        raise ValueError(f"profile matrix of shape {data.shape} does not have one column per id ({len(ids)})")
+    return data
 
 
 def correlation_matrix(dataset: ProfileDataset | np.ndarray, ids: Sequence[CapabilityId]) -> CorrelationMatrix:
@@ -148,17 +162,8 @@ def correlation_matrix(dataset: ProfileDataset | np.ndarray, ids: Sequence[Capab
     through. Symmetric by construction (upper triangle mirrored).
     """
     ids = tuple(ids)
-    data = dataset if isinstance(dataset, np.ndarray) else profile_matrix(dataset, ids)
-    centred = data - data.mean(axis=0)
-    products = np.einsum("ki,kj->ij", centred, centred, optimize=False)
-    sums = np.diag(products)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.clip(products / np.sqrt(np.outer(sums, sums)), -1.0, 1.0)
-    r = np.triu(r) + np.triu(r, 1).T
-    constant = np.ptp(data, axis=0) == 0
-    r[constant] = np.nan
-    r[:, constant] = np.nan
-    return CorrelationMatrix(ids=ids, r=r, n_samples=len(data))
+    data = _data_matrix(dataset, ids)
+    return CorrelationMatrix(ids=ids, r=_correlations(data), n_samples=len(data))
 
 
 @dataclass(frozen=True)
@@ -173,34 +178,30 @@ class PermutationTestResult:
             raise ValueError(f"p_value {self.p_value} outside (0, 1]")
 
 
-def _permutation_pvalues(
-    columns: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], n_resamples: int, seed: int
-) -> np.ndarray:
-    """Add-one Monte Carlo p-value of pearson(columns[i], columns[j]) per pair (i, j).
+def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
+    """Resamples b[i, j], i < j, whose statistic reaches pair (i, j)'s observed one.
 
-    The null permutes column j. Every pair sees the same resample rows:
-    row r is argsort of row r of the Philox stream keyed by ``seed``, so it
-    depends on (seed, r) only, however many pairs share it.
+    The statistic is |sum(c_i * c_j)| over scale-centred columns; the null
+    permutes column j. Every pair sees the same rows: row r is argsort of
+    row r of the Philox stream keyed by ``seed``, so it depends on (seed, r)
+    only. A null within scipy's relative tolerance of 100 eps below the
+    observed value counts as reaching it. Pairs with a constant column stay 0.
     """
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
-    centred = [c - c.mean() for c in columns]
-    sums = [float(np.einsum("i,i->", c, c)) for c in centred]
-    tests_by_y = {}
-    for k, (i, j) in enumerate(pairs):
-        observed = abs(pearson(columns[i], columns[j]))
-        tests_by_y.setdefault(j, []).append((k, centred[i], np.sqrt(sums[i] * sums[j]), observed))
-    exceed = np.zeros(len(pairs), dtype=np.int64)
+    centred, products = _centred_products(data)
+    reach = np.abs(products) - 100 * np.finfo(float).eps * np.abs(products)  # scipy's tie tolerance
+    live = np.flatnonzero(np.ptp(data, axis=0) > 0)
+    exceed = np.zeros(products.shape, dtype=np.int64)
     bits = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    for start in range(0, n_resamples if pairs else 0, _CHUNK):  # no defined pair: draw nothing
-        keys = bits.random((min(_CHUNK, n_resamples - start), len(columns[0])))
+    for start in range(0, n_resamples if len(live) > 1 else 0, _CHUNK):  # no defined pair: draw nothing
+        keys = bits.random((min(_CHUNK, n_resamples - start), len(data)))
         perms = np.argsort(keys, axis=1, kind="stable")
-        for j, tests in tests_by_y.items():
-            permuted = centred[j][perms]
-            for k, xc, denom, observed in tests:
-                null_r = np.einsum("ij,j->i", permuted, xc) / denom
-                exceed[k] += np.sum(np.abs(null_r) >= observed)
-    return (exceed + 1) / (n_resamples + 1)
+        for k in range(1, len(live)):
+            i, j = live[:k], live[k]  # every live column before j at once
+            nulls = np.einsum("rn,nk->rk", centred[perms, j], centred[:, i], optimize=False)
+            exceed[i, j] += np.count_nonzero(np.abs(nulls) >= reach[i, j], axis=0)
+    return exceed
 
 
 def permutation_test(x, y, n_resamples: int = 10_000, seed: int = 0) -> PermutationTestResult:
@@ -209,13 +210,13 @@ def permutation_test(x, y, n_resamples: int = 10_000, seed: int = 0) -> Permutat
     The observed statistic is pearson(x, y); the null distribution permutes
     y. The p-value uses the add-one rule p = (b + 1) / (m + 1) with
     b = #{resamples with |r| >= |observed|}, so p is never exactly zero.
+    Ties count: exactly on integer scores, and on float input within
+    scipy's relative tolerance of 100 eps below |observed|.
     """
-    x = _as_vector(x)
-    y = _as_vector(y)
-    p = _permutation_pvalues([x, y], [(0, 1)], n_resamples, seed)
-    return PermutationTestResult(
-        statistic=pearson(x, y), p_value=float(p[0]), n_resamples=n_resamples, seed=seed
-    )
+    x, y = _as_vector(x), _as_vector(y)
+    statistic = pearson(x, y)
+    b = int(_exceedances(np.column_stack((x, y)), n_resamples, seed)[0, 1])
+    return PermutationTestResult(statistic, (b + 1) / (n_resamples + 1), n_resamples, seed)
 
 
 def pairwise_permutation_pvalues(
@@ -233,14 +234,11 @@ def pairwise_permutation_pvalues(
     also be given as its ``profile_matrix``.
     """
     ids = tuple(ids)
-    data = dataset if isinstance(dataset, np.ndarray) else profile_matrix(dataset, ids)
-    constant = np.ptp(data, axis=0) == 0
-    n = len(ids)
-    pairs = [(i, j) for j in range(n) for i in range(j) if not (constant[i] or constant[j])]
-    pvalues = _permutation_pvalues([data[:, k] for k in range(n)], pairs, n_resamples, seed)
-    p = np.full((n, n), np.nan)
-    for (i, j), value in zip(pairs, pvalues):
-        p[i, j] = p[j, i] = value
+    data = _data_matrix(dataset, ids)
+    exceed = _exceedances(data, n_resamples, seed)
+    live = np.ptp(data, axis=0) > 0
+    defined = np.outer(live, live) & ~np.eye(len(ids), dtype=bool)
+    p = np.where(defined, (exceed + exceed.T + 1) / (n_resamples + 1), np.nan)
     return CorrelationMatrix(ids=ids, r=p, n_samples=len(data))
 
 
@@ -252,7 +250,7 @@ class CorrelationStrength(str, Enum):
 
 def classify_correlation(r: float) -> CorrelationStrength:
     """weak: |r| < 0.4; moderate: 0.4 <= |r| < 0.8; strong: |r| >= 0.8."""
-    if abs(r) > 1.0:
+    if not abs(r) <= 1.0:
         raise ValueError(f"|r| must be <= 1, got {r}")
     magnitude = abs(r)
     if magnitude < 0.4:

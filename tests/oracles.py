@@ -23,6 +23,24 @@ def pearson_two_pass(x, y):
     return sxy / math.sqrt(sxx * syy)
 
 
+def permutation_exceedances_exact(x, y, perms):
+    """Rows pi of ``perms`` with |n*sum(x*y[pi]) - sum(x)*sum(y)| >= the identity's.
+
+    Counted in Python ints, so ties are exact. The statistic is n times the
+    cross product of the centred vectors, so it orders resamples as |r|
+    does; x and y must hold integer values.
+    """
+    assert all(float(v).is_integer() for v in (*x, *y))
+    x, y = [int(v) for v in x], [int(v) for v in y]
+    n, sx, sy = len(x), sum(x), sum(y)
+
+    def statistic(order):
+        return abs(n * sum(a * y[k] for a, k in zip(x, order)) - sx * sy)
+
+    observed = statistic(range(n))
+    return sum(statistic(row) >= observed for row in perms)
+
+
 def population_std_two_pass(values):
     """Two-pass population standard deviation."""
     n = len(values)

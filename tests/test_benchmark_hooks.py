@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from capnet import cover, deltas, network, profiles, stats, synthesis, taxonomy
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -38,12 +40,20 @@ def test_benchmark_instrument_wraps_and_restores(monkeypatch):
     try:
         layers.instrument(tracer)
         during = _attributes()
+        # the stats hook binds n_resamples by name and counts the defined pairs of the result
+        ids = taxonomy.sitting_over_table_set(taxonomy.load_default_catalog())[:3]
+        data = np.array([[0, 1, 4], [1, 3, 4], [2, 2, 4], [3, 5, 4]], dtype=float)
+        stats.pairwise_permutation_pvalues(data, ids, 7, seed=1)
     finally:
         tracer.restore()
     wrapped = {key for key, value in during.items() if value is not before[key]}
     assert ("capnet.synthesis", "synthesize") in wrapped
     assert ("capnet.profiles", "generate_synthetic_profiles") in wrapped
     assert ("capnet.cover", "milp") in wrapped  # the traced cover.solver_calls counter
+    assert ("capnet.stats", "pairwise_permutation_pvalues") in wrapped
+    counters = tracer.phases[-1].counters
+    assert counters["stats.pairs"] == 1  # the third column is constant
+    assert counters["stats.resamples"] == 7
     assert all(during[key].__wrapped__ is before[key] for key in wrapped)
     after = _attributes()
     assert after.keys() == before.keys()

@@ -272,6 +272,22 @@ class TestAnalyze:
         )
         assert result.exit_code == EXIT_USAGE, result.output
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_uint64_usage_error(self, runner, tmp_path, seed):
+        data = tmp_path / "data.csv"
+        runner.invoke(main, ["gen-data", "--count", "20", "--seed", "5", "--out", str(data)])
+        result = runner.invoke(
+            main, ["analyze", "--data", str(data), "--seed", seed, "--out-pvalues", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "retained" not in result.output
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_gen_data_negative_seed_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["gen-data", "--seed", "-1", "--out", str(tmp_path / "d.csv")])
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert not (tmp_path / "d.csv").exists()
+
     def test_profile_matrix_built_once(self, runner, tmp_path, monkeypatch):
         from capnet import stats
 

@@ -16,7 +16,13 @@ from capnet.stats import (
 )
 from capnet.taxonomy import parse_capability_id as pid
 
-from oracles import ks_distance_from_uniform, pearson_two_pass
+from oracles import ks_distance_from_uniform, pearson_two_pass, permutation_exceedances_exact
+
+
+def _resample_rows(seed, n_resamples, n):
+    """A run's resample rows drawn and argsorted in one block."""
+    keys = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random((n_resamples, n))
+    return np.argsort(keys, axis=1, kind="stable")
 
 
 class TestPearson:
@@ -49,6 +55,10 @@ class TestPearson:
             pearson([1, 1, 1], [1, 2, 3])
         with pytest.raises(UndefinedCorrelationError):
             pearson([1, 2, 3], [4, 4, 4])
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError):
+            pearson([np.nan, 1, 2, 5], [1, 2, 3, 4])
 
     @settings(max_examples=60)
     @given(
@@ -184,19 +194,27 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             permutation_test([1, 2, 3], [1, 2, 3], 0, seed=0)
 
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError):
+            permutation_test([np.nan, 1, 2, 5], [1, 2, 3, 4], 99, seed=0)
+
+    def test_resample_leaving_data_unchanged_counts(self):
+        # only y[5] differs, so a row leaves y unchanged exactly when it keeps 5 in place;
+        # x[5] lies farthest from the mean, so only those rows reach the observed |r|.
+        # Their float sums need not equal the observed one bit for bit; they still count.
+        x = [0.4, 0.7, -1.2, -0.7, -0.4, 6.4]
+        y = [1, 1, 1, 1, 1, 4]
+        unchanged = int((np.array(y)[_resample_rows(3, 300, 6)] == y).all(axis=1).sum())
+        assert unchanged > 0
+        assert permutation_test(x, y, 300, seed=3).p_value == (unchanged + 1) / 301
+
     @pytest.mark.parametrize("n_resamples", [255, 256, 257, 600])
     def test_matches_unchunked_reference(self, n_resamples):
-        # reference: all resample rows drawn and argsorted in one block
+        # reference: all resample rows drawn and argsorted in one block, ties counted exactly
         rng = np.random.default_rng(19)
         x = rng.integers(0, 7, size=90).astype(float)
         y = rng.integers(0, 7, size=90).astype(float)
-        keys = np.random.Generator(np.random.Philox(key=np.uint64(23))).random((n_resamples, 90))
-        permuted = (y - y.mean())[np.argsort(keys, axis=1, kind="stable")]
-        xc = x - x.mean()
-        null_r = np.einsum("ij,j->i", permuted, xc) / np.sqrt(
-            float(np.einsum("i,i->", xc, xc)) * float(np.einsum("i,i->", y - y.mean(), y - y.mean()))
-        )
-        b = int(np.sum(np.abs(null_r) >= abs(pearson(x, y))))
+        b = permutation_exceedances_exact(x, y, _resample_rows(23, n_resamples, 90))
         result = permutation_test(x, y, n_resamples, seed=23)
         assert 0 < b < n_resamples
         assert result.p_value == (b + 1) / (n_resamples + 1)
@@ -226,6 +244,7 @@ class TestPairwisePvalues:
     def test_entries_equal_single_pair_test(self, n_resamples):
         dataset, ids, data = self._dataset()
         table = pairwise_permutation_pvalues(dataset, ids, n_resamples, seed=12)
+        rows = _resample_rows(12, n_resamples, len(data))
         defined = 0
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
@@ -233,6 +252,8 @@ class TestPairwisePvalues:
                     continue
                 defined += 1
                 single = permutation_test(data[:, i], data[:, j], n_resamples, seed=12)
+                exact = permutation_exceedances_exact(data[:, i], data[:, j], rows)
+                assert single.p_value == (exact + 1) / (n_resamples + 1)
                 assert table.r[i, j] == single.p_value
                 assert table.r[j, i] == single.p_value
         assert defined == 6
@@ -251,6 +272,14 @@ class TestPairwisePvalues:
             direct, reused = table(dataset, ids), table(built, ids)
             assert reused.ids == direct.ids and reused.n_samples == direct.n_samples
             assert np.array_equal(reused.r, direct.r, equal_nan=True)
+
+    def test_prebuilt_matrix_must_match_ids(self):
+        _, ids, data = self._dataset()
+        for table in (correlation_matrix, pairwise_permutation_pvalues):
+            with pytest.raises(ValueError):
+                table(data, ids[:-1])
+            with pytest.raises(ValueError):
+                table(data[:, :-1], ids)
 
     def test_shape_and_symmetry(self):
         rng = np.random.default_rng(6)
@@ -287,3 +316,7 @@ class TestClassify:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             classify_correlation(1.2)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            classify_correlation(float("nan"))
