@@ -72,10 +72,16 @@ def _load_catalog(path):
 def _write(*artifacts: tuple[str | None, Callable[[], str]]) -> None:
     """Render each ``(path, render)`` artifact whose path is set, then write all or none.
 
-    The targets are replaced only once every text is staged beside its own,
-    so an unwritable path leaves no new file and every old one unchanged.
+    Two artifacts resolving to one path are a usage error, raised before
+    anything is rendered. The targets are replaced only once every text is
+    staged beside its own, so an unwritable path leaves no new file and
+    every old one unchanged.
     """
-    rendered = {Path(path).resolve(): render() for path, render in artifacts if path}
+    targets = [(Path(path).resolve(), render) for path, render in artifacts if path]
+    for k, (target, _) in enumerate(targets):
+        if any(target == earlier for earlier, _ in targets[:k]):
+            raise ConfigError(f"two output flags name the same path {target}")
+    rendered = {target: render() for target, render in targets}
     staged: dict[Path, Path] = {}
     try:
         for target, text in rendered.items():

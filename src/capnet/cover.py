@@ -150,26 +150,18 @@ def _infeasibility_diagnostic(problem: CoverProblem, program: _CoverProgram) -> 
     first), so these are the nodes a greedy max-coverage pass that respects
     p_hat_max cannot fill.
     """
+    eta = program.eta
     counts = np.zeros(len(problem.node_set), dtype=int)
-    remaining = list(range(len(problem.paths)))
-    while True:
-        need = counts < problem.p_max
-        if not need.any():
+    unused = np.ones(len(eta), dtype=bool)
+    while (need := counts < problem.p_max).any():
+        # Each step takes the first unused path that fits under p_hat_max and fills the most needy nodes.
+        fits = unused & ((counts + eta) <= problem.p_hat_max).all(axis=1)
+        gains = np.where(fits, eta[:, need].sum(axis=1), 0)
+        w = int(np.argmax(gains))
+        if gains[w] == 0:
             break
-        gains = []
-        for w in remaining:
-            row = program.eta[w]
-            if ((counts + row) > problem.p_hat_max).any():
-                continue
-            gains.append((int(row[need].sum()), -w))
-        if not gains:
-            break
-        best_gain, neg_w = max(gains)
-        if best_gain == 0:
-            break
-        w = -neg_w
-        counts += program.eta[w]
-        remaining.remove(w)
+        counts += eta[w]
+        unused[w] = False
     return sorted(
         node for node, count in zip(problem.node_set, counts) if count < problem.p_max
     )

@@ -44,16 +44,10 @@ class DeltaSet:
     agent_id: str
     deltas: dict[CapabilityId, int] = field(default_factory=dict)
 
-    def deficits(self) -> dict[CapabilityId, int]:
-        return {cap: d for cap, d in self.deltas.items() if d > 0}
-
-    def reserves(self) -> dict[CapabilityId, int]:
-        return {cap: d for cap, d in self.deltas.items() if d < 0}
-
 
 def compute_delta(requirements: RequirementSet, profile: Profile) -> DeltaSet:
     """Elementwise requirement minus capacity over the requirement ids."""
-    missing = profile.missing_from(requirements.ids())
+    missing = profile.missing_from(requirements.requirements)
     if missing:
         raise IncompleteProfileError(missing)
     deltas = {
@@ -202,8 +196,8 @@ def compensate(
     """
     delta_set = compute_delta(requirements, profile)
     deltas = delta_set.deltas
-    deficits = sorted(delta_set.deficits(), key=lambda cap: (-deltas[cap], cap))
-    spare = {cap: -d for cap, d in delta_set.reserves().items()}
+    deficits = sorted((cap for cap, d in deltas.items() if d > 0), key=lambda cap: (-deltas[cap], cap))
+    spare = {cap: -d for cap, d in deltas.items() if d < 0}
     neighbours = {d: [r for r in graph.adjacency.get(d, ()) if r in spare] for d in deficits}
     flow: dict[CapabilityId, dict[CapabilityId, int]] = {d: {} for d in deficits}
     sent = dict.fromkeys(deficits, 0)

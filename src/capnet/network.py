@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
@@ -78,8 +78,9 @@ class Relation:
     kind: RelationKind
     manufacturing: bool = False
 
-    def letter(self) -> str:
-        return self.kind.value + ("(M)" if self.manufacturing else "")
+    def __post_init__(self):
+        if not isinstance(self.manufacturing, bool):
+            raise GraphConstructionError(f"manufacturing flag {self.manufacturing!r} is not a bool")
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,11 @@ class Edge:
     correlation: float | None = None
 
     def __post_init__(self):
-        if self.correlation is not None and (not math.isfinite(self.correlation) or abs(self.correlation) > 1.0):
-            raise GraphConstructionError(
-                f"edge {self.source}->{self.target} correlation {self.correlation} outside [-1, 1]"
-            )
+        r = self.correlation
+        if r is not None and (
+            isinstance(r, bool) or not isinstance(r, (int, float)) or not (math.isfinite(r) and abs(r) <= 1.0)
+        ):
+            raise GraphConstructionError(f"edge {self.source}->{self.target} correlation {r!r} is not a number in [-1, 1]")
 
     def pair(self) -> frozenset[CapabilityId]:
         return frozenset((self.source, self.target))
@@ -164,25 +166,14 @@ class ConjugationGraph:
     def successors(self, node: CapabilityId) -> list[CapabilityId]:
         return [n for n in self.adjacency.get(node, ()) if (node, n) in self._arcs]
 
-    def predecessors(self, node: CapabilityId) -> list[CapabilityId]:
-        return [n for n in self.adjacency.get(node, ()) if (n, node) in self._arcs]
-
     def has_edge(self, a: CapabilityId, b: CapabilityId) -> bool:
         return (a, b) in self._arcs
-
-    def are_conjugated(self, a: CapabilityId, b: CapabilityId) -> bool:
-        """True when an edge joins a and b in either direction."""
-        return (a, b) in self._arcs or (b, a) in self._arcs
 
     def edge_pairs(self) -> set[frozenset[CapabilityId]]:
         return {e.pair() for e in self.edges}
 
     def category_of(self, node: CapabilityId) -> str | None:
         return dict(self.categories).get(node)
-
-    def over_table_nodes(self) -> list[CapabilityId]:
-        tags = dict(self.categories)
-        return [n for n in self.nodes if tags.get(n) == Category.OVER_TABLE.value]
 
     def restricted_to(self, keep: Iterable[CapabilityId]) -> "ConjugationGraph":
         """Induced subgraph on the given nodes."""
@@ -191,14 +182,6 @@ class ConjugationGraph:
         edges = tuple(e for e in self.edges if e.source in keep_set and e.target in keep_set)
         cats = tuple((n, c) for n, c in self.categories if n in keep_set)
         return ConjugationGraph(nodes=nodes, edges=edges, categories=cats)
-
-    def replace_edges(self, edges: Iterable[Edge], dropped: Iterable[Edge] = ()) -> "ConjugationGraph":
-        return ConjugationGraph(
-            nodes=self.nodes,
-            edges=tuple(edges),
-            categories=self.categories,
-            dropped_edges=tuple(dropped),
-        )
 
 
 def find_cycle(nodes, arcs) -> list | None:
@@ -211,20 +194,6 @@ def find_cycle(nodes, arcs) -> list | None:
     except CycleError as exc:
         return exc.args[1]
     return None
-
-
-def _reachable(adjacency: Mapping, start, goal) -> bool:
-    stack = [start]
-    seen = {start}
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            return True
-        for child in adjacency.get(node, ()):
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return False
 
 
 _RELATION_PRECEDENCE = {
@@ -291,25 +260,21 @@ def build_graph(
         pretty = " -> ".join(str(n) for n in skeleton_cycle)
         raise GraphConstructionError(f"condition/dependency entries form a cycle: {pretty}")
 
-    adjacency: dict[CapabilityId, list[CapabilityId]] = {n: [] for n in nodes}
-    for source, target in directed:
-        adjacency[source].append(target)
-
-    edges = [Edge(s, t, rel) for (s, t), rel in directed.items()]
+    # The accepted arcs stay acyclic, so a cycle can only run through the new arc.
+    accepted = dict(directed)
     dropped: list[Edge] = []
-    for (source, target), rel in sorted(symmetric.items()):
-        if _reachable(adjacency, target, source):
-            dropped.append(Edge(source, target, rel))
-            continue
-        adjacency[source].append(target)
-        edges.append(Edge(source, target, rel))
+    for arc, rel in sorted(symmetric.items()):
+        if find_cycle(nodes, [*accepted, arc]) is None:
+            accepted[arc] = rel
+        else:
+            dropped.append(Edge(*arc, rel))
 
     categories = ()
     if catalog is not None:
         categories = tuple((n, catalog[n].category.value) for n in nodes)
     return ConjugationGraph(
         nodes=tuple(nodes),
-        edges=tuple(edges),
+        edges=tuple(Edge(s, t, rel) for (s, t), rel in accepted.items()),
         categories=categories,
         dropped_edges=tuple(dropped),
     )
@@ -325,9 +290,6 @@ class EdgeCorrelations:
 
     def pair(self, a: CapabilityId, b: CapabilityId) -> float | None:
         return self._values.get(frozenset((a, b)))
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 def prune_weak(graph: ConjugationGraph, corr, threshold: float) -> ConjugationGraph:
@@ -349,7 +311,7 @@ def prune_weak(graph: ConjugationGraph, corr, threshold: float) -> ConjugationGr
         if abs(r) < threshold:
             continue
         kept.append(Edge(edge.source, edge.target, edge.relation, float(r)))
-    return graph.replace_edges(kept)
+    return replace(graph, edges=tuple(kept))
 
 
 class CandidateVerdict(str, Enum):
@@ -393,7 +355,7 @@ def augment_strong(
         source, target = sorted((cand.c1, cand.c2))
         edges.append(Edge(source, target, Relation(RelationKind.APPEARS_WITH), cand.r))
         existing.add(pair)
-    return graph.replace_edges(edges, dropped=graph.dropped_edges)
+    return replace(graph, edges=tuple(edges))
 
 
 # -- serialization --------------------------------------------------------
@@ -427,7 +389,7 @@ def export_graph(graph: ConjugationGraph, fmt: str = "structured", catalog: Capa
                 label = f"{node} {catalog.name_of(node)}"
             lines.append(f'  "{node}" [label="{label}"];')
         for edge in graph.edges:
-            attrs = [f'label="{edge.relation.letter()}"']
+            attrs = [f'label="{edge.relation.kind.value}{"(M)" if edge.relation.manufacturing else ""}"']
             if edge.correlation is not None:
                 attrs.append(f'tooltip="r={edge.correlation:g}"')
             lines.append(f'  "{edge.source}" -> "{edge.target}" [{", ".join(attrs)}];')
@@ -453,12 +415,12 @@ def import_graph(text: str) -> ConjugationGraph:
             node = parse_capability_id(n["id"])
             nodes.append(node)
             if n.get("category") is not None:
-                categories.append((node, n["category"]))
+                categories.append((node, Category(n["category"]).value))
         edges = [
             Edge(
                 parse_capability_id(e["from"]),
                 parse_capability_id(e["to"]),
-                Relation(RelationKind(e["relation"]), bool(e["manufacturing"])),
+                Relation(RelationKind(e["relation"]), e["manufacturing"]),
                 e["correlation"],
             )
             for e in doc["edges"]
@@ -481,11 +443,14 @@ def read_interrelations(lines: Iterable[str]) -> tuple[InterrelationEntry, ...]:
             kind = RelationKind(row["relation"].strip())
         except ValueError:
             raise GraphConstructionError(f"line {line}: unknown relation {row['relation']!r}") from None
+        flag = row["manufacturing"].strip()
+        if flag not in ("0", "1"):
+            raise GraphConstructionError(f"line {line}: manufacturing flag {row['manufacturing']!r} is not 0 or 1")
         entries.append(
             InterrelationEntry(
                 row=parse_capability_id(row["row_id"]),
                 col=parse_capability_id(row["col_id"]),
-                relation=Relation(kind, row["manufacturing"].strip() == "1"),
+                relation=Relation(kind, flag == "1"),
             )
         )
     return tuple(entries)

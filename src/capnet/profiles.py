@@ -55,17 +55,8 @@ class Profile:
     def __post_init__(self):
         object.__setattr__(self, "values", {cap: quantification(v) for cap, v in self.values.items()})
 
-    def complete_over(self, capability_set: Iterable[CapabilityId]) -> bool:
-        return all(cap in self.values for cap in capability_set)
-
     def missing_from(self, capability_set: Iterable[CapabilityId]) -> list[CapabilityId]:
         return sorted(cap for cap in capability_set if cap not in self.values)
-
-    def validate_against(self, catalog: CapabilityCatalog) -> None:
-        unknown = sorted(cap for cap in self.values if not catalog.knows_value_id(cap))
-        if unknown:
-            ids = ", ".join(str(u) for u in unknown)
-            raise DatasetError(f"profile {self.agent_id}: unknown capability ids {ids}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +70,6 @@ class RequirementSet:
         object.__setattr__(
             self, "requirements", {cap: quantification(v) for cap, v in self.requirements.items()}
         )
-
-    def ids(self) -> list[CapabilityId]:
-        return sorted(self.requirements)
 
     def total(self) -> int:
         return sum(self.requirements.values())
@@ -170,7 +158,7 @@ def filter_profiles(
         raise ConfigError(f"threshold must be non-negative, got {threshold}")
     kept = []
     for profile in dataset:
-        if not profile.complete_over(capability_set):
+        if profile.missing_from(capability_set):
             continue
         if profile_std(profile, capability_set) >= threshold:
             kept.append(profile)
@@ -288,6 +276,8 @@ def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None)
     for k, cap in enumerate(ids):
         if cap in ids[:k]:
             raise DatasetError(f"capability id {cap} repeats in the dataset header")
+    if catalog is not None and (unknown := sorted(cap for cap in ids if not catalog.knows_value_id(cap))):
+        raise DatasetError(f"dataset header: unknown capability ids {', '.join(str(u) for u in unknown)}")
     profiles = []
     for row in reader:
         if not row:
@@ -302,10 +292,7 @@ def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None)
             values = {cap: int(cell) for cap, cell in zip(ids, row[2:]) if cell != ""}
         except ValueError as exc:
             raise DatasetError(f"non-integer level for agent {row[0]!r}: {exc}") from None
-        profile = Profile(agent_id=row[0], phase=phase, values=values)
-        if catalog is not None:
-            profile.validate_against(catalog)
-        profiles.append(profile)
+        profiles.append(Profile(agent_id=row[0], phase=phase, values=values))
     return ProfileDataset(profiles)
 
 

@@ -105,16 +105,10 @@ class CorrelationMatrix:
         if self.r.shape != (len(self.ids), len(self.ids)):
             raise ValueError("matrix shape does not match id list")
 
-    def index_of(self, cap_id: CapabilityId) -> int:
-        try:
-            return self.ids.index(cap_id)
-        except ValueError:
-            raise KeyError(f"id {cap_id} not in correlation matrix") from None
-
     def pair(self, a: CapabilityId, b: CapabilityId) -> float | None:
         try:
-            value = self.r[self.index_of(a), self.index_of(b)]
-        except KeyError:
+            value = self.r[self.ids.index(a), self.ids.index(b)]
+        except ValueError:  # an id outside the matrix
             return None
         return None if np.isnan(value) else float(value)
 

@@ -60,9 +60,7 @@ def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> tupl
 
     Paths may begin and end on any node. Order is lexicographic by node
     sequence: a preorder walk from each node in canonical order over
-    canonically ordered successors emits them so. Every emitted step is
-    checked against the adjacency, so a corrupted traversal cannot slip
-    through.
+    canonically ordered successors emits them so.
     """
     if n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {n_min}")
@@ -72,9 +70,6 @@ def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> tupl
     def walk(node: CapabilityId, trail: list[CapabilityId]) -> None:
         trail.append(node)
         if len(trail) >= n_min:
-            for a, b in zip(trail, trail[1:]):
-                if not graph.has_edge(a, b):
-                    raise AnnotationError(f"enumerated step {a}->{b} is not an edge")
             collected.append(tuple(trail))
         for child in successors[node]:
             walk(child, trail)
@@ -93,13 +88,6 @@ class MovementSequence:
 
     def capability_ids(self) -> tuple[CapabilityId, ...]:
         return tuple(cap for cap, _ in self.steps)
-
-
-def _spread_levels(count: int, low: int, high: int) -> list[int]:
-    """count levels spread evenly over [low, high], non-decreasing."""
-    if count == 1:
-        return [low]
-    return [int(v) for v in np.rint(np.linspace(low, high, count))]
 
 
 def _lift_stream(path: Sequence[CapabilityId], cap: CapabilityId) -> str:
@@ -148,9 +136,9 @@ def annotate_requirements(
 
     level_at: dict[tuple[int, int], int] = {}
     for (cap, stream), places in encounters.items():
-        low, high = _STREAM_RANGE[stream]
-        for place, level in zip(places, _spread_levels(len(places), low, high)):
-            level_at[place] = level
+        # levels spread evenly over the stream's range, non-decreasing; one encounter gets the low end
+        levels = np.rint(np.linspace(*_STREAM_RANGE[stream], len(places))).astype(int)
+        level_at.update(zip(places, levels.tolist()))
 
     sequences = []
     for path_pos, path in enumerate(selected_paths):

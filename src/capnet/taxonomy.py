@@ -99,18 +99,12 @@ def parse_capability_id(text: str) -> CapabilityId:
         raise CapabilityIdError(f"{text!r}: more than 3 components")
     if len(parts) < 2:
         raise CapabilityIdError(f"{text!r}: need at least complex.main")
-    names = ("complex", "main", "detail")
-    values = []
-    for name, part in zip(names, parts):
-        if part == "":
-            raise CapabilityIdError(f"{text!r}: empty {name} component")
-        if not part.isdigit():
-            raise CapabilityIdError(f"{text!r}: non-numeric {name} component {part!r}")
-        values.append(int(part))
-    if any(v <= 0 for v in values):
-        bad = names[[v <= 0 for v in values].index(True)]
-        raise CapabilityIdError(f"{text!r}: zero-valued {bad} component")
-    return CapabilityId(*values)
+    for name, part in zip(("complex", "main", "detail"), parts):
+        # ASCII digits only: str.isdigit also accepts "²" (int() rejects it) and "３" (int() reads 3).
+        # Zero is refused here too, as CapabilityId takes detail 0 to mean a main-level id.
+        if not (part.isascii() and part.isdigit()) or int(part) == 0:
+            raise CapabilityIdError(f"{text!r}: {name} component {part!r} is not a positive decimal number")
+    return CapabilityId(*map(int, parts))
 
 
 QUANT_MIN = 0

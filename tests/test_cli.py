@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -79,6 +81,9 @@ class TestBuildGraph:
             pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,1.05.02,high,impossible\n", id="candidates-r"),
             pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,1.05.01,z,0\n", id="interrelations-letter"),
             pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,1.05.01\n", id="interrelations-short"),
+            pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,3.²,c,0\n", id="interrelations-id"),
+            pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,3.²,0.81,impossible\n", id="candidates-id"),
+            pytest.param("--correlations", "id1,id2,r\n1.01,3.²,0.5\n", id="correlations-id"),
             pytest.param("--catalog", "id,name,category,posture,laterality\n1.01,Sitting\n", id="catalog-short"),
             pytest.param(
                 "--interrelations",
@@ -486,6 +491,26 @@ class TestAllocate:
         assert "line 4" in result.output
         assert "3.03.04" in result.output
 
+    def test_non_ascii_digit_requirement_id_data_error(self, runner, graph_artifact, tmp_path):
+        reqs = tmp_path / "r.csv"
+        reqs.write_text("id,level\n3.²,6\n", encoding="utf-8")
+        result = runner.invoke(
+            main,
+            [
+                "allocate",
+                "--requirements",
+                str(reqs),
+                "--profiles",
+                fixture_path("demo_profile.csv"),
+                "--agent",
+                "demo",
+                "--graph",
+                str(graph_artifact),
+            ],
+        )
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "error:" in result.stderr
+
     def test_unknown_requirement_id_data_error(self, runner, graph_artifact, tmp_path):
         reqs = tmp_path / "r.csv"
         reqs.write_text("id,level\n3.03.04,6\n9.99.99,2\n")
@@ -535,12 +560,15 @@ class TestOutputsAllOrNothing:
         assert result.exit_code == 0, result.output
         return path
 
-    @pytest.mark.parametrize(
-        "command, first, second",
-        [("build-graph", "--out-graph", "--out-dot"), ("analyze", "--out-corr", "--out-pvalues")],
-    )
+    TWO_OUTPUTS = [("build-graph", "--out-graph", "--out-dot"), ("analyze", "--out-corr", "--out-pvalues")]
+
+    @staticmethod
+    def _args(command, dataset):
+        return [command] if command == "build-graph" else [command, "--data", str(dataset), "--resamples", "9"]
+
+    @pytest.mark.parametrize("command, first, second", TWO_OUTPUTS)
     def test_unwritable_second_output_writes_neither(self, runner, tmp_path, dataset, command, first, second):
-        args = [command] if command == "build-graph" else [command, "--data", str(dataset), "--resamples", "9"]
+        args = self._args(command, dataset)
         blocker = tmp_path / "file"
         blocker.write_text("")
         (tmp_path / "dir").mkdir()
@@ -554,6 +582,15 @@ class TestOutputsAllOrNothing:
         assert not any((tmp_path / "dir").iterdir())
         assert old.read_text() == "old artifact"
 
+    @pytest.mark.parametrize("command, first, second", TWO_OUTPUTS)
+    def test_one_path_for_two_outputs_usage_error(self, runner, tmp_path, dataset, command, first, second):
+        target = tmp_path / "out.txt"
+        same = tmp_path / "sub" / ".." / "out.txt"
+        result = runner.invoke(main, [*self._args(command, dataset), first, str(target), second, str(same)])
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "error:" in result.stderr
+        assert not target.exists()
+
     def test_output_through_symlink_keeps_link(self, runner, tmp_path):
         real = tmp_path / "real.json"
         real.write_text("old artifact")
@@ -563,6 +600,34 @@ class TestOutputsAllOrNothing:
         assert result.exit_code == 0, result.output
         assert link.is_symlink()
         assert network.import_graph(real.read_text()).nodes
+
+
+# sha256 of each artifact, and of build-graph's stdout, on the default
+# fixtures and on one generated dataset. Accept a new digest only together
+# with a declared change of that artifact. The synthesized plan is not
+# pinned: past the lexicographic limit it is HiGHS's optimum, which depends
+# on the HiGHS version.
+GOLDEN_ARTIFACT_SHA256 = {
+    "graph.json": "e56e8533933c9dbaa88fabf6b5f380bbdb06279f4d21383265e172c8a25727c9",
+    "graph.dot": "8de136ef57ebfd5c559e5dba11fceba35e118608f32b667673e2f63eccc3099b",
+    "build-graph stdout": "73421d02df12e97f51b7be1d10c2991913ab8962cac2155f22c30f50fe721eaf",
+    "corr.csv": "f88eb2a5785ebbf113372122e62fe288e22c304bdc8e7bccf5e3f77460701d53",
+    "pvalues.csv": "5bfdc3e52e84d4fc9537192c7bd79bf95c3204c6ecb2589b6e9693fc115d590d",
+}
+
+
+def test_golden_artifact_digests(runner, tmp_path):
+    commands = [
+        ["build-graph", "--out-graph", "graph.json", "--out-dot", "graph.dot"],
+        ["gen-data", "--count", "260", "--seed", "4", "--out", "data.csv"],
+        ["analyze", "--data", "data.csv", "--seed", "7", "--resamples", "1000", "--out-corr", "corr.csv", "--out-pvalues", "pvalues.csv"],
+    ]
+    with runner.isolated_filesystem(temp_dir=tmp_path) as workdir:
+        results = [runner.invoke(main, args) for args in commands]
+        assert [r.exit_code for r in results] == [0, 0, 0], [r.output for r in results]
+        texts = {name: (Path(workdir) / name).read_bytes() for name in ("graph.json", "graph.dot", "corr.csv", "pvalues.csv")}
+    texts["build-graph stdout"] = results[0].stdout.encode("utf-8")
+    assert {name: hashlib.sha256(text).hexdigest() for name, text in texts.items()} == GOLDEN_ARTIFACT_SHA256
 
 
 class TestGenData:

@@ -83,11 +83,11 @@ class TestBuildGraph:
         dropped = [(str(e.source), str(e.target)) for e in graph.dropped_edges]
         assert dropped == [("2.02", "4.01")]
         assert graph.has_edge(pid("2.02"), pid("9.02"))
-        assert not graph.are_conjugated(pid("2.02"), pid("4.01"))
+        assert pid("4.01") not in graph.adjacency[pid("2.02")]
 
     def test_fixture_build(self, built_graph, sitting_set):
         assert len(built_graph.nodes) == 30
-        assert built_graph.over_table_nodes() == sitting_set
+        assert [n for n in built_graph.nodes if built_graph.category_of(n) == "over_table"] == sitting_set
         assert not built_graph.dropped_edges
 
     def test_fixture_acyclic_by_independent_oracle(self, built_graph):
@@ -100,6 +100,12 @@ class TestBuildGraph:
 
     def test_unknown_relation_letter_names_line(self):
         lines = ["row_id,col_id,relation,manufacturing", "1.01,1.05.01,c,0", "1.01,2.01,z,0"]
+        with pytest.raises(GraphConstructionError, match="line 3"):
+            read_interrelations(lines)
+
+    @pytest.mark.parametrize("flag", ["yes", "2", ""])
+    def test_manufacturing_flag_other_than_0_or_1_names_line(self, flag):
+        lines = ["row_id,col_id,relation,manufacturing", "1.01,1.05.01,c,1", f"1.01,2.01,a,{flag}"]
         with pytest.raises(GraphConstructionError, match="line 3"):
             read_interrelations(lines)
 
@@ -185,7 +191,7 @@ class TestReachabilityInvariant:
     def test_repair_gives_head_sideways_a_long_path(self, final_graph):
         # at least one path of length >= 4 passes through 3.01.03
         target = pid("3.01.03")
-        sub = final_graph.restricted_to(final_graph.over_table_nodes())
+        sub = final_graph.restricted_to(n for n in final_graph.nodes if final_graph.category_of(n) == "over_table")
         best = {}
 
         def longest_from(node):
@@ -201,7 +207,7 @@ class TestReachabilityInvariant:
             def up(n):
                 if n in seen:
                     return seen[n]
-                value = 1 + max((up(p) for p in sub.predecessors(n)), default=0)
+                value = 1 + max((up(p) for p in sub.adjacency[n] if sub.has_edge(p, n)), default=0)
                 seen[n] = value
                 return value
 
@@ -240,6 +246,7 @@ class TestExport:
             pytest.param('{"nodes": [{"category": null}], "edges": []}', id="no-node-id"),
             pytest.param('{"nodes": ["1.01"], "edges": []}', id="node-not-object"),
             pytest.param('{"nodes": 3, "edges": []}', id="nodes-not-list"),
+            pytest.param('{"nodes": [{"id": "1.01", "category": "kitchen"}], "edges": []}', id="unknown-category"),
         ],
     )
     def test_malformed_document_rejected(self, text):
@@ -255,7 +262,10 @@ class TestExport:
             ("correlation", float("nan")),
             ("correlation", float("inf")),
             ("correlation", float("-inf")),
+            ("correlation", True),
             ("manufacturing", KeyError),
+            ("manufacturing", "false"),
+            ("manufacturing", 0),
         ],
     )
     def test_malformed_edge_rejected(self, final_graph, field, value):
@@ -328,10 +338,10 @@ class TestGraphType:
         with pytest.raises(GraphConstructionError):
             Edge(a, b, Relation(RelationKind.CONDITION_FOR), 1.5)
 
-    def test_are_conjugated_either_direction(self, final_graph):
-        assert final_graph.are_conjugated(pid("3.02.03"), pid("3.03.04"))
-        assert final_graph.are_conjugated(pid("3.03.04"), pid("3.02.03"))
-        assert not final_graph.are_conjugated(pid("1.05.01"), pid("5.01.04"))
+    def test_adjacency_either_direction(self, final_graph):
+        assert pid("3.03.04") in final_graph.adjacency[pid("3.02.03")]
+        assert pid("3.02.03") in final_graph.adjacency[pid("3.03.04")]
+        assert pid("5.01.04") not in final_graph.adjacency[pid("1.05.01")]
 
     def test_cached_adjacency_equals_edge_scan(self, final_graph):
         edges = final_graph.edges
@@ -339,9 +349,7 @@ class TestGraphType:
             out = sorted(e.target for e in edges if e.source == node)
             into = sorted(e.source for e in edges if e.target == node)
             assert final_graph.successors(node) == out
-            assert final_graph.predecessors(node) == into
             assert final_graph.adjacency[node] == tuple(sorted(out + into))
             for other in final_graph.nodes:
                 scan = any(e.source == node and e.target == other for e in edges)
                 assert final_graph.has_edge(node, other) == scan
-                assert final_graph.are_conjugated(node, other) == (other in out or other in into)

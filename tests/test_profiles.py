@@ -212,6 +212,12 @@ class TestDatasetFile:
         with pytest.raises(DatasetError, match="3.03.04 repeats"):
             read_dataset(lines)
 
+    @pytest.mark.parametrize("cell", ["4", ""], ids=["assessed", "empty"])
+    def test_unknown_header_id_rejected(self, catalog, cell):
+        lines = ["agent_id,phase,3.03.04,9.99.99", f"a,unspecified,4,{cell}"]
+        with pytest.raises(DatasetError, match="unknown capability ids 9.99.99"):
+            read_dataset(lines, catalog)
+
     def test_duplicate_agent_phase_rejected(self):
         lines = [
             "agent_id,phase,3.03.04",

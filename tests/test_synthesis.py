@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -93,6 +94,29 @@ class TestSolveCover:
         with pytest.raises(InfeasibleCoverError) as err:
             solve_cover(problem)
         assert C in err.value.binding_nodes
+
+    def test_binding_nodes_pinned_on_seeded_infeasible_instances(self):
+        # Every node lies on p_max paths, so each verdict names the greedy
+        # diagnostic's nodes. A new digest only with a declared change of it.
+        rng = random.Random(7)
+        nodes = [pid(f"1.0{k}") for k in range(1, 9)]
+        named = []
+        for _ in range(300):
+            node_set = tuple(nodes[: rng.randint(4, 8)])
+            paths = tuple(
+                tuple(sorted(rng.sample(node_set, rng.randint(2, len(node_set)))))
+                for _ in range(rng.randint(5, 12))
+            )
+            p_max = rng.randint(2, 3)
+            if min(sum(n in p for p in paths) for n in node_set) < p_max:
+                continue
+            try:
+                solve_cover(CoverProblem(paths=paths, node_set=node_set, p_max=p_max, p_hat_max=p_max))
+            except InfeasibleCoverError as err:
+                named.append(" ".join(map(str, err.binding_nodes)))
+        assert len(named) == 67
+        digest = hashlib.sha256("\n".join(named).encode()).hexdigest()
+        assert digest == "515e7043c32a5f7986201057791c8f4b66cd4e89c5d2a3379f054ee603623e59"
 
     def test_brute_force_objective_agreement(self):
         rng = random.Random(404)

@@ -33,7 +33,7 @@ class TestParseCapabilityId:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "3", "3.", ".04", "3..08", "3.04.08.01", "3.x.08", "a.b", "3.-1", "0.01"],
+        ["", "3", "3.", ".04", "3..08", "3.04.08.01", "3.x.08", "a.b", "3.-1", "0.01", "3.04.00", "3.²", "３.04"],
     )
     def test_malformed_rejected(self, bad):
         with pytest.raises(CapabilityIdError):
