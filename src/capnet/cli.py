@@ -161,7 +161,7 @@ def cmd_synthesize(graph_path, catalog_path, n_min, p_max, p_hat_max, out_path, 
         (out_path, lambda: synthesis.sequences_to_csv(result.sequences)),
         (out_text, lambda: synthesis.sequences_to_text(result.sequences)),
     )
-    click.echo(f"candidate paths: {len(result.path_set)}")
+    click.echo(f"candidate paths: {result.path_count}")
     click.echo(f"selected sequences: {result.solution.objective}")
     click.echo("visits per node:")
     for node, count in sorted(result.solution.visit_counts.items()):
@@ -209,7 +209,7 @@ def _parse_xi(ctx, param, items) -> dict:
         try:
             if not sep:
                 raise ValueError("expected ID=SLACK")
-            cap, slack = taxonomy.parse_capability_id(key), int(value)
+            cap, slack = taxonomy.parse_capability_id(key), taxonomy.parse_score(value)
             deltas_mod.FuzzyParams(xi={cap: slack})
         except (ValueError, CapnetError) as exc:
             raise click.BadParameter(f"{item!r}: {exc}") from None
@@ -272,9 +272,9 @@ def _read_requirements(path) -> "profiles.RequirementSet":
             if cap in values:
                 raise DatasetError(f"line {line}: requirement id {cap} repeats")
             try:
-                values[cap] = int(row["level"])
-            except ValueError:
-                raise DatasetError(f"line {line}: requirement level {row['level']!r} is not an integer") from None
+                values[cap] = taxonomy.parse_score(row["level"])
+            except ValueError as exc:
+                raise DatasetError(f"line {line}: requirement level {exc}") from None
     return profiles.RequirementSet(action_id=str(path), requirements=values)
 
 

@@ -15,25 +15,43 @@ fixes an index or lowers the bound on the next: at most k* + W probes
 for k* selected of W columns, far fewer in practice. Larger instances
 count paths only and return HiGHS's deterministic optimum, which depends
 on the scipy/HiGHS version; the result records which guarantee applied.
+
+``solve_priced_cover`` solves a larger instance without listing its
+paths, by column generation (Gilmore & Gomory, 1961; Desrosiers &
+Lübbecke, 2005). HiGHS ``linprog`` solves the path LP (0 <= x <= 1) over
+a pool of paths; its node duals π price every path at reduced cost
+1 − Σπ, and a DP over the DAG (``synthesis.PathPricer``) adds the best
+unpooled paths until none is negative. The dual objective LP* then bounds
+every selection, so a pool MIP that reaches ⌈LP*⌉ is optimal over all
+paths. Otherwise a window loop closes the gap exactly: the reduced costs
+of a k-path selection are nonnegative and sum to at most k − LP*, so for
+k = ⌈LP*⌉, ⌈LP*⌉ + 1, ... the MIP over the pool and every path of reduced
+cost at most k − LP* (a pruned DFS lists them) decides whether k paths
+suffice. Float tolerances only ever widen that window.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .errors import AnnotationError, ConfigError, InfeasibleCoverError
 from .taxonomy import CapabilityId
+
+if TYPE_CHECKING:
+    from .synthesis import PathPricer
 
 __all__ = [
     "CoverProblem",
     "CoverSolution",
     "solve_cover",
+    "solve_priced_cover",
     "verify_cover",
     "DEFAULT_P_MAX",
     "DEFAULT_P_HAT_MAX",
@@ -72,7 +90,7 @@ class CoverSolution:
 class _CoverProgram:
     """The binary multicover program over path variables, solved by HiGHS MIP."""
 
-    def __init__(self, problem: CoverProblem):
+    def __init__(self, problem: CoverProblem, lexicographic: bool):
         node_index = {node: i for i, node in enumerate(problem.node_set)}
         W, J = len(problem.paths), len(problem.node_set)
         eta = np.zeros((W, J), dtype=np.int8)
@@ -83,7 +101,7 @@ class _CoverProgram:
         self.eta = eta
         self.visits = LinearConstraint(sparse.csr_matrix(eta.T), problem.p_max, problem.p_hat_max)
         self.n_vars = W
-        self.lexicographic = W <= DEFAULT_LEX_LIMIT
+        self.lexicographic = lexicographic
         self.cost = W * W + np.arange(W, dtype=float) if self.lexicographic else np.ones(W)
 
     def solve(self, lo: np.ndarray, hi: np.ndarray, extra=()) -> np.ndarray | None:
@@ -177,7 +195,7 @@ def solve_cover(problem: CoverProblem) -> CoverSolution:
     if not problem.node_set:
         return CoverSolution(selected=(), objective=0, visit_counts={}, lexicographic=True)
 
-    program = _CoverProgram(problem)
+    program = _CoverProgram(problem, lexicographic=len(problem.paths) <= DEFAULT_LEX_LIMIT)
     membership = program.eta.sum(axis=0)
     under = [n for n, c in zip(problem.node_set, membership) if c < problem.p_max]
     if under:
@@ -219,3 +237,87 @@ def verify_cover(problem: CoverProblem, selected: Sequence[int]) -> dict[Capabil
         detail = ", ".join(f"{node}: {count}" for node, count in violations)
         raise AnnotationError(f"solver output violates visit bounds ({detail})")
     return {node: counter.get(node, 0) for node in problem.node_set}
+
+
+# Paths priced into the restricted LP per round, beyond pooled paths that rank above them.
+_BATCH = 20
+# Float tolerance of the priced solve. A path prices in below reduced cost -_TOL; the LP
+# bound, the ceiling test and the window are each widened by it, never narrowed.
+_TOL = 1e-6
+
+
+def _restricted_lp(eta: np.ndarray, p_max: int, p_hat_max: int):
+    """The path LP over the pooled columns ``eta`` (nodes x paths), 0 <= x <= 1.
+
+    Each p_max row has an artificial costing more than any selection's
+    size can reach (J·p_hat_max), so the LP is feasible for every pool.
+    Returns the node duals π (p_max-row duals minus p_hat_max-row duals),
+    the dual objective, which counts the upper-bound duals μ too, and the
+    largest artificial.
+    """
+    J, P = eta.shape
+    res = linprog(
+        np.concatenate([np.ones(P), np.full(J, J * p_hat_max + 1.0)]),
+        A_ub=np.block([[-eta, -np.eye(J)], [eta, np.zeros((J, J))]]),
+        b_ub=np.concatenate([np.full(J, -float(p_max)), np.full(J, float(p_hat_max))]),
+        bounds=[(0, 1)] * P + [(0, None)] * J,
+        method="highs",
+    )
+    if res.status != 0:
+        raise AnnotationError(f"LP solver gave no verdict (status {res.status}: {res.message})")
+    covered, capped = -res.ineqlin.marginals[:J], -res.ineqlin.marginals[J:]
+    at_bound = -res.upper.marginals[:P]
+    bound = p_max * covered.sum() - p_hat_max * capped.sum() - at_bound.sum()
+    return covered - capped, bound, float(res.x[P:].max(initial=0.0))
+
+
+def solve_priced_cover(
+    source: PathPricer, node_set: tuple[CapabilityId, ...], p_max: int, p_hat_max: int
+) -> tuple[CoverProblem, CoverSolution] | None:
+    """Exact minimum-cardinality selection over every path of ``source``, by pricing.
+
+    Column generation: the restricted LP's node duals π price every path at
+    reduced cost 1 − Σπ, and the source's DP returns the best ones not yet
+    pooled, until none is negative. The dual objective LP* then bounds every
+    selection, so a pool MIP optimum of ⌈LP*⌉ is optimal over all paths.
+    Otherwise, for k = ⌈LP*⌉, ⌈LP*⌉ + 1, ..., a selection of at most k
+    paths uses only paths of reduced cost at most k − LP* (the duals sum
+    to LP*, every reduced cost is nonnegative), so the MIP over the pool
+    and that window settles k. Returns the problem over the columns of the
+    deciding MIP, with the selection in canonical path order, or None
+    when the LP keeps an artificial or no selection exists, for the
+    caller to enumerate and let ``solve_cover`` name the binding nodes.
+    """
+    def program(columns: Iterable[tuple[CapabilityId, ...]]) -> tuple[CoverProblem, _CoverProgram]:
+        problem = CoverProblem(paths=tuple(sorted(columns)), node_set=node_set, p_max=p_max, p_hat_max=p_hat_max)
+        return problem, _CoverProgram(problem, lexicographic=False)
+
+    pool: set[tuple[CapabilityId, ...]] = set()
+    while True:
+        problem, pooled = program(pool)
+        pi, bound, artificial = _restricted_lp(pooled.eta.T, p_max, p_hat_max)
+        weight = dict(zip(node_set, pi.tolist()))
+        # pooled paths priced above 1 may sit at their upper bound and outrank new ones
+        ranked = source.best(weight, int((pooled.eta @ pi > 1).sum()) + _BATCH)
+        fresh = [path for total, path in ranked if total > 1 + _TOL and path not in pool]
+        if not fresh:
+            break
+        pool.update(fresh)
+    if artificial > _TOL:
+        return None
+
+    best_problem, best = problem, pooled.solve(np.zeros(pooled.n_vars), np.ones(pooled.n_vars))
+    k = math.ceil(bound - _TOL)
+    while best is None or len(best) > k:
+        problem, wide = program(pool.union(source.at_least(weight, 1 - (k - bound) - k * _TOL)))
+        selection = wide.solve(np.zeros(wide.n_vars), np.ones(wide.n_vars))
+        if selection is not None and (best is None or len(selection) < len(best)):
+            best_problem, best = problem, selection
+        if wide.n_vars == source.count:
+            break  # that MIP saw every path
+        k += 1
+    if best is None:
+        return None
+    selected = tuple(int(w) for w in best)
+    counts = verify_cover(best_problem, selected)
+    return best_problem, CoverSolution(selected=selected, objective=len(selected), visit_counts=counts, lexicographic=False)

@@ -485,12 +485,15 @@ def read_candidates(lines: Iterable[str]) -> tuple[StrongCandidate, ...]:
 
 
 def read_correlations(lines: Iterable[str]) -> EdgeCorrelations:
-    return EdgeCorrelations(
-        [
-            (parse_capability_id(row["id1"]), parse_capability_id(row["id2"]), _parse_r(row["r"], line))
-            for line, row in read_table(lines, ("id1", "id2", "r"), "correlation", GraphConstructionError)
-        ]
-    )
+    """Long-form ``id1,id2,r`` rows; a pair given twice, in either order, is an error."""
+    values = {}
+    for line, row in read_table(lines, ("id1", "id2", "r"), "correlation", GraphConstructionError):
+        a, b = parse_capability_id(row["id1"]), parse_capability_id(row["id2"])
+        pair = frozenset((a, b))
+        if pair in values:
+            raise GraphConstructionError(f"line {line}: correlation pair {a}, {b} repeats")
+        values[pair] = (a, b, _parse_r(row["r"], line))
+    return EdgeCorrelations(values.values())
 
 
 def _fixture_text(name: str) -> str:

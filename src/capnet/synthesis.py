@@ -2,10 +2,12 @@
 
 A movement sequence is one directed path through the over-table subgraph
 of the conjugation graph, annotated with quantified requirement levels.
-Paths of at least ``n_min`` nodes are enumerated, a minimal multicover
-selection is solved exactly (see cover module), and each capability's
-encounters across the selected paths receive levels spread from low to
-high in encounter order.
+Paths of at least ``n_min`` nodes are counted by a DP over the DAG. Up to
+``DEFAULT_LEX_LIMIT`` of them are enumerated and the lexicographically
+smallest minimal multicover selection is solved exactly; more are priced
+by ``PathPricer`` instead, and the exact minimum is found without listing
+them (see cover module). Each capability's encounters across the selected
+paths receive levels spread from low to high in encounter order.
 
 Lifting levels follow the grip context: waist-to-eye and waist-overhead
 lifts sharing a path with the pinch grip draw from the low half {1..3}
@@ -17,13 +19,24 @@ as pinch, the protective rule.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from graphlib import TopologicalSorter
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cover import CoverProblem, CoverSolution, DEFAULT_P_HAT_MAX, DEFAULT_P_MAX, solve_cover
+from .cover import (
+    DEFAULT_LEX_LIMIT,
+    DEFAULT_P_HAT_MAX,
+    DEFAULT_P_MAX,
+    CoverProblem,
+    CoverSolution,
+    solve_cover,
+    solve_priced_cover,
+)
 from .errors import AnnotationError
 from .network import ConjugationGraph
 from .taxonomy import CapabilityId, parse_capability_id
@@ -31,6 +44,7 @@ from .taxonomy import CapabilityId, parse_capability_id
 __all__ = [
     "MovementSequence",
     "enumerate_paths",
+    "PathPricer",
     "annotate_requirements",
     "name_sequence",
     "lint_sequences",
@@ -78,6 +92,84 @@ def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> tupl
     for start in graph.nodes:
         walk(start, [])
     return tuple(collected)
+
+
+class PathPricer:
+    """The paths ``enumerate_paths(graph, n_min)`` would list, counted and priced without listing them.
+
+    The graph is a DAG, so every directed path is simple, and a DP over the
+    states (node, nodes so far capped at n_min) in topological order
+    reaches each path once: ``count`` is the exact path count, ``best``
+    the k paths of largest node-weight sum. ``at_least`` lists the paths
+    whose weight sum reaches a floor, by a DFS in canonical order pruned
+    with the largest sum any extension can still reach.
+    """
+
+    def __init__(self, graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN):
+        if n_min < 1:
+            raise ValueError(f"n_min must be >= 1, got {n_min}")
+        self.n_min = n_min
+        self._successors = {node: graph.successors(node) for node in graph.nodes}
+        self._predecessors: dict[CapabilityId, list[CapabilityId]] = {node: [] for node in graph.nodes}
+        for node, targets in self._successors.items():
+            for target in targets:
+                self._predecessors[target].append(node)
+        self._order = tuple(TopologicalSorter(self._predecessors).static_order())
+        ending: dict[CapabilityId, list[int]] = {}
+        for node in self._order:
+            counts = [0] * (n_min + 1)
+            counts[1] = 1
+            for source in self._predecessors[node]:
+                for length, paths in enumerate(ending[source]):
+                    counts[min(length + 1, n_min)] += paths
+            ending[node] = counts
+        self.count = sum(counts[n_min] for counts in ending.values())
+
+    def best(self, weight: Mapping[CapabilityId, float], k: int) -> list[tuple[float, tuple[CapabilityId, ...]]]:
+        """The k paths of largest weight sum, as (sum, path), largest first.
+
+        A path among the k best of its state extends a path among the k
+        best of its predecessor state, so keeping k per state is exact.
+        """
+        n = self.n_min
+        ending: dict[CapabilityId, list[list[tuple[float, tuple[CapabilityId, ...]]]]] = {}
+        for node in self._order:
+            w = weight[node]
+            states: list[list[tuple[float, tuple[CapabilityId, ...]]]] = [[] for _ in range(n + 1)]
+            states[1].append((w, (node,)))
+            for source in self._predecessors[node]:
+                for length, ranked in enumerate(ending[source]):
+                    states[min(length + 1, n)].extend((total + w, path + (node,)) for total, path in ranked)
+            ending[node] = [heapq.nlargest(k, ranked, key=itemgetter(0)) for ranked in states]
+        return heapq.nlargest(k, (entry for states in ending.values() for entry in states[n]), key=itemgetter(0))
+
+    def at_least(self, weight: Mapping[CapabilityId, float], floor: float) -> list[tuple[CapabilityId, ...]]:
+        """Every path whose weight sum is at least ``floor``, in canonical order."""
+        n = self.n_min
+        # reach[node][r]: largest sum of a path starting at node with at least r nodes (r >= 1)
+        reach: dict[CapabilityId, list[float]] = {}
+        for node in reversed(self._order):
+            w = weight[node]
+            tails = [reach[target] for target in self._successors[node]]
+            best = [max((tail[r] for tail in tails), default=-np.inf) for r in range(n + 1)]
+            reach[node] = [w + max(best[1], 0.0)] * 2 + [w + best[r - 1] for r in range(2, n + 1)]
+        # the prune compares float sums taken in another order; its slack only admits more paths
+        slack = 1e-9 * (1.0 + sum(abs(w) for w in weight.values()))
+        collected: list[tuple[CapabilityId, ...]] = []
+
+        def walk(node: CapabilityId, trail: list[CapabilityId], before: float) -> None:
+            trail.append(node)
+            total = before + weight[node]
+            if before + reach[node][max(1, n - len(trail) + 1)] >= floor - slack:
+                if len(trail) >= n and total >= floor:
+                    collected.append(tuple(trail))
+                for child in self._successors[node]:
+                    walk(child, trail, total)
+            trail.pop()
+
+        for start in self._successors:
+            walk(start, [], 0.0)
+        return collected
 
 
 @dataclass(frozen=True)
@@ -190,6 +282,15 @@ def lint_sequences(sequences: Iterable[MovementSequence]) -> list[str]:
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """The plan and what it was chosen from.
+
+    ``path_count`` counts every path of at least n_min nodes. ``path_set``
+    holds the columns the cover was solved over, in canonical order: every
+    path up to the lex limit, else the priced ones. ``solution.selected``
+    indexes ``path_set``.
+    """
+
+    path_count: int
     path_set: tuple[tuple[CapabilityId, ...], ...]
     solution: CoverSolution
     sequences: tuple[MovementSequence, ...]
@@ -203,16 +304,28 @@ def synthesize(
     p_max: int = DEFAULT_P_MAX,
     p_hat_max: int = DEFAULT_P_HAT_MAX,
 ) -> SynthesisResult:
-    """Full pipeline: enumerate, solve the cover exactly, annotate, name, lint."""
+    """Full pipeline: count, enumerate or price, solve the cover exactly, annotate, name, lint.
+
+    When pricing finds no selection (the LP cannot cover every node, or no
+    integer selection exists), the paths are enumerated after all, so that
+    ``solve_cover`` names the binding nodes.
+    """
     subgraph = graph.restricted_to(node_set)
-    path_set = enumerate_paths(subgraph, n_min)
-    problem = CoverProblem(
-        paths=path_set,
-        node_set=subgraph.nodes,
-        p_max=p_max,
-        p_hat_max=p_hat_max,
-    )
-    solution = solve_cover(problem)
+    pricer = PathPricer(subgraph, n_min)
+    priced = None
+    if pricer.count > DEFAULT_LEX_LIMIT:
+        priced = solve_priced_cover(pricer, subgraph.nodes, p_max, p_hat_max)
+    if priced is None:
+        problem = CoverProblem(
+            paths=enumerate_paths(subgraph, n_min),
+            node_set=subgraph.nodes,
+            p_max=p_max,
+            p_hat_max=p_hat_max,
+        )
+        solution = solve_cover(problem)
+    else:
+        problem, solution = priced
+    path_set = problem.paths
     selected_paths = [path_set[w] for w in solution.selected]
     sequences = annotate_requirements(selected_paths, subgraph, p_hat_max)
     sequences = [
@@ -220,6 +333,7 @@ def synthesize(
     ]
     warnings = lint_sequences(sequences)
     return SynthesisResult(
+        path_count=pricer.count,
         path_set=path_set,
         solution=solution,
         sequences=tuple(sequences),

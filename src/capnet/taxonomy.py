@@ -28,6 +28,7 @@ from .errors import CapabilityIdError, CatalogError, QuantificationError
 __all__ = [
     "CapabilityId",
     "quantification",
+    "parse_score",
     "QUANT_MIN",
     "QUANT_MAX",
     "QUANT_LABELS",
@@ -125,6 +126,18 @@ def quantification(value) -> int:
     if not QUANT_MIN <= value <= QUANT_MAX:
         raise QuantificationError(f"quantification {value} outside scale [{QUANT_MIN}, {QUANT_MAX}]")
     return value
+
+
+def parse_score(text: str) -> int:
+    """A score, level or slack written in ASCII digits, as a non-negative int.
+
+    Plain ``int()`` also reads "５", "0_4" and "+4"; each raises ValueError
+    here, as a non-decimal id component does in ``parse_capability_id``.
+    """
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a non-negative decimal number")
+    return int(digits)
 
 
 def quantification_label(value: int) -> str:

@@ -9,7 +9,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 
 def pearson_two_pass(x, y):
@@ -135,6 +135,24 @@ def lex_min_cover_by_columns(paths, node_set, p_max, p_hat_max):
         if run(np.zeros(n), lo, hi, [at_most_k]).status == 2:
             lo[w] = hi[w] = 0
     return tuple(int(w) for w in np.flatnonzero(lo))
+
+
+def cover_lp_bound(paths, node_set, p_max, p_hat_max):
+    """Optimum of the LP relaxation over every given path (0 <= x <= 1), or None if infeasible.
+
+    Its ceiling bounds every selection from below, so a verified selection
+    of that size is optimal.
+    """
+    visits = np.array([[path.count(node) for path in paths] for node in node_set], dtype=float)
+    res = linprog(
+        np.ones(len(paths)),
+        A_ub=np.vstack([-visits, visits]),
+        b_ub=np.concatenate([np.full(len(node_set), -p_max), np.full(len(node_set), p_hat_max)]),
+        bounds=(0, 1),
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return None if res.status == 2 else res.fun
 
 
 def exhaustive_shift_feasible(requirements, capacities, pairs, xi, theta, max_requirement=6):

@@ -99,6 +99,16 @@ class TestBuildGraph:
         assert result.exit_code == EXIT_DATA, result.output
         assert "error:" in result.stderr
 
+    def test_repeated_correlation_pair_data_error(self, runner, tmp_path):
+        # the reference table with its first pair given again, reversed and weak
+        with open(fixture_path("reference_correlations.csv"), encoding="utf-8") as handle:
+            text = handle.read()
+        doubled = tmp_path / "corr.csv"
+        doubled.write_text(text + "1.05.01,1.01,0.1\n")
+        result = runner.invoke(main, ["build-graph", "--correlations", str(doubled)])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "correlation pair 1.05.01, 1.01 repeats" in result.stderr
+
     @pytest.mark.parametrize("width", ["short", "long"])
     @pytest.mark.parametrize(
         "flag, name",
@@ -424,8 +434,9 @@ class TestAllocate:
             ["--xi", "3.03.04=x"],
             ["--xi", "bogus=1"],
             ["--xi", "3.03.04=9"],
+            ["--xi", "3.03.04=１"],
         ],
-        ids=["theta-negative", "theta-above-cap", "xi-no-value", "xi-non-integer", "xi-bad-id", "xi-above-scale"],
+        ids=["theta-negative", "theta-above-cap", "xi-no-value", "xi-non-integer", "xi-bad-id", "xi-above-scale", "xi-fullwidth"],
     )
     def test_bad_slack_option_usage_error(self, runner, graph_artifact, option):
         result = runner.invoke(
@@ -447,8 +458,8 @@ class TestAllocate:
 
     @pytest.mark.parametrize(
         "text",
-        ["id,level\n3.03.04\n", "id,level\n3.03.04,6,99\n", "id,level\n3.03.04,high\n"],
-        ids=["short", "long", "non-integer"],
+        ["id,level\n3.03.04\n", "id,level\n3.03.04,6,99\n", "id,level\n3.03.04,high\n", "id,level\n3.03.04,５\n"],
+        ids=["short", "long", "non-integer", "fullwidth"],
     )
     def test_bad_requirement_row_data_error(self, runner, graph_artifact, tmp_path, text):
         reqs = tmp_path / "r.csv"
@@ -469,6 +480,27 @@ class TestAllocate:
         )
         assert result.exit_code == EXIT_DATA, result.output
         assert "line 2" in result.output
+
+    def test_fullwidth_profile_score_data_error(self, runner, graph_artifact, tmp_path):
+        # int() reads "５" as 5; a data file must spell scores in ASCII digits
+        data = tmp_path / "p.csv"
+        data.write_text("agent_id,phase,3.02.03,3.03.04\ndemo,unspecified,５,4\n", encoding="utf-8")
+        result = runner.invoke(
+            main,
+            [
+                "allocate",
+                "--requirements",
+                fixture_path("demo_requirements.csv"),
+                "--profiles",
+                str(data),
+                "--agent",
+                "demo",
+                "--graph",
+                str(graph_artifact),
+            ],
+        )
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "'５' is not a non-negative decimal number" in result.stderr
 
     def test_repeated_requirement_id_data_error(self, runner, graph_artifact, tmp_path):
         reqs = tmp_path / "r.csv"

@@ -21,6 +21,7 @@ from capnet.network import (
     find_cycle,
     import_graph,
     prune_weak,
+    read_correlations,
     read_interrelations,
 )
 from capnet.taxonomy import parse_capability_id as pid
@@ -117,6 +118,11 @@ class TestPruneWeak:
         ("3.04.08", "5.01.04"),
         ("3.01.03", "5.01.03"),
     ]
+
+    def test_repeated_pair_rejected_in_either_order(self):
+        lines = ["id1,id2,r", "1.01,1.05.01,0.9", "1.05.01,1.01,0.1"]
+        with pytest.raises(GraphConstructionError, match="line 3: correlation pair 1.05.01, 1.01 repeats"):
+            read_correlations(lines)
 
     def test_reference_prune_removes_exactly_four(self, built_graph, reference_correlations):
         pruned = prune_weak(built_graph, reference_correlations, 0.4)

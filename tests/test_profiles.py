@@ -218,6 +218,12 @@ class TestDatasetFile:
         with pytest.raises(DatasetError, match="unknown capability ids 9.99.99"):
             read_dataset(lines, catalog)
 
+    @pytest.mark.parametrize("cell", ["５", "0_4", "+4"], ids=["fullwidth", "underscore", "sign"])
+    def test_score_outside_ascii_digits_rejected(self, cell):
+        lines = ["agent_id,phase,3.02.03,3.03.04", f"demo,unspecified,5,{cell}"]
+        with pytest.raises(DatasetError, match="non-integer level for agent 'demo'"):
+            read_dataset(lines)
+
     def test_duplicate_agent_phase_rejected(self):
         lines = [
             "agent_id,phase,3.03.04",

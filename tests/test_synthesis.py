@@ -1,16 +1,21 @@
+import contextlib
 import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from capnet import cover
-from capnet.cover import CoverProblem, solve_cover, verify_cover
+from capnet import cover, network, synthesis
+from capnet.cover import CoverProblem, solve_cover, solve_priced_cover, verify_cover
 from capnet.errors import AnnotationError, ConfigError, InfeasibleCoverError
 from capnet.network import ConjugationGraph, Edge, Relation, RelationKind
 from capnet.synthesis import (
     MovementSequence,
+    PathPricer,
     annotate_requirements,
     enumerate_paths,
     lint_sequences,
@@ -20,7 +25,7 @@ from capnet.synthesis import (
 )
 from capnet.taxonomy import parse_capability_id as pid
 
-from oracles import brute_force_cover, brute_force_lex_min_cover, lex_min_cover_by_columns
+from oracles import brute_force_cover, brute_force_lex_min_cover, cover_lp_bound, lex_min_cover_by_columns
 
 A, B, C, D, E = (pid(f"9.{i:02d}") for i in range(1, 6))
 LEX_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "lex_pool.json"
@@ -77,6 +82,37 @@ class TestEnumeratePaths:
         sub = final_graph.restricted_to(sitting_set)
         paths = enumerate_paths(sub, 6)
         assert all(len(p) >= 6 for p in paths)
+
+
+@st.composite
+def _dags(draw):
+    """Up to 7 nodes; each pair joined or not, oriented along a drawn order."""
+    nodes = [pid(f"9.{k:02d}") for k in range(1, draw(st.integers(1, 7)) + 1)]
+    order = draw(st.permutations(nodes))
+    rel = Relation(RelationKind.CONDITION_FOR)
+    edges = tuple(
+        Edge(order[i], order[j], rel) for i in range(len(order)) for j in range(i + 1, len(order)) if draw(st.booleans())
+    )
+    return ConjugationGraph(nodes=tuple(nodes), edges=edges)
+
+
+class TestPathPricer:
+    @given(_dags(), st.integers(1, 5))
+    def test_count_matches_enumeration(self, graph, n_min):
+        assert PathPricer(graph, n_min).count == len(enumerate_paths(graph, n_min))
+
+    @given(_dags(), st.integers(1, 4), st.lists(st.integers(-3, 3), min_size=7, max_size=7), st.integers(1, 12), st.integers(-4, 6))
+    def test_best_and_window_match_enumeration(self, graph, n_min, weights, k, floor):
+        # integer weights keep every sum exact, so ranks and the floor compare without rounding
+        weight = {node: float(w) for node, w in zip(graph.nodes, weights)}
+        paths = enumerate_paths(graph, n_min)
+        total = {path: sum(weight[node] for node in path) for path in paths}
+        pricer = PathPricer(graph, n_min)
+        ranked = pricer.best(weight, k)
+        assert [value for value, _ in ranked] == sorted(total.values(), reverse=True)[:k]
+        assert all(total[path] == value for value, path in ranked)
+        assert len({path for _, path in ranked}) == len(ranked)
+        assert pricer.at_least(weight, floor) == [path for path in paths if total[path] >= floor]
 
 
 class TestSolveCover:
@@ -224,6 +260,138 @@ class TestLexicographicCover:
             assert result.solution.selected == tuple(inst["selected"])
             assert result.solution.lexicographic
         assert len(calls) <= 90  # fixing each index by bisection takes 183
+
+
+def _optimum(problem):
+    try:
+        return solve_cover(problem).objective
+    except InfeasibleCoverError:
+        return None
+
+
+def _seeded_instances(graph, node_pool, seed, count, nodes, columns, top_p_max, top_slack):
+    """``count`` seeded draws of (subgraph, p_max, p_hat_max, enumerated optimum) with 4-node paths."""
+    rng = random.Random(seed)
+    drawn = 0
+    while drawn < count:
+        sub = graph.restricted_to(sorted(rng.sample(node_pool, rng.randint(*nodes))))
+        paths = enumerate_paths(sub, 4)
+        if not columns[0] <= len(paths) <= columns[1]:
+            continue
+        p_max = rng.randint(1, top_p_max)
+        p_hat = p_max + rng.randint(0, top_slack)
+        yield sub, p_max, p_hat, _optimum(CoverProblem(paths=paths, node_set=sub.nodes, p_max=p_max, p_hat_max=p_hat))
+        drawn += 1
+
+
+def _priced_optimum(sub, p_max, p_hat):
+    priced = solve_priced_cover(PathPricer(sub, 4), sub.nodes, p_max, p_hat)
+    if priced is None:
+        return None
+    problem, solution = priced
+    assert verify_cover(problem, solution.selected) == solution.visit_counts
+    assert list(problem.paths) == sorted(problem.paths) and not solution.lexicographic
+    return solution.objective
+
+
+@pytest.fixture
+def mips_missed(monkeypatch):
+    """``with mips_missed(n) as columns:`` the first n cover MIPs inside report infeasible.
+
+    ``columns`` collects the column count of every cover MIP inside.
+    """
+    real = cover._CoverProgram.solve
+    misses, columns = [0], []
+
+    def solve(program, lo, hi, extra=()):
+        columns.append(program.n_vars)
+        if len(columns) <= misses[0]:
+            return None
+        return real(program, lo, hi, extra)
+
+    @contextlib.contextmanager
+    def missed(n):
+        misses[0], columns[:] = n, []
+        try:
+            yield columns
+        finally:
+            misses[0] = 0
+
+    monkeypatch.setattr(cover._CoverProgram, "solve", solve)
+    return missed
+
+
+class TestPricedCover:
+    def test_matches_enumerated_optimum_on_default_graph_subsets(self, final_graph, sitting_set):
+        for sub, p_max, p_hat, expected in _seeded_instances(final_graph, sitting_set, 11, 40, (8, 22), (20, 1500), 4, 2):
+            assert _priced_optimum(sub, p_max, p_hat) == expected
+
+    def test_one_path_per_round_keeps_the_optimum(self, final_graph, sitting_set, monkeypatch):
+        # Pricing one path per round leaves pooled paths at their upper bound ranked above
+        # every new one, and small pools that the window has to complete.
+        monkeypatch.setattr(cover, "_BATCH", 1)
+        for sub, p_max, p_hat, expected in _seeded_instances(final_graph, sitting_set, 13, 20, (10, 22), (100, 1500), 2, 2):
+            assert _priced_optimum(sub, p_max, p_hat) == expected
+        assert _priced_optimum(final_graph.restricted_to(sitting_set), 2, 2) == 8
+
+    def test_window_loop_closes_a_missed_pool(self, final_graph, sitting_set, mips_missed):
+        for sub, p_max, p_hat, expected in _seeded_instances(final_graph, sitting_set, 14, 20, (10, 18), (20, 600), 2, 2):
+            with mips_missed(1):
+                assert _priced_optimum(sub, p_max, p_hat) == expected
+        full = final_graph.restricted_to(sitting_set)
+        with mips_missed(1) as columns:
+            assert _priced_optimum(full, 2, 2) == 8
+        assert len(columns) == 2 and columns[0] < columns[1]  # the missed pool, then its window at k = LP* = 8
+        with mips_missed(2) as columns:
+            assert _priced_optimum(full, 6, 7) == 24
+        assert len(columns) == 3 and columns[1] < columns[2]  # k = 24 missed too; the window at k = 25 is wider
+
+    def test_no_selection_after_every_path_returns_none(self):
+        # The complete DAG on four nodes has four 3-node paths and one 4-node path. Two
+        # visits each need 8 = 3a + 4b visits, so b = 2 copies of one path: no selection,
+        # though the LP covers every node at 7/3.
+        rel = Relation(RelationKind.CONDITION_FOR)
+        nodes = (A, B, C, D)
+        graph = ConjugationGraph(nodes=nodes, edges=tuple(Edge(a, b, rel) for a in nodes for b in nodes if a < b))
+        assert cover_lp_bound(enumerate_paths(graph, 3), nodes, 2, 2) == pytest.approx(7 / 3)
+        assert solve_priced_cover(PathPricer(graph, 3), nodes, 2, 2) is None
+        with pytest.raises(InfeasibleCoverError):
+            solve_cover(CoverProblem(paths=enumerate_paths(graph, 3), node_set=nodes, p_max=2, p_hat_max=2))
+
+    @pytest.mark.parametrize("p_max, expected", [(1, 4), (2, 8)])
+    def test_tight_bounds_on_the_default_graph(self, final_graph, sitting_set, p_max, expected):
+        # At p_max = p_hat_max = 1 the enumerated solve_cover takes ~30 s; the LP over all
+        # 9,774 paths bounds every selection instead, and the priced one meets its ceiling.
+        full = final_graph.restricted_to(sitting_set)
+        paths = enumerate_paths(full, 4)
+        assert math.ceil(cover_lp_bound(paths, full.nodes, p_max, p_max) - 1e-6) == expected
+        assert _priced_optimum(full, p_max, p_max) == expected
+        if p_max == 2:
+            assert _optimum(CoverProblem(paths=paths, node_set=full.nodes, p_max=2, p_hat_max=2)) == expected
+
+    def test_default_plan_never_enumerates(self, final_graph, sitting_set, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default plan enumerated its paths")
+
+        monkeypatch.setattr(synthesis, "enumerate_paths", refuse)
+        result = synthesis.synthesize(final_graph, sitting_set)
+        assert result.path_count == 9774 and len(result.path_set) < 9774
+        assert result.solution.objective == len(result.sequences) == 24
+        problem = CoverProblem(result.path_set, tuple(sitting_set), 6, 7)
+        assert verify_cover(problem, result.solution.selected) == result.solution.visit_counts
+        selected = [result.path_set[w] for w in result.solution.selected]
+        assert selected == sorted(selected) == [s.capability_ids() for s in result.sequences]
+
+    def test_lp_without_selection_falls_back_to_binding_nodes(self, built_graph, reference_correlations, candidates, sitting_set):
+        # without the repair pair 3.01.03 sits on no path of 4 or more nodes
+        pruned = network.prune_weak(built_graph, reference_correlations, 0.4)
+        graph = network.augment_strong(pruned, candidates, repair=False)
+        sub = graph.restricted_to(sitting_set)
+        assert PathPricer(sub, 4).count > cover.DEFAULT_LEX_LIMIT
+        assert solve_priced_cover(PathPricer(sub, 4), sub.nodes, 2, 3) is None
+        with pytest.raises(InfeasibleCoverError) as err:
+            synthesis.synthesize(graph, sitting_set, p_max=2, p_hat_max=3)
+        assert err.value.binding_nodes == (pid("3.01.03"),)
 
 
 class TestPipeline:
