@@ -23,11 +23,15 @@ a pool of paths; its node duals π price every path at reduced cost
 1 − Σπ, and a DP over the DAG (``synthesis.PathPricer``) adds the best
 unpooled paths until none is negative. The dual objective LP* then bounds
 every selection, so a pool MIP that reaches ⌈LP*⌉ is optimal over all
-paths. Otherwise a window loop closes the gap exactly: the reduced costs
-of a k-path selection are nonnegative and sum to at most k − LP*, so for
-k = ⌈LP*⌉, ⌈LP*⌉ + 1, ... the MIP over the pool and every path of reduced
-cost at most k − LP* (a pruned DFS lists them) decides whether k paths
-suffice. Float tolerances only ever widen that window.
+paths. Otherwise one window MIP closes the gap exactly: the reduced costs
+of a k-path selection are nonnegative and sum to at most k − LP*, so when
+the pool MIP selects s paths, every selection of at most k = s − 1 paths
+uses only pooled paths and paths of reduced cost at most k − LP* (a
+pruned DFS lists them), and the MIP over both is optimal over all paths.
+Float tolerances only ever widen that window and lower the ceiling. When
+the LP keeps an artificial or the pool MIP finds no selection, the caller
+enumerates the paths, and ``solve_cover`` settles the instance and names
+the binding nodes.
 """
 
 from __future__ import annotations
@@ -280,13 +284,14 @@ def solve_priced_cover(
     reduced cost 1 − Σπ, and the source's DP returns the best ones not yet
     pooled, until none is negative. The dual objective LP* then bounds every
     selection, so a pool MIP optimum of ⌈LP*⌉ is optimal over all paths.
-    Otherwise, for k = ⌈LP*⌉, ⌈LP*⌉ + 1, ..., a selection of at most k
-    paths uses only paths of reduced cost at most k − LP* (the duals sum
-    to LP*, every reduced cost is nonnegative), so the MIP over the pool
-    and that window settles k. Returns the problem over the columns of the
-    deciding MIP, with the selection in canonical path order, or None
-    when the LP keeps an artificial or no selection exists, for the
-    caller to enumerate and let ``solve_cover`` name the binding nodes.
+    A larger pool optimum s is settled by one more MIP, over the pool and
+    the window of paths of reduced cost at most s − 1 − LP*, which holds
+    every selection of at most s − 1 paths (the duals sum to LP*, every
+    reduced cost is nonnegative). Returns the problem over the columns of
+    the deciding MIP, with the selection in canonical path order, or None
+    when the LP keeps an artificial or the pool MIP finds no selection, for
+    the caller to enumerate and let ``solve_cover`` decide the instance and
+    name the binding nodes. Each MIP runs at most once.
     """
     def program(columns: Iterable[tuple[CapabilityId, ...]]) -> tuple[CoverProblem, _CoverProgram]:
         problem = CoverProblem(paths=tuple(sorted(columns)), node_set=node_set, p_max=p_max, p_hat_max=p_hat_max)
@@ -306,18 +311,14 @@ def solve_priced_cover(
     if artificial > _TOL:
         return None
 
-    best_problem, best = problem, pooled.solve(np.zeros(pooled.n_vars), np.ones(pooled.n_vars))
-    k = math.ceil(bound - _TOL)
-    while best is None or len(best) > k:
-        problem, wide = program(pool.union(source.at_least(weight, 1 - (k - bound) - k * _TOL)))
-        selection = wide.solve(np.zeros(wide.n_vars), np.ones(wide.n_vars))
-        if selection is not None and (best is None or len(selection) < len(best)):
-            best_problem, best = problem, selection
-        if wide.n_vars == source.count:
-            break  # that MIP saw every path
-        k += 1
+    best = pooled.solve(np.zeros(pooled.n_vars), np.ones(pooled.n_vars))
     if best is None:
         return None
+    if len(best) > math.ceil(bound - math.ceil(bound) * _TOL):
+        # a selection of at most k = |best| - 1 paths lies in the window; its MIP contains the pool
+        k = len(best) - 1
+        problem, wide = program(pool.union(source.at_least(weight, 1 - (k - bound) - k * _TOL)))
+        best = wide.solve(np.zeros(wide.n_vars), np.ones(wide.n_vars))
     selected = tuple(int(w) for w in best)
-    counts = verify_cover(best_problem, selected)
-    return best_problem, CoverSolution(selected=selected, objective=len(selected), visit_counts=counts, lexicographic=False)
+    counts = verify_cover(problem, selected)
+    return problem, CoverSolution(selected=selected, objective=len(selected), visit_counts=counts, lexicographic=False)

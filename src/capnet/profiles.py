@@ -289,11 +289,8 @@ def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None)
             phase = Phase(row[1])
         except ValueError:
             raise DatasetError(f"unknown phase {row[1]!r} for agent {row[0]!r}") from None
-        # a row of bare ASCII digits is valid as it stands; any other row is checked cell by cell
-        joined = "".join(row[2:])
-        parse = int if joined.isascii() and joined.isdigit() else parse_score
         try:
-            values = {cap: parse(cell) for cap, cell in zip(ids, row[2:]) if cell != ""}
+            values = {cap: parse_score(cell) for cap, cell in zip(ids, row[2:]) if cell != ""}
         except ValueError as exc:
             raise DatasetError(f"non-integer level for agent {row[0]!r}: {exc}") from None
         profiles.append(Profile(agent_id=row[0], phase=phase, values=values))

@@ -70,39 +70,26 @@ _TRUNK_ROTATION = parse_capability_id("3.02.01")
 
 
 def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> tuple[tuple[CapabilityId, ...], ...]:
-    """All simple directed paths with at least n_min nodes.
+    """All simple directed paths with at least n_min nodes, in lexicographic order.
 
-    Paths may begin and end on any node. Order is lexicographic by node
-    sequence: a preorder walk from each node in canonical order over
-    canonically ordered successors emits them so.
+    Paths may begin and end on any node. At zero weight every path reaches
+    the floor 0 of ``PathPricer.at_least``, whose prune then only cuts walks
+    that cannot reach n_min nodes.
     """
-    if n_min < 1:
-        raise ValueError(f"n_min must be >= 1, got {n_min}")
-    successors = {node: graph.successors(node) for node in graph.nodes}
-    collected: list[tuple[CapabilityId, ...]] = []
-
-    def walk(node: CapabilityId, trail: list[CapabilityId]) -> None:
-        trail.append(node)
-        if len(trail) >= n_min:
-            collected.append(tuple(trail))
-        for child in successors[node]:
-            walk(child, trail)
-        trail.pop()
-
-    for start in graph.nodes:
-        walk(start, [])
-    return tuple(collected)
+    return tuple(PathPricer(graph, n_min).at_least(dict.fromkeys(graph.nodes, 0.0), 0.0))
 
 
 class PathPricer:
-    """The paths ``enumerate_paths(graph, n_min)`` would list, counted and priced without listing them.
+    """The directed paths of at least n_min nodes, counted and priced without listing them.
 
     The graph is a DAG, so every directed path is simple, and a DP over the
     states (node, nodes so far capped at n_min) in topological order
     reaches each path once: ``count`` is the exact path count, ``best``
     the k paths of largest node-weight sum. ``at_least`` lists the paths
-    whose weight sum reaches a floor, by a DFS in canonical order pruned
-    with the largest sum any extension can still reach.
+    whose weight sum reaches a floor, by a preorder walk from each node in
+    canonical order over canonically ordered successors, which emits them
+    in lexicographic order, pruned with the largest sum any extension can
+    still reach.
     """
 
     def __init__(self, graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN):
@@ -306,9 +293,9 @@ def synthesize(
 ) -> SynthesisResult:
     """Full pipeline: count, enumerate or price, solve the cover exactly, annotate, name, lint.
 
-    When pricing finds no selection (the LP cannot cover every node, or no
-    integer selection exists), the paths are enumerated after all, so that
-    ``solve_cover`` names the binding nodes.
+    When pricing leaves the instance open (the LP cannot cover every node,
+    or the pool MIP finds no selection), the paths are enumerated after
+    all, so that ``solve_cover`` settles it and names any binding nodes.
     """
     subgraph = graph.restricted_to(node_set)
     pricer = PathPricer(subgraph, n_min)

@@ -68,6 +68,20 @@ def has_cycle_dfs(nodes, arcs):
     return any(state[node] == 0 and visit(node) for node in nodes)
 
 
+def simple_paths_by_permutations(nodes, arcs, n_min):
+    """Every node sequence of at least n_min distinct nodes joined by arcs, sorted.
+
+    Tries every permutation of every length, so keep ``nodes`` small.
+    """
+    arcs = set(arcs)
+    return sorted(
+        walk
+        for length in range(n_min, len(nodes) + 1)
+        for walk in itertools.permutations(nodes, length)
+        if all(step in arcs for step in zip(walk, walk[1:]))
+    )
+
+
 def brute_force_cover(paths, node_set, p_max, p_hat_max):
     """Exhaustive subset enumeration; returns the optimal objective or None."""
     best = None

@@ -5,6 +5,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,7 +26,13 @@ from capnet.synthesis import (
 )
 from capnet.taxonomy import parse_capability_id as pid
 
-from oracles import brute_force_cover, brute_force_lex_min_cover, cover_lp_bound, lex_min_cover_by_columns
+from oracles import (
+    brute_force_cover,
+    brute_force_lex_min_cover,
+    cover_lp_bound,
+    lex_min_cover_by_columns,
+    simple_paths_by_permutations,
+)
 
 A, B, C, D, E = (pid(f"9.{i:02d}") for i in range(1, 6))
 LEX_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "lex_pool.json"
@@ -99,7 +106,10 @@ def _dags(draw):
 class TestPathPricer:
     @given(_dags(), st.integers(1, 5))
     def test_count_matches_enumeration(self, graph, n_min):
-        assert PathPricer(graph, n_min).count == len(enumerate_paths(graph, n_min))
+        paths = enumerate_paths(graph, n_min)
+        arcs = [(edge.source, edge.target) for edge in graph.edges]
+        assert list(paths) == simple_paths_by_permutations(graph.nodes, arcs, n_min)
+        assert PathPricer(graph, n_min).count == len(paths)
 
     @given(_dags(), st.integers(1, 4), st.lists(st.integers(-3, 3), min_size=7, max_size=7), st.integers(1, 12), st.integers(-4, 6))
     def test_best_and_window_match_enumeration(self, graph, n_min, weights, k, floor):
@@ -295,30 +305,36 @@ def _priced_optimum(sub, p_max, p_hat):
 
 
 @pytest.fixture
-def mips_missed(monkeypatch):
-    """``with mips_missed(n) as columns:`` the first n cover MIPs inside report infeasible.
+def rigged_pool(monkeypatch):
+    """``with rigged_pool(mode) as columns:`` the first cover MIP inside misreports its selection.
 
-    ``columns`` collects the column count of every cover MIP inside.
+    Mode "none" reports no selection; mode "over" adds the lowest unselected
+    column, one path more than the optimum. ``columns`` collects the column
+    count of every cover MIP inside.
     """
     real = cover._CoverProgram.solve
-    misses, columns = [0], []
+    rig, columns = [None], []
 
     def solve(program, lo, hi, extra=()):
         columns.append(program.n_vars)
-        if len(columns) <= misses[0]:
+        found = real(program, lo, hi, extra)
+        if len(columns) > 1 or found is None or rig[0] is None:
+            return found
+        if rig[0] == "none":
             return None
-        return real(program, lo, hi, extra)
+        spare = min(set(range(program.n_vars)) - set(found.tolist()))
+        return np.sort(np.append(found, spare))
 
     @contextlib.contextmanager
-    def missed(n):
-        misses[0], columns[:] = n, []
+    def rigged(mode):
+        rig[0], columns[:] = mode, []
         try:
             yield columns
         finally:
-            misses[0] = 0
+            rig[0] = None
 
     monkeypatch.setattr(cover._CoverProgram, "solve", solve)
-    return missed
+    return rigged
 
 
 class TestPricedCover:
@@ -326,27 +342,40 @@ class TestPricedCover:
         for sub, p_max, p_hat, expected in _seeded_instances(final_graph, sitting_set, 11, 40, (8, 22), (20, 1500), 4, 2):
             assert _priced_optimum(sub, p_max, p_hat) == expected
 
-    def test_one_path_per_round_keeps_the_optimum(self, final_graph, sitting_set, monkeypatch):
+    def test_one_path_per_round_never_returns_a_wrong_optimum(self, final_graph, sitting_set, monkeypatch):
         # Pricing one path per round leaves pooled paths at their upper bound ranked above
-        # every new one, and small pools that the window has to complete.
+        # every new one, and small pools whose MIP may find no selection: those instances
+        # are left to enumeration (None), every other one is solved to the optimum.
         monkeypatch.setattr(cover, "_BATCH", 1)
-        for sub, p_max, p_hat, expected in _seeded_instances(final_graph, sitting_set, 13, 20, (10, 22), (100, 1500), 2, 2):
-            assert _priced_optimum(sub, p_max, p_hat) == expected
+        outcomes = [
+            (_priced_optimum(sub, p_max, p_hat), expected)
+            for sub, p_max, p_hat, expected in _seeded_instances(final_graph, sitting_set, 13, 20, (10, 22), (100, 1500), 2, 2)
+        ]
+        assert all(priced in (expected, None) for priced, expected in outcomes)
+        # of the ten feasible draws, one (274 paths at 1/1) has a pool MIP without a selection
+        assert sum(expected is not None for _, expected in outcomes) == 10
+        assert sum(priced is not None for priced, _ in outcomes) == 9
         assert _priced_optimum(final_graph.restricted_to(sitting_set), 2, 2) == 8
 
-    def test_window_loop_closes_a_missed_pool(self, final_graph, sitting_set, mips_missed):
+    def test_window_settles_a_pool_one_path_over(self, final_graph, sitting_set, rigged_pool):
         for sub, p_max, p_hat, expected in _seeded_instances(final_graph, sitting_set, 14, 20, (10, 18), (20, 600), 2, 2):
-            with mips_missed(1):
+            with rigged_pool("over") as columns:
                 assert _priced_optimum(sub, p_max, p_hat) == expected
-        full = final_graph.restricted_to(sitting_set)
-        with mips_missed(1) as columns:
-            assert _priced_optimum(full, 2, 2) == 8
-        assert len(columns) == 2 and columns[0] < columns[1]  # the missed pool, then its window at k = LP* = 8
-        with mips_missed(2) as columns:
-            assert _priced_optimum(full, 6, 7) == 24
-        assert len(columns) == 3 and columns[1] < columns[2]  # k = 24 missed too; the window at k = 25 is wider
+            assert len(columns) == 2 if expected is not None else len(columns) <= 1
+        with rigged_pool("over") as columns:
+            assert _priced_optimum(final_graph.restricted_to(sitting_set), 2, 2) == 8
+        assert len(columns) == 2 and columns[0] < columns[1]  # the pool, then its window at k = 8
 
-    def test_no_selection_after_every_path_returns_none(self):
+    def test_pool_without_selection_is_left_to_enumeration(self, final_graph, sitting_set, rigged_pool):
+        full = final_graph.restricted_to(sitting_set)
+        with rigged_pool("none") as columns:
+            assert solve_priced_cover(PathPricer(full, 4), full.nodes, 2, 2) is None
+        assert len(columns) == 1
+        with rigged_pool("none") as columns:
+            assert synthesis.synthesize(final_graph, sitting_set, p_max=2, p_hat_max=2).solution.objective == 8
+        assert columns == [columns[0], 9774]  # the pool MIP, then solve_cover over every path
+
+    def test_no_selection_costs_one_mip(self, monkeypatch):
         # The complete DAG on four nodes has four 3-node paths and one 4-node path. Two
         # visits each need 8 = 3a + 4b visits, so b = 2 copies of one path: no selection,
         # though the LP covers every node at 7/3.
@@ -354,7 +383,11 @@ class TestPricedCover:
         nodes = (A, B, C, D)
         graph = ConjugationGraph(nodes=nodes, edges=tuple(Edge(a, b, rel) for a in nodes for b in nodes if a < b))
         assert cover_lp_bound(enumerate_paths(graph, 3), nodes, 2, 2) == pytest.approx(7 / 3)
+        calls = []
+        real = cover.milp
+        monkeypatch.setattr(cover, "milp", lambda *a, **k: calls.append(1) or real(*a, **k))
         assert solve_priced_cover(PathPricer(graph, 3), nodes, 2, 2) is None
+        assert len(calls) == 1
         with pytest.raises(InfeasibleCoverError):
             solve_cover(CoverProblem(paths=enumerate_paths(graph, 3), node_set=nodes, p_max=2, p_hat_max=2))
 
