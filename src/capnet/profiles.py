@@ -157,13 +157,12 @@ def filter_profiles(
     """
     if not threshold >= 0:
         raise ConfigError(f"threshold must be non-negative, got {threshold}")
-    kept = []
-    for profile in dataset:
-        if profile.missing_from(capability_set):
-            continue
-        if profile_std(profile, capability_set) >= threshold:
-            kept.append(profile)
-    return ProfileDataset(kept)
+    needed = set(capability_set)
+    complete = [profile for profile in dataset if profile.values.keys() >= needed]
+    data = np.array([[profile.values[cap] for cap in capability_set] for profile in complete], dtype=float)
+    data = data.reshape(len(complete), len(capability_set))
+    std = np.sqrt(np.mean((data - data.mean(axis=1, keepdims=True)) ** 2, axis=1))  # profile_std of each row
+    return ProfileDataset(profile for profile, spread in zip(complete, std) if spread >= threshold)
 
 
 # -- synthetic generation ---------------------------------------------------

@@ -5,10 +5,17 @@ inputs and an explicit integer seed. Resample ``i`` is row ``i`` of a single
 counter-based (Philox) stream keyed by the seed, drawn in fixed chunks of
 rows; a p-value table applies the same rows to every pair (no seed is
 derived per pair), so its entries are dependent across pairs. Statistics
-are cross products of scale-centred columns n*x - sum(x): exact in float64
-on integer scores, so observed and permuted values tie where integers do.
-They are einsum reductions without BLAS, so results are bit-identical
-across runs and across BLAS/OpenMP thread settings.
+are cross products of scale-centred columns c = n*x - sum(x), and a
+chunk's null statistics are one batched matrix product. When the centred
+columns are integers whose squares sum below 2**53, that product goes to
+BLAS: every product and every partial sum is then an integer no larger
+than that sum (Cauchy-Schwarz), so it is exact in float64 whatever order,
+blocking or thread split BLAS uses, and observed and permuted values tie
+where integers do. Profiles of 0-6 scores always qualify for n < 100,000,
+since sum(c**2) <= 9*n**3 < 2**53. Other input is reduced by einsum,
+whose order does not depend on BLAS/OpenMP thread settings, and carries
+a relative tie tolerance of 100 eps. So results are bit-identical across
+runs and thread settings.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +45,7 @@ __all__ = [
     "classify_correlation",
 ]
 
-_CHUNK = 256  # resample rows drawn, argsorted and applied at a time
+_CHUNK = 32  # resample rows drawn, argsorted and applied at a time
 
 
 def _as_vector(x) -> np.ndarray:
@@ -140,10 +148,12 @@ def profile_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> np.n
 
 
 def _data_matrix(dataset: ProfileDataset | np.ndarray, ids: tuple[CapabilityId, ...]) -> np.ndarray:
-    """The dataset's ``profile_matrix``; a prebuilt matrix must hold one column per id."""
+    """The dataset's ``profile_matrix``; a prebuilt matrix must be finite with one column per id."""
     data = dataset if isinstance(dataset, np.ndarray) else profile_matrix(dataset, ids)
     if data.ndim != 2 or data.shape[1] != len(ids):
         raise ValueError(f"profile matrix of shape {data.shape} does not have one column per id ({len(ids)})")
+    if not np.isfinite(data).all():
+        raise ValueError("profile matrix holds a non-finite value")
     return data
 
 
@@ -176,25 +186,37 @@ def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
     """Resamples b[i, j], i < j, whose statistic reaches pair (i, j)'s observed one.
 
     The statistic is |sum(c_i * c_j)| over scale-centred columns; the null
-    permutes column j. Every pair sees the same rows: row r is argsort of
-    row r of the Philox stream keyed by ``seed``, so it depends on (seed, r)
-    only. A null within scipy's relative tolerance of 100 eps below the
-    observed value counts as reaching it. Pairs with a constant column stay 0.
+    permutes column j. Every pair sees the same rows: row r is the stable
+    argsort of row r of the Philox stream keyed by ``seed``, so it depends
+    on (seed, r) only. A null within scipy's relative tolerance of 100 eps
+    below the observed value counts as reaching it. Pairs with a constant
+    column stay 0.
     """
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
     centred, products = _centred_products(data)
-    reach = np.abs(products) - 100 * np.finfo(float).eps * np.abs(products)  # scipy's tie tolerance
     live = np.flatnonzero(np.ptp(data, axis=0) > 0)
-    exceed = np.zeros(products.shape, dtype=np.int64)
+    centred, observed = centred[:, live], np.abs(products[np.ix_(live, live)])
+    reach = observed - 100 * np.finfo(float).eps * observed  # scipy's tie tolerance
+    exact = np.array_equal(centred, np.rint(centred)) and observed.diagonal().max(initial=0) < 2.0**53
+    product = np.matmul if exact else partial(np.einsum, "in,rnj->rij", optimize=False)
+    n, width = centred.shape
+    counts = np.zeros((width, width), dtype=np.int64)
+    # every chunk gathers into one buffer, since a fresh array per chunk raises peak RSS; take fills
+    # it in place only in mode "clip" (the default mode buffers), and argsort's indices are in range
+    buffer = np.empty((min(_CHUNK, n_resamples), n, width), dtype=centred.dtype)
     bits = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    for start in range(0, n_resamples if len(live) > 1 else 0, _CHUNK):  # no defined pair: draw nothing
-        keys = bits.random((min(_CHUNK, n_resamples - start), len(data)))
-        perms = np.argsort(keys, axis=1, kind="stable")
-        for k in range(1, len(live)):
-            i, j = live[:k], live[k]  # every live column before j at once
-            nulls = np.einsum("rn,nk->rk", centred[perms, j], centred[:, i], optimize=False)
-            exceed[i, j] += np.count_nonzero(np.abs(nulls) >= reach[i, j], axis=0)
+    for start in range(0, n_resamples if width > 1 else 0, _CHUNK):  # no defined pair: draw nothing
+        keys = bits.random((min(_CHUNK, n_resamples - start), n))
+        perms = np.argsort(keys, axis=1)  # the stable order in every row without a tied key
+        ordered = np.take_along_axis(keys, perms, axis=1)
+        tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        perms[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+        permuted = np.take(centred, perms, axis=0, out=buffer[: len(perms)], mode="clip")
+        nulls = product(centred.T, permuted)  # [r, i, j]: pair (i, j) under row r
+        counts += np.count_nonzero(np.abs(nulls) >= reach, axis=0)
+    exceed = np.zeros(products.shape, dtype=np.int64)
+    exceed[np.ix_(live, live)] = np.triu(counts, 1)
     return exceed
 
 

@@ -119,6 +119,20 @@ class TestFilterProfiles:
         ]
         assert list(kept) == expected
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_per_profile_rule(self, sitting_set, seed):
+        config = GeneratorConfig(ids=tuple(sitting_set), agents=200, degenerate_fraction=0.3)
+        dataset = generate_synthetic_profiles(config, seed=seed)
+        spreads = [(p, profile_std(p, sitting_set)) for p in dataset if not p.missing_from(sitting_set)]
+        assert len(spreads) < len(dataset) and any(spread == 0.0 for _, spread in spreads)
+        stds = sorted({spread for _, spread in spreads})
+        for threshold in (0.0, 0.2, *stds[1::7]):  # also exactly at profiles' stds
+            kept = filter_profiles(dataset, sitting_set, threshold)
+            assert list(kept) == [p for p, spread in spreads if spread >= threshold]
+
+    def test_empty_dataset(self, sitting_set):
+        assert len(filter_profiles(ProfileDataset([]), sitting_set, 0.2)) == 0
+
     def test_order_preserved(self, sitting_set):
         spread = {cap: (i % 7) for i, cap in enumerate(sitting_set)}
         p1 = Profile("a", Phase.POST_REHAB, spread)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,7 +212,7 @@ class TestPermutationTest:
         assert unchanged > 0
         assert permutation_test(x, y, 300, seed=3).p_value == (unchanged + 1) / 301
 
-    @pytest.mark.parametrize("n_resamples", [255, 256, 257, 600])
+    @pytest.mark.parametrize("n_resamples", [31, 32, 33, 255, 256, 257, 600])
     def test_matches_unchunked_reference(self, n_resamples):
         # reference: all resample rows drawn and argsorted in one block, ties counted exactly
         rng = np.random.default_rng(19)
@@ -218,6 +222,29 @@ class TestPermutationTest:
         result = permutation_test(x, y, n_resamples, seed=23)
         assert 0 < b < n_resamples
         assert result.p_value == (b + 1) / (n_resamples + 1)
+
+    def test_rows_with_tied_keys_are_stable_argsorts(self, monkeypatch):
+        # keys on a grid of 64 steps tie in nearly every row, most often between positions
+        # that are not neighbours; the default argsort may order tied positions unstably
+        real = np.random.Generator
+
+        class CoarseKeys:
+            def __init__(self, bit_generator):
+                self.generator = real(bit_generator)
+
+            def random(self, shape):
+                return np.floor(self.generator.random(shape) * 64) / 64
+
+        rng = np.random.default_rng(29)
+        data = rng.integers(0, 7, size=(40, 4)).astype(float)
+        keys = CoarseKeys(np.random.Philox(key=np.uint64(17))).random((70, 40))
+        rows = np.argsort(keys, axis=1, kind="stable")
+        monkeypatch.setattr(np.random, "Generator", CoarseKeys)
+        table = pairwise_permutation_pvalues(data, [pid(f"3.03.{k:02d}") for k in (2, 4, 6, 8)], 70, seed=17)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                b = permutation_exceedances_exact(data[:, i], data[:, j], rows)
+                assert table.r[i, j] == (b + 1) / 71
 
 
 class TestPairwisePvalues:
@@ -240,7 +267,7 @@ class TestPairwisePvalues:
         ]
         return ProfileDataset(profiles), ids, columns.astype(float)
 
-    @pytest.mark.parametrize("n_resamples", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("n_resamples", [1, 31, 32, 33, 255, 256, 257, 600])
     def test_entries_equal_single_pair_test(self, n_resamples):
         dataset, ids, data = self._dataset()
         table = pairwise_permutation_pvalues(dataset, ids, n_resamples, seed=12)
@@ -280,6 +307,40 @@ class TestPairwisePvalues:
                 table(data, ids[:-1])
             with pytest.raises(ValueError):
                 table(data[:, :-1], ids)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_prebuilt_matrix_must_be_finite(self, bad):
+        _, ids, data = self._dataset()
+        data[7, 2] = bad
+        for table in (correlation_matrix, lambda d, i: pairwise_permutation_pvalues(d, i, 99, seed=5)):
+            with pytest.raises(ValueError, match="non-finite"):
+                table(data, ids)
+
+    def test_tables_identical_across_blas_thread_counts(self):
+        # at 3,000 profiles each (22 x 3,000) @ (3,000 x 22) product of a chunk is large enough for
+        # OpenBLAS to split across threads. The float columns hold two non-integer levels in balanced
+        # quarters, so many pairs and nulls are exactly uncorrelated and their computed statistics are
+        # rounding noise: counts then depend on the summation order, which a BLAS thread split changes.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from capnet import stats, taxonomy\n"
+            "ids = taxonomy.sitting_over_table_set(taxonomy.load_default_catalog())\n"
+            "rng = np.random.default_rng(43)\n"
+            "levels = np.array([rng.permutation([0.2, 0.9, 0.2, 0.9]) for _ in ids]).T\n"
+            "quarters = np.repeat(levels, 750, axis=0)[rng.permutation(3000)]\n"
+            "for data in (rng.integers(0, 7, size=(3000, 22)).astype(float), quarters):\n"
+            "    table = stats.pairwise_permutation_pvalues(data, ids, 150, seed=8).to_csv()\n"
+            "    print(hashlib.sha256(table.encode()).hexdigest())\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        digests = []
+        for threads in ("1", "4"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert len(digests[0].split()) == 2
+        assert digests[0] == digests[1]
 
     def test_shape_and_symmetry(self):
         rng = np.random.default_rng(6)
