@@ -23,15 +23,10 @@ a pool of paths; its node duals π price every path at reduced cost
 1 − Σπ, and a DP over the DAG (``synthesis.PathPricer``) adds the best
 unpooled paths until none is negative. The dual objective LP* then bounds
 every selection, so a pool MIP that reaches ⌈LP*⌉ is optimal over all
-paths. Otherwise one window MIP closes the gap exactly: the reduced costs
-of a k-path selection are nonnegative and sum to at most k − LP*, so when
-the pool MIP selects s paths, every selection of at most k = s − 1 paths
-uses only pooled paths and paths of reduced cost at most k − LP* (a
-pruned DFS lists them), and the MIP over both is optimal over all paths.
-Float tolerances only ever widen that window and lower the ceiling. When
-the LP keeps an artificial or the pool MIP finds no selection, the caller
-enumerates the paths, and ``solve_cover`` settles the instance and names
-the binding nodes.
+paths. Nothing else is trusted: when the LP keeps an artificial, or the
+pool MIP finds no selection or a larger one, the caller enumerates the
+paths, and ``solve_cover`` settles the instance and names the binding
+nodes.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -246,7 +241,7 @@ def verify_cover(problem: CoverProblem, selected: Sequence[int]) -> dict[Capabil
 # Paths priced into the restricted LP per round, beyond pooled paths that rank above them.
 _BATCH = 20
 # Float tolerance of the priced solve. A path prices in below reduced cost -_TOL; the LP
-# bound, the ceiling test and the window are each widened by it, never narrowed.
+# bound and the ceiling test are each widened by it, never narrowed.
 _TOL = 1e-6
 
 
@@ -284,26 +279,19 @@ def solve_priced_cover(
     reduced cost 1 − Σπ, and the source's DP returns the best ones not yet
     pooled, until none is negative. The dual objective LP* then bounds every
     selection, so a pool MIP optimum of ⌈LP*⌉ is optimal over all paths.
-    A larger pool optimum s is settled by one more MIP, over the pool and
-    the window of paths of reduced cost at most s − 1 − LP*, which holds
-    every selection of at most s − 1 paths (the duals sum to LP*, every
-    reduced cost is nonnegative). Returns the problem over the columns of
-    the deciding MIP, with the selection in canonical path order, or None
-    when the LP keeps an artificial or the pool MIP finds no selection, for
-    the caller to enumerate and let ``solve_cover`` decide the instance and
-    name the binding nodes. Each MIP runs at most once.
+    Returns the problem over the pooled columns, with that selection in
+    canonical path order. Returns None when the LP keeps an artificial or
+    the pool MIP finds no selection or a larger one, for the caller to
+    enumerate and let ``solve_cover`` decide the instance and name the
+    binding nodes. At most one MIP runs.
     """
-    def program(columns: Iterable[tuple[CapabilityId, ...]]) -> tuple[CoverProblem, _CoverProgram]:
-        problem = CoverProblem(paths=tuple(sorted(columns)), node_set=node_set, p_max=p_max, p_hat_max=p_hat_max)
-        return problem, _CoverProgram(problem, lexicographic=False)
-
     pool: set[tuple[CapabilityId, ...]] = set()
     while True:
-        problem, pooled = program(pool)
+        problem = CoverProblem(paths=tuple(sorted(pool)), node_set=node_set, p_max=p_max, p_hat_max=p_hat_max)
+        pooled = _CoverProgram(problem, lexicographic=False)
         pi, bound, artificial = _restricted_lp(pooled.eta.T, p_max, p_hat_max)
-        weight = dict(zip(node_set, pi.tolist()))
         # pooled paths priced above 1 may sit at their upper bound and outrank new ones
-        ranked = source.best(weight, int((pooled.eta @ pi > 1).sum()) + _BATCH)
+        ranked = source.best(dict(zip(node_set, pi.tolist())), int((pooled.eta @ pi > 1).sum()) + _BATCH)
         fresh = [path for total, path in ranked if total > 1 + _TOL and path not in pool]
         if not fresh:
             break
@@ -312,13 +300,8 @@ def solve_priced_cover(
         return None
 
     best = pooled.solve(np.zeros(pooled.n_vars), np.ones(pooled.n_vars))
-    if best is None:
+    if best is None or len(best) > math.ceil(bound - math.ceil(bound) * _TOL):
         return None
-    if len(best) > math.ceil(bound - math.ceil(bound) * _TOL):
-        # a selection of at most k = |best| - 1 paths lies in the window; its MIP contains the pool
-        k = len(best) - 1
-        problem, wide = program(pool.union(source.at_least(weight, 1 - (k - bound) - k * _TOL)))
-        best = wide.solve(np.zeros(wide.n_vars), np.ones(wide.n_vars))
     selected = tuple(int(w) for w in best)
     counts = verify_cover(problem, selected)
     return problem, CoverSolution(selected=selected, objective=len(selected), visit_counts=counts, lexicographic=False)

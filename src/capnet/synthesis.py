@@ -72,11 +72,32 @@ _TRUNK_ROTATION = parse_capability_id("3.02.01")
 def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> tuple[tuple[CapabilityId, ...], ...]:
     """All simple directed paths with at least n_min nodes, in lexicographic order.
 
-    Paths may begin and end on any node. At zero weight every path reaches
-    the floor 0 of ``PathPricer.at_least``, whose prune then only cuts walks
-    that cannot reach n_min nodes.
+    Paths may begin and end on any node. A preorder walk from each node in
+    canonical order over canonically ordered successors emits them in
+    lexicographic order. It leaves every node whose longest onward path
+    cannot bring the trail to n_min nodes, so each node it enters lies on
+    a path it emits.
     """
-    return tuple(PathPricer(graph, n_min).at_least(dict.fromkeys(graph.nodes, 0.0), 0.0))
+    pricer = PathPricer(graph, n_min)
+    n, successors = pricer.n_min, pricer._successors
+    longest: dict[CapabilityId, int] = {}
+    for node in reversed(pricer._order):
+        longest[node] = 1 + max((longest[target] for target in successors[node]), default=0)
+    collected: list[tuple[CapabilityId, ...]] = []
+
+    def walk(node: CapabilityId, trail: list[CapabilityId]) -> None:
+        if len(trail) + longest[node] < n:
+            return
+        trail.append(node)
+        if len(trail) >= n:
+            collected.append(tuple(trail))
+        for child in successors[node]:
+            walk(child, trail)
+        trail.pop()
+
+    for start in successors:
+        walk(start, [])
+    return tuple(collected)
 
 
 class PathPricer:
@@ -85,17 +106,14 @@ class PathPricer:
     The graph is a DAG, so every directed path is simple, and a DP over the
     states (node, nodes so far capped at n_min) in topological order
     reaches each path once: ``count`` is the exact path count, ``best``
-    the k paths of largest node-weight sum. ``at_least`` lists the paths
-    whose weight sum reaches a floor, by a preorder walk from each node in
-    canonical order over canonically ordered successors, which emits them
-    in lexicographic order, pruned with the largest sum any extension can
-    still reach.
+    the k paths of largest node-weight sum. No path has more nodes than the
+    graph, so n_min is capped at one more than that.
     """
 
     def __init__(self, graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN):
         if n_min < 1:
             raise ValueError(f"n_min must be >= 1, got {n_min}")
-        self.n_min = n_min
+        self.n_min = n_min = min(n_min, len(graph.nodes) + 1)
         self._successors = {node: graph.successors(node) for node in graph.nodes}
         self._predecessors: dict[CapabilityId, list[CapabilityId]] = {node: [] for node in graph.nodes}
         for node, targets in self._successors.items():
@@ -129,34 +147,6 @@ class PathPricer:
                     states[min(length + 1, n)].extend((total + w, path + (node,)) for total, path in ranked)
             ending[node] = [heapq.nlargest(k, ranked, key=itemgetter(0)) for ranked in states]
         return heapq.nlargest(k, (entry for states in ending.values() for entry in states[n]), key=itemgetter(0))
-
-    def at_least(self, weight: Mapping[CapabilityId, float], floor: float) -> list[tuple[CapabilityId, ...]]:
-        """Every path whose weight sum is at least ``floor``, in canonical order."""
-        n = self.n_min
-        # reach[node][r]: largest sum of a path starting at node with at least r nodes (r >= 1)
-        reach: dict[CapabilityId, list[float]] = {}
-        for node in reversed(self._order):
-            w = weight[node]
-            tails = [reach[target] for target in self._successors[node]]
-            best = [max((tail[r] for tail in tails), default=-np.inf) for r in range(n + 1)]
-            reach[node] = [w + max(best[1], 0.0)] * 2 + [w + best[r - 1] for r in range(2, n + 1)]
-        # the prune compares float sums taken in another order; its slack only admits more paths
-        slack = 1e-9 * (1.0 + sum(abs(w) for w in weight.values()))
-        collected: list[tuple[CapabilityId, ...]] = []
-
-        def walk(node: CapabilityId, trail: list[CapabilityId], before: float) -> None:
-            trail.append(node)
-            total = before + weight[node]
-            if before + reach[node][max(1, n - len(trail) + 1)] >= floor - slack:
-                if len(trail) >= n and total >= floor:
-                    collected.append(tuple(trail))
-                for child in self._successors[node]:
-                    walk(child, trail, total)
-            trail.pop()
-
-        for start in self._successors:
-            walk(start, [], 0.0)
-        return collected
 
 
 @dataclass(frozen=True)
@@ -293,9 +283,9 @@ def synthesize(
 ) -> SynthesisResult:
     """Full pipeline: count, enumerate or price, solve the cover exactly, annotate, name, lint.
 
-    When pricing leaves the instance open (the LP cannot cover every node,
-    or the pool MIP finds no selection), the paths are enumerated after
-    all, so that ``solve_cover`` settles it and names any binding nodes.
+    When pricing does not prove its selection optimal (see
+    ``solve_priced_cover``), the paths are enumerated after all, so that
+    ``solve_cover`` settles the instance and names any binding nodes.
     """
     subgraph = graph.restricted_to(node_set)
     pricer = PathPricer(subgraph, n_min)

@@ -189,6 +189,12 @@ class TestSynthesize:
         result = runner.invoke(main, ["synthesize", "--graph", str(graph_artifact), "--n-min", n_min])
         assert result.exit_code == EXIT_USAGE, repr(result.exception)
 
+    def test_n_min_beyond_any_path_names_binding_nodes(self, runner, graph_artifact, sitting_set):
+        # no path has 2^62 nodes, so every node binds; the path DP must not size itself by n_min
+        result = runner.invoke(main, ["synthesize", "--graph", str(graph_artifact), "--n-min", str(2**62)])
+        assert result.exit_code == EXIT_INFEASIBLE, repr(result.exception)
+        assert f"binding nodes: {', '.join(map(str, sorted(sitting_set)))}\n" in result.output
+
 
 class TestGraphDocument:
     @pytest.mark.parametrize("command", ["synthesize", "allocate"])

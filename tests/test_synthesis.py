@@ -111,9 +111,9 @@ class TestPathPricer:
         assert list(paths) == simple_paths_by_permutations(graph.nodes, arcs, n_min)
         assert PathPricer(graph, n_min).count == len(paths)
 
-    @given(_dags(), st.integers(1, 4), st.lists(st.integers(-3, 3), min_size=7, max_size=7), st.integers(1, 12), st.integers(-4, 6))
-    def test_best_and_window_match_enumeration(self, graph, n_min, weights, k, floor):
-        # integer weights keep every sum exact, so ranks and the floor compare without rounding
+    @given(_dags(), st.integers(1, 4), st.lists(st.integers(-3, 3), min_size=7, max_size=7), st.integers(1, 12))
+    def test_best_matches_enumeration(self, graph, n_min, weights, k):
+        # integer weights keep every sum exact, so ranks compare without rounding
         weight = {node: float(w) for node, w in zip(graph.nodes, weights)}
         paths = enumerate_paths(graph, n_min)
         total = {path: sum(weight[node] for node in path) for path in paths}
@@ -122,7 +122,21 @@ class TestPathPricer:
         assert [value for value, _ in ranked] == sorted(total.values(), reverse=True)[:k]
         assert all(total[path] == value for value, path in ranked)
         assert len({path for _, path in ranked}) == len(ranked)
-        assert pricer.at_least(weight, floor) == [path for path in paths if total[path] >= floor]
+
+    def test_walk_on_complete_dag_prunes_by_longest_path(self):
+        # 2^39 paths start at the first of 40 nodes; only the longest-path prune finishes the walk
+        nodes = tuple(pid(f"9.{k:02d}") for k in range(1, 41))
+        rel = Relation(RelationKind.CONDITION_FOR)
+        graph = ConjugationGraph(nodes=nodes, edges=tuple(Edge(a, b, rel) for a in nodes for b in nodes if a < b))
+        assert enumerate_paths(graph, 41) == ()
+        assert enumerate_paths(graph, 40) == (nodes,)
+
+    def test_n_min_beyond_any_path_allocates_nothing(self, final_graph, sitting_set):
+        sub = final_graph.restricted_to(sitting_set)
+        pricer = PathPricer(sub, 2**62)
+        assert pricer.count == 0 and pricer.n_min == len(sub.nodes) + 1
+        assert pricer.best(dict.fromkeys(sub.nodes, 1.0), 5) == []
+        assert enumerate_paths(sub, 2**62) == ()
 
 
 class TestSolveCover:
@@ -357,14 +371,23 @@ class TestPricedCover:
         assert sum(priced is not None for priced, _ in outcomes) == 9
         assert _priced_optimum(final_graph.restricted_to(sitting_set), 2, 2) == 8
 
-    def test_window_settles_a_pool_one_path_over(self, final_graph, sitting_set, rigged_pool):
-        for sub, p_max, p_hat, expected in _seeded_instances(final_graph, sitting_set, 14, 20, (10, 18), (20, 600), 2, 2):
-            with rigged_pool("over") as columns:
-                assert _priced_optimum(sub, p_max, p_hat) == expected
-            assert len(columns) == 2 if expected is not None else len(columns) <= 1
+    def test_pool_above_the_ceiling_is_left_to_enumeration(self, final_graph, sitting_set, rigged_pool, monkeypatch):
+        full = final_graph.restricted_to(sitting_set)
         with rigged_pool("over") as columns:
-            assert _priced_optimum(final_graph.restricted_to(sitting_set), 2, 2) == 8
-        assert len(columns) == 2 and columns[0] < columns[1]  # the pool, then its window at k = 8
+            assert solve_priced_cover(PathPricer(full, 4), full.nodes, 2, 2) is None
+        assert len(columns) == 1
+        with rigged_pool("over") as columns:
+            assert synthesis.synthesize(final_graph, sitting_set, p_max=2, p_hat_max=2).solution.objective == 8
+        assert columns == [columns[0], 9774]  # the pool MIP, then solve_cover over every path
+        # price every subset, so that the rigged first MIP is always the pool's
+        monkeypatch.setattr(synthesis, "DEFAULT_LEX_LIMIT", 0)
+        for sub, p_max, p_hat, expected in _seeded_instances(final_graph, sitting_set, 14, 20, (10, 18), (20, 600), 2, 2):
+            with rigged_pool("over"):
+                if expected is None:
+                    with pytest.raises(InfeasibleCoverError):
+                        synthesis.synthesize(sub, sub.nodes, 4, p_max, p_hat)
+                else:
+                    assert synthesis.synthesize(sub, sub.nodes, 4, p_max, p_hat).solution.objective == expected
 
     def test_pool_without_selection_is_left_to_enumeration(self, final_graph, sitting_set, rigged_pool):
         full = final_graph.restricted_to(sitting_set)
@@ -402,15 +425,17 @@ class TestPricedCover:
         if p_max == 2:
             assert _optimum(CoverProblem(paths=paths, node_set=full.nodes, p_max=2, p_hat_max=2)) == expected
 
-    def test_default_plan_never_enumerates(self, final_graph, sitting_set, monkeypatch):
+    @pytest.mark.parametrize("p_max, p_hat_max", [(p, q) for q in range(1, 8) for p in range(1, q + 1)])
+    def test_default_plan_never_enumerates(self, final_graph, sitting_set, monkeypatch, p_max, p_hat_max):
+        # the pool proves 4·p_max at every setting, so no setting pays for a 9,774-column MIP
         def refuse(*args, **kwargs):
             raise AssertionError("the default plan enumerated its paths")
 
         monkeypatch.setattr(synthesis, "enumerate_paths", refuse)
-        result = synthesis.synthesize(final_graph, sitting_set)
+        result = synthesis.synthesize(final_graph, sitting_set, p_max=p_max, p_hat_max=p_hat_max)
         assert result.path_count == 9774 and len(result.path_set) < 9774
-        assert result.solution.objective == len(result.sequences) == 24
-        problem = CoverProblem(result.path_set, tuple(sitting_set), 6, 7)
+        assert result.solution.objective == len(result.sequences) == 4 * p_max
+        problem = CoverProblem(result.path_set, tuple(sitting_set), p_max, p_hat_max)
         assert verify_cover(problem, result.solution.selected) == result.solution.visit_counts
         selected = [result.path_set[w] for w in result.solution.selected]
         assert selected == sorted(selected) == [s.capability_ids() for s in result.sequences]
