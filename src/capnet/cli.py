@@ -3,6 +3,8 @@
 Subcommands: build-graph, synthesize, analyze, allocate, gen-data. Every
 run is reproducible: randomness flows through explicit --seed flags, and
 artifacts are written only to files named by flags (reports go to stdout).
+Only synthesize loads scipy's solvers: it imports ``synthesis`` when it
+runs, so the other commands start without scipy.optimize and scipy.sparse.
 
 Exit codes: 0 success/feasible, 2 usage error, 3 input or data error,
 4 infeasible, 5 internal invariant violation. Commands raise; the group
@@ -21,8 +23,7 @@ from typing import Callable
 import click
 
 from . import deltas as deltas_mod
-from . import network, profiles, stats, synthesis, taxonomy
-from .cover import DEFAULT_P_HAT_MAX, DEFAULT_P_MAX
+from . import network, profiles, stats, taxonomy
 from .errors import (
     AnnotationError,
     CapnetError,
@@ -30,7 +31,7 @@ from .errors import (
     DatasetError,
     InfeasibleCoverError,
 )
-from .synthesis import DEFAULT_N_MIN
+from .taxonomy import DEFAULT_N_MIN, DEFAULT_P_HAT_MAX, DEFAULT_P_MAX
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -153,6 +154,8 @@ def cmd_build_graph(catalog_path, table_path, cand_path, corr_path, threshold, r
 @click.option("--out-text", type=click.Path(), default=None, help="Write the shaded text rendering here.")
 def cmd_synthesize(graph_path, catalog_path, n_min, p_max, p_hat_max, out_path, out_text):
     """Synthesize the minimal movement-sequence test plan."""
+    from . import synthesis  # here, not at the top: only this command needs scipy.optimize
+
     catalog = _load_catalog(catalog_path)
     graph = network.import_graph(Path(graph_path).read_text(encoding="utf-8"))
     node_set = [n for n in taxonomy.sitting_over_table_set(catalog) if n in set(graph.nodes)]

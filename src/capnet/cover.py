@@ -41,7 +41,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .errors import AnnotationError, ConfigError, InfeasibleCoverError
-from .taxonomy import CapabilityId
+from .taxonomy import DEFAULT_P_HAT_MAX, DEFAULT_P_MAX, CapabilityId
 
 if TYPE_CHECKING:
     from .synthesis import PathPricer
@@ -57,8 +57,6 @@ __all__ = [
     "DEFAULT_LEX_LIMIT",
 ]
 
-DEFAULT_P_MAX = 6
-DEFAULT_P_HAT_MAX = 7
 DEFAULT_LEX_LIMIT = 512
 
 

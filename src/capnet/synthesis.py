@@ -30,8 +30,6 @@ import numpy as np
 
 from .cover import (
     DEFAULT_LEX_LIMIT,
-    DEFAULT_P_HAT_MAX,
-    DEFAULT_P_MAX,
     CoverProblem,
     CoverSolution,
     solve_cover,
@@ -39,7 +37,7 @@ from .cover import (
 )
 from .errors import AnnotationError
 from .network import ConjugationGraph
-from .taxonomy import CapabilityId, parse_capability_id
+from .taxonomy import DEFAULT_N_MIN, DEFAULT_P_HAT_MAX, DEFAULT_P_MAX, CapabilityId, parse_capability_id
 
 __all__ = [
     "MovementSequence",
@@ -53,8 +51,6 @@ __all__ = [
     "sequences_to_text",
     "DEFAULT_N_MIN",
 ]
-
-DEFAULT_N_MIN = 4
 
 _PINCH = parse_capability_id("3.04.08")
 _FIST = parse_capability_id("3.04.02")
@@ -76,7 +72,8 @@ def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> tupl
     canonical order over canonically ordered successors emits them in
     lexicographic order. It leaves every node whose longest onward path
     cannot bring the trail to n_min nodes, so each node it enters lies on
-    a path it emits.
+    a path it emits. The walk keeps its own stack, so a path may be longer
+    than Python's recursion limit.
     """
     pricer = PathPricer(graph, n_min)
     n, successors = pricer.n_min, pricer._successors
@@ -84,19 +81,20 @@ def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> tupl
     for node in reversed(pricer._order):
         longest[node] = 1 + max((longest[target] for target in successors[node]), default=0)
     collected: list[tuple[CapabilityId, ...]] = []
-
-    def walk(node: CapabilityId, trail: list[CapabilityId]) -> None:
-        if len(trail) + longest[node] < n:
-            return
-        trail.append(node)
-        if len(trail) >= n:
-            collected.append(tuple(trail))
-        for child in successors[node]:
-            walk(child, trail)
-        trail.pop()
-
-    for start in successors:
-        walk(start, [])
+    trail: list[CapabilityId] = []
+    pending = [iter(successors)]  # per depth, the nodes still to try after the trail so far
+    while pending:
+        for node in pending[-1]:
+            if len(trail) + longest[node] >= n:
+                trail.append(node)
+                if len(trail) >= n:
+                    collected.append(tuple(trail))
+                pending.append(iter(successors[node]))
+                break
+        else:
+            pending.pop()
+            if trail:
+                trail.pop()
     return tuple(collected)
 
 

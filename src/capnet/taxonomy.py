@@ -32,6 +32,9 @@ __all__ = [
     "QUANT_MIN",
     "QUANT_MAX",
     "QUANT_LABELS",
+    "DEFAULT_N_MIN",
+    "DEFAULT_P_MAX",
+    "DEFAULT_P_HAT_MAX",
     "quantification_label",
     "Category",
     "Posture",
@@ -111,6 +114,12 @@ def parse_capability_id(text: str) -> CapabilityId:
 QUANT_MIN = 0
 QUANT_MAX = 6
 QUANT_LABELS = ("0", "1", "2", "3-", "3+", "4", "5")
+
+# Test-plan defaults: nodes per movement sequence, and visits per node.
+# They live here, not in the solver modules, so the CLI shows them without importing scipy.
+DEFAULT_N_MIN = 4
+DEFAULT_P_MAX = 6
+DEFAULT_P_HAT_MAX = 7
 
 
 def quantification(value) -> int:

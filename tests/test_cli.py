@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -758,3 +761,41 @@ def test_arbitrary_file_bytes_never_crash(fuzz_partners, command, option, first_
     # a repeated option takes its last value, so the fuzzed file replaces the partner
     result = CliRunner().invoke(main, base + [option, str(fuzzed)])
     assert result.exit_code in (0, EXIT_USAGE, EXIT_DATA, EXIT_INFEASIBLE), (result.output, repr(result.exception))
+
+
+# Runs every subcommand in one fresh interpreter and lists, after each, the scipy modules loaded.
+LAZY_SOLVER_SCRIPT = """
+import json, sys
+from importlib import resources
+from capnet import cli
+
+def fixture(name):
+    return str(resources.files("capnet.fixtures").joinpath(name))
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+steps = [["import", 0, scipy_modules()]]
+def run(*args):
+    code = cli.main(list(args), standalone_mode=False)
+    steps.append([args[0], code or 0, scipy_modules()])
+
+run("build-graph", "--out-graph", "graph.json")
+run("gen-data", "--count", "40", "--seed", "1", "--out", "data.csv")
+run("analyze", "--data", "data.csv", "--resamples", "99", "--out-corr", "corr.csv", "--out-pvalues", "p.csv")
+run("allocate", "--requirements", fixture("demo_requirements.csv"), "--profiles", fixture("demo_profile.csv"),
+    "--agent", "demo", "--graph", "graph.json")
+run("synthesize", "--graph", "graph.json", "--out", "plan.csv")
+print(json.dumps(steps))
+"""
+
+
+def test_only_synthesize_loads_the_solvers(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", LAZY_SOLVER_SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert [step[:2] for step in steps] == [[name, 0] for name in ("import", "build-graph", "gen-data", "analyze", "allocate", "synthesize")]
+    assert all(loaded == [] for _, _, loaded in steps[:-1]), steps
+    assert {"scipy.optimize", "scipy.sparse"} <= set(steps[-1][2])

@@ -131,6 +131,13 @@ class TestPathPricer:
         assert enumerate_paths(graph, 41) == ()
         assert enumerate_paths(graph, 40) == (nodes,)
 
+    def test_path_longer_than_the_recursion_limit(self):
+        nodes = tuple(pid(f"9.{k:02d}") for k in range(1, 1101))
+        graph = chain_graph(*nodes)
+        assert PathPricer(graph, 1100).count == 1
+        assert enumerate_paths(graph, 1100) == (nodes,)
+        assert enumerate_paths(graph, 1101) == ()
+
     def test_n_min_beyond_any_path_allocates_nothing(self, final_graph, sitting_set):
         sub = final_graph.restricted_to(sitting_set)
         pricer = PathPricer(sub, 2**62)
