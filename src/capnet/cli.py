@@ -205,7 +205,7 @@ def cmd_analyze(data_path, catalog_path, phase, threshold, resamples, seed, out_
 
 
 def _parse_xi(ctx, param, items) -> dict:
-    """``--xi ID=SLACK`` items as a capability -> slack map; a bad item is a usage error."""
+    """``--xi ID=SLACK`` items as a capability -> slack map; a bad or repeated item is a usage error."""
     xi = {}
     for item in items:
         key, sep, value = item.partition("=")
@@ -213,6 +213,8 @@ def _parse_xi(ctx, param, items) -> dict:
             if not sep:
                 raise ValueError("expected ID=SLACK")
             cap, slack = taxonomy.parse_capability_id(key), taxonomy.parse_score(value)
+            if cap in xi:
+                raise ValueError(f"slack for {cap} repeats")
             deltas_mod.FuzzyParams(xi={cap: slack})
         except (ValueError, CapnetError) as exc:
             raise click.BadParameter(f"{item!r}: {exc}") from None

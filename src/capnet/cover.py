@@ -52,8 +52,6 @@ __all__ = [
     "solve_cover",
     "solve_priced_cover",
     "verify_cover",
-    "DEFAULT_P_MAX",
-    "DEFAULT_P_HAT_MAX",
     "DEFAULT_LEX_LIMIT",
 ]
 

@@ -14,6 +14,7 @@ fewest units that any sequence can.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,7 +24,6 @@ from .profiles import Profile, RequirementSet
 from .taxonomy import QUANT_MAX, CapabilityId
 
 __all__ = [
-    "DeltaSet",
     "FuzzyParams",
     "FeasibilityReport",
     "CompensationOutcome",
@@ -36,30 +36,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeltaSet:
-    """Per-capability requirement-minus-capacity values for one pairing."""
-
-    action_id: str
-    agent_id: str
-    deltas: dict[CapabilityId, int] = field(default_factory=dict)
-
-
-def compute_delta(requirements: RequirementSet, profile: Profile) -> DeltaSet:
+def compute_delta(requirements: RequirementSet, profile: Profile) -> dict[CapabilityId, int]:
     """Elementwise requirement minus capacity over the requirement ids."""
     missing = profile.missing_from(requirements.requirements)
     if missing:
         raise IncompleteProfileError(missing)
-    deltas = {
-        cap: req - profile.values[cap]
-        for cap, req in requirements.requirements.items()
-    }
-    return DeltaSet(action_id=requirements.action_id, agent_id=profile.agent_id, deltas=deltas)
+    return {cap: req - profile.values[cap] for cap, req in requirements.requirements.items()}
 
 
-def deficit_sum(deltas: DeltaSet) -> int:
+def deficit_sum(deltas: Mapping[CapabilityId, int]) -> int:
     """Sum of positive deltas; reserves never offset deficits here."""
-    return sum(d for d in deltas.deltas.values() if d > 0)
+    return sum(d for d in deltas.values() if d > 0)
 
 
 @dataclass(frozen=True)
@@ -106,14 +93,14 @@ class FeasibilityReport:
         return lines
 
 
-def is_feasible_fuzzy(deltas: DeltaSet, fuzz: FuzzyParams) -> FeasibilityReport:
+def is_feasible_fuzzy(deltas: Mapping[CapabilityId, int], fuzz: FuzzyParams) -> FeasibilityReport:
     """Test both fuzzy clauses: delta_j <= xi_j for all j, and deficit sum <= theta."""
-    max_theta = len(deltas.deltas) * QUANT_MAX
+    max_theta = len(deltas) * QUANT_MAX
     if fuzz.theta > max_theta:
         raise ConfigError(f"theta {fuzz.theta} exceeds requirement-set cap {max_theta}")
     violations = tuple(
         (cap, delta, fuzz.xi_for(cap))
-        for cap, delta in sorted(deltas.deltas.items())
+        for cap, delta in sorted(deltas.items())
         if delta > fuzz.xi_for(cap)
     )
     total = deficit_sum(deltas)
@@ -194,8 +181,7 @@ def compensate(
     capabilities carrying an explicit requirement, and conjugation works in
     either direction of the stored edge orientation.
     """
-    delta_set = compute_delta(requirements, profile)
-    deltas = delta_set.deltas
+    deltas = compute_delta(requirements, profile)
     deficits = sorted((cap for cap, d in deltas.items() if d > 0), key=lambda cap: (-deltas[cap], cap))
     spare = {cap: -d for cap, d in deltas.items() if d < 0}
     neighbours = {d: [r for r in graph.adjacency.get(d, ()) if r in spare] for d in deficits}
@@ -238,7 +224,7 @@ def compensate(
     # with no augmenting path never gains one later, so one pass in order
     # reaches the maximum flow: a failed lower bound is a Hall violation.
     feasible = all(route(d, max(0, deltas[d] - fuzz.xi_for(d))) for d in deficits)
-    need = deficit_sum(delta_set) - fuzz.theta
+    need = deficit_sum(deltas) - fuzz.theta
     for d in deficits:
         shortfall = need - sum(sent.values())
         if not feasible or shortfall <= 0:

@@ -24,10 +24,10 @@ class DatasetError(CapnetError):
 class IncompleteProfileError(CapnetError):
     """A profile lacks values required by the requested operation."""
 
-    def __init__(self, missing, message=None):
+    def __init__(self, missing):
         self.missing = tuple(missing)
         ids = ", ".join(str(m) for m in self.missing)
-        super().__init__(message or f"profile is missing values for: {ids}")
+        super().__init__(f"profile is missing values for: {ids}")
 
 
 class ConfigError(CapnetError):
@@ -49,10 +49,10 @@ class UndefinedCorrelationError(CapnetError):
 class InfeasibleCoverError(CapnetError):
     """The path-cover program has no solution within the visit bounds."""
 
-    def __init__(self, binding_nodes, message=None):
+    def __init__(self, binding_nodes):
         self.binding_nodes = tuple(binding_nodes)
         ids = ", ".join(str(n) for n in self.binding_nodes)
-        super().__init__(message or f"cover infeasible; binding nodes: {ids}")
+        super().__init__(f"cover infeasible; binding nodes: {ids}")
 
 
 class AnnotationError(CapnetError):

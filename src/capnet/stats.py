@@ -107,7 +107,6 @@ class CorrelationMatrix:
 
     ids: tuple[CapabilityId, ...]
     r: np.ndarray
-    n_samples: int
 
     def __post_init__(self):
         if self.r.shape != (len(self.ids), len(self.ids)):
@@ -167,15 +166,13 @@ def correlation_matrix(dataset: ProfileDataset | np.ndarray, ids: Sequence[Capab
     """
     ids = tuple(ids)
     data = _data_matrix(dataset, ids)
-    return CorrelationMatrix(ids=ids, r=_correlations(data), n_samples=len(data))
+    return CorrelationMatrix(ids=ids, r=_correlations(data))
 
 
 @dataclass(frozen=True)
 class PermutationTestResult:
     statistic: float
     p_value: float
-    n_resamples: int
-    seed: int
 
     def __post_init__(self):
         if not 0.0 < self.p_value <= 1.0:
@@ -232,7 +229,7 @@ def permutation_test(x, y, n_resamples: int = 10_000, seed: int = 0) -> Permutat
     x, y = _as_vector(x), _as_vector(y)
     statistic = pearson(x, y)
     b = int(_exceedances(np.column_stack((x, y)), n_resamples, seed)[0, 1])
-    return PermutationTestResult(statistic, (b + 1) / (n_resamples + 1), n_resamples, seed)
+    return PermutationTestResult(statistic, (b + 1) / (n_resamples + 1))
 
 
 def pairwise_permutation_pvalues(
@@ -255,7 +252,7 @@ def pairwise_permutation_pvalues(
     live = np.ptp(data, axis=0) > 0
     defined = np.outer(live, live) & ~np.eye(len(ids), dtype=bool)
     p = np.where(defined, (exceed + exceed.T + 1) / (n_resamples + 1), np.nan)
-    return CorrelationMatrix(ids=ids, r=p, n_samples=len(data))
+    return CorrelationMatrix(ids=ids, r=p)
 
 
 class CorrelationStrength(str, Enum):

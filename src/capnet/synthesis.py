@@ -49,7 +49,6 @@ __all__ = [
     "synthesize",
     "sequences_to_csv",
     "sequences_to_text",
-    "DEFAULT_N_MIN",
 ]
 
 _PINCH = parse_capability_id("3.04.08")

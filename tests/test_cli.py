@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -51,6 +52,29 @@ class TestBuildGraph:
         graph = network.import_graph(out.read_text())
         assert len(graph.edges) == 114
         assert dot.read_text().startswith("digraph")
+
+    def test_dropped_symmetric_edge_reported(self, runner, tmp_path):
+        table = tmp_path / "interrelations.csv"
+        table.write_text(
+            "row_id,col_id,relation,manufacturing\n"
+            "3.03.04,3.02.01,c,0\n"  # 3.03.04 -> 3.02.01
+            "3.02.01,1.01,c,0\n"  # 3.02.01 -> 1.01
+            "1.01,3.03.04,a,0\n"  # canonical 1.01 -> 3.03.04 closes a cycle
+        )
+        corr = tmp_path / "corr.csv"
+        corr.write_text("id1,id2,r\n3.03.04,3.02.01,0.5\n3.02.01,1.01,0.5\n1.01,3.03.04,0.5\n")
+        candidates = tmp_path / "candidates.csv"
+        candidates.write_text("c1,c2,r,verdict\n")
+        out = tmp_path / "graph.json"
+        result = runner.invoke(
+            main,
+            ["build-graph", "--interrelations", str(table), "--correlations", str(corr),
+             "--candidates", str(candidates), "--out-graph", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert "1 symmetric edges dropped to keep the graph acyclic\n  dropped 1.01 -> 3.03.04\n" in result.output
+        pairs = {tuple(sorted(str(c) for c in pair)) for pair in network.import_graph(out.read_text()).edge_pairs()}
+        assert pairs == {("1.01", "3.02.01"), ("3.02.01", "3.03.04")}
 
     def test_no_repair(self, runner):
         result = runner.invoke(main, ["build-graph", "--no-repair"])
@@ -271,6 +295,30 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", "--data", str(data)])
         assert result.exit_code == EXIT_DATA
 
+    def test_constant_column_reported_undefined(self, runner, tmp_path):
+        from capnet import taxonomy
+
+        ids = [str(c) for c in taxonomy.sitting_over_table_set(taxonomy.load_default_catalog())]
+        rows = [[3 if j == 0 else (i + j) % 7 for j in range(len(ids))] for i in range(5)]  # ids[0] is 3 throughout
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "agent_id,phase," + ",".join(ids) + "\n"
+            + "".join(f"a{i},post_rehab," + ",".join(map(str, row)) + "\n" for i, row in enumerate(rows))
+        )
+        corr, pvalues = tmp_path / "corr.csv", tmp_path / "pvalues.csv"
+        result = runner.invoke(
+            main,
+            ["analyze", "--data", str(data), "--resamples", "9", "--out-corr", str(corr), "--out-pvalues", str(pvalues)],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == f"retained 5 of 5 profiles\nundefined (constant) columns: {ids[0]}\n"
+        tables = {path.name: list(csv.reader(path.read_text().splitlines())) for path in (corr, pvalues)}
+        for header, *lines in tables.values():
+            assert header == ["id", *ids]
+            assert lines[0] == [ids[0]] + [""] * len(ids)
+            assert [line[1] for line in lines] == [""] * len(ids)
+        assert all(all(line[2:]) for line in tables["corr.csv"][2:])  # every other column is defined
+
     def test_non_integer_cell_data_error(self, runner, tmp_path):
         from capnet import taxonomy
 
@@ -373,6 +421,42 @@ class TestAllocate:
         assert "feasible_after_compensation" in result.output
         assert result.output.count("shift") == 1
 
+    def test_slack_options_and_trace(self, runner, graph_artifact, tmp_path):
+        from capnet import deltas, profiles, taxonomy
+
+        args = [
+            "allocate",
+            "--requirements",
+            fixture_path("demo_requirements.csv"),
+            "--profiles",
+            fixture_path("demo_profile.csv"),
+            "--agent",
+            "demo",
+            "--graph",
+            str(graph_artifact),
+            "--xi",
+            "3.03.04=1",
+            "--theta",
+            "1",
+        ]
+        first, second = tmp_path / "t.json", tmp_path / "again.json"
+        result = runner.invoke(main, [*args, "--out-trace", str(first)])
+        assert result.exit_code == 0, result.output
+        assert result.output == "outcome: feasible_direct\n"  # the slack absorbs the demo's one-unit deficit
+        assert runner.invoke(main, [*args, "--out-trace", str(second)]).exit_code == 0
+        assert first.read_bytes() == second.read_bytes()
+
+        with open(fixture_path("demo_requirements.csv"), newline="", encoding="utf-8") as handle:
+            levels = {taxonomy.parse_capability_id(row["id"]): int(row["level"]) for row in csv.DictReader(handle)}
+        profile = profiles.load_dataset(fixture_path("demo_profile.csv"), taxonomy.load_default_catalog()).select("demo", None)
+        trace = deltas.compensate(
+            profiles.RequirementSet("demo", levels),
+            profiles.propagate_main_level(profile),
+            network.import_graph(graph_artifact.read_text(encoding="utf-8")),
+            deltas.FuzzyParams(xi={taxonomy.parse_capability_id("3.03.04"): 1}, theta=1),
+        )
+        assert first.read_text(encoding="utf-8") == trace.to_document()
+
     def test_satisfied_profile_direct(self, runner, graph_artifact, tmp_path):
         profile = tmp_path / "p.csv"
         profile.write_text("agent_id,phase,3.02.03,3.03.04\nok,unspecified,6,6\n")
@@ -444,8 +528,9 @@ class TestAllocate:
             ["--xi", "bogus=1"],
             ["--xi", "3.03.04=9"],
             ["--xi", "3.03.04=１"],
+            ["--xi", "3.03.04=1", "--xi", "3.03.04=2"],
         ],
-        ids=["theta-negative", "theta-above-cap", "xi-no-value", "xi-non-integer", "xi-bad-id", "xi-above-scale", "xi-fullwidth"],
+        ids=["theta-negative", "theta-above-cap", "xi-no-value", "xi-non-integer", "xi-bad-id", "xi-above-scale", "xi-fullwidth", "xi-repeated"],
     )
     def test_bad_slack_option_usage_error(self, runner, graph_artifact, option):
         result = runner.invoke(

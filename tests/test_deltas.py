@@ -7,7 +7,6 @@ import pytest
 
 from capnet.deltas import (
     CompensationOutcome,
-    DeltaSet,
     FuzzyParams,
     compensate,
     compute_delta,
@@ -58,13 +57,13 @@ def profile_of(values):
 class TestComputeDelta:
     def test_identity(self):
         deltas = compute_delta(RequirementSet("k", {A: 4}), profile_of({A: 4}))
-        assert deltas.deltas == {A: 0}
+        assert deltas == {A: 0}
 
     def test_mixed(self):
         deltas = compute_delta(
             RequirementSet("k", {A: 5, B: 2}), profile_of({A: 3, B: 5})
         )
-        assert deltas.deltas == {A: 2, B: -3}
+        assert deltas == {A: 2, B: -3}
 
     def test_elementwise_oracle(self):
         rng = random.Random(7)
@@ -73,7 +72,7 @@ class TestComputeDelta:
             reqs = {cap: rng.randint(0, 6) for cap in ids}
             caps = {cap: rng.randint(0, 6) for cap in ids}
             result = compute_delta(RequirementSet("k", reqs), profile_of(caps))
-            assert result.deltas == {cap: reqs[cap] - caps[cap] for cap in ids}
+            assert result == {cap: reqs[cap] - caps[cap] for cap in ids}
 
     def test_antisymmetry(self):
         rng = random.Random(8)
@@ -82,7 +81,7 @@ class TestComputeDelta:
         values_b = {cap: rng.randint(0, 6) for cap in ids}
         forward = compute_delta(RequirementSet("k", values_a), profile_of(values_b))
         backward = compute_delta(RequirementSet("k", values_b), profile_of(values_a))
-        assert forward.deltas == {cap: -d for cap, d in backward.deltas.items()}
+        assert forward == {cap: -d for cap, d in backward.items()}
 
     def test_missing_capability_listed(self):
         with pytest.raises(IncompleteProfileError) as err:
@@ -92,39 +91,39 @@ class TestComputeDelta:
 
 class TestDeficitSum:
     def test_zero(self):
-        assert deficit_sum(DeltaSet("k", "i", {A: 0, B: 0})) == 0
+        assert deficit_sum({A: 0, B: 0}) == 0
 
     def test_reserves_do_not_offset(self):
-        assert deficit_sum(DeltaSet("k", "i", {A: 2, B: -3})) == 2
+        assert deficit_sum({A: 2, B: -3}) == 2
 
     def test_multiple_deficits(self):
-        assert deficit_sum(DeltaSet("k", "i", {A: 1, B: 1, C: -5})) == 2
+        assert deficit_sum({A: 1, B: 1, C: -5}) == 2
 
 
 class TestFuzzyFeasibility:
     def test_boundary_feasible(self):
-        deltas = DeltaSet("k", "i", {A: 1, B: 0, C: -2})
+        deltas = {A: 1, B: 0, C: -2}
         fuzz = FuzzyParams(xi={A: 1, B: 0, C: 0}, theta=1)
         report = is_feasible_fuzzy(deltas, fuzz)
         assert report.feasible
         assert bool(report)
 
     def test_per_capability_clause_violated(self):
-        deltas = DeltaSet("k", "i", {A: 2, B: 0})
+        deltas = {A: 2, B: 0}
         report = is_feasible_fuzzy(deltas, FuzzyParams(xi={A: 1}, theta=9))
         assert not report.feasible
         assert report.per_capability_violations == ((A, 2, 1),)
         assert report.aggregate_violation is None
 
     def test_aggregate_clause_binds(self):
-        deltas = DeltaSet("k", "i", {A: 1, B: 1})
+        deltas = {A: 1, B: 1}
         report = is_feasible_fuzzy(deltas, FuzzyParams(xi={A: 1, B: 1}, theta=1))
         assert not report.feasible
         assert report.per_capability_violations == ()
         assert report.aggregate_violation == (2, 1)
 
     def test_missing_xi_defaults_to_zero(self):
-        deltas = DeltaSet("k", "i", {A: 1})
+        deltas = {A: 1}
         assert not is_feasible_fuzzy(deltas, FuzzyParams(theta=5)).feasible
 
     def test_param_validation(self):
@@ -133,7 +132,7 @@ class TestFuzzyFeasibility:
         with pytest.raises(ConfigError):
             FuzzyParams(theta=-1)
         with pytest.raises(ConfigError):
-            is_feasible_fuzzy(DeltaSet("k", "i", {A: 0}), FuzzyParams(theta=7))
+            is_feasible_fuzzy({A: 0}, FuzzyParams(theta=7))
 
 
 class TestCompensate:
