@@ -10,9 +10,12 @@ returned whenever the candidate-column count W is within
 ``DEFAULT_LEX_LIMIT`` (512). There column w costs W² + w, exact in
 doubles; W² > k·(W−1) for every k ≤ W, so the first solve returns a
 minimum-cardinality selection with the smallest index sum. Indices are
-then fixed in ascending order by a descent of MIP probes, each of which
+then fixed in ascending order by a descent of probes, each of which
 fixes an index or lowers the bound on the next: at most k* + W probes
-for k* selected of W columns, far fewer in practice. Larger instances
+for k* selected of W columns, far fewer in practice. A probe is an LP
+first and a MIP only when the LP point is fractional: an LP-infeasible
+probe is MIP-infeasible, and an integral LP point is checked exactly
+against the probe's rows and bounds before it is used. Larger instances
 count paths only and return HiGHS's deterministic optimum, which depends
 on the scipy/HiGHS version; the result records which guarantee applied.
 
@@ -99,16 +102,17 @@ class _CoverProgram:
         self.lexicographic = lexicographic
         self.cost = W * W + np.arange(W, dtype=float) if self.lexicographic else np.ones(W)
 
-    def solve(self, lo: np.ndarray, hi: np.ndarray, extra=()) -> np.ndarray | None:
-        """Indices of a minimum selection within the bounds, or None if infeasible.
+    def relax(self, lo: np.ndarray, hi: np.ndarray, extra=(), integral: bool = False) -> np.ndarray | None:
+        """Optimal point of the LP relaxation within the bounds, or None if infeasible.
 
-        ``extra`` holds further LinearConstraint rows. Any verdict other than
-        optimal or infeasible raises AnnotationError rather than being
-        mistaken for either.
+        With ``integral`` the program is the binary MIP instead. ``extra``
+        holds further LinearConstraint rows. Any verdict other than optimal
+        or infeasible raises AnnotationError rather than being mistaken for
+        either.
         """
         res = milp(
             self.cost,
-            integrality=np.ones(self.n_vars),
+            integrality=np.full(self.n_vars, int(integral)),
             bounds=Bounds(lo, hi),
             constraints=[self.visits, *extra],
             options={"mip_rel_gap": 0},
@@ -116,11 +120,17 @@ class _CoverProgram:
         if res.status == 2:
             return None
         if res.status != 0:
-            raise AnnotationError(f"MIP solver gave no verdict (status {res.status}: {res.message})")
-        return np.flatnonzero(res.x > 0.5)
+            kind = "MIP" if integral else "LP"
+            raise AnnotationError(f"{kind} solver gave no verdict (status {res.status}: {res.message})")
+        return res.x
+
+    def solve(self, lo: np.ndarray, hi: np.ndarray, extra=()) -> np.ndarray | None:
+        """Indices of a minimum selection within the bounds, or None if infeasible."""
+        x = self.relax(lo, hi, extra, integral=True)
+        return None if x is None else np.flatnonzero(x > 0.5)
 
 
-def _lexicographic_minimum(program: _CoverProgram, witness: np.ndarray) -> np.ndarray:
+def _lexicographic_minimum(program: _CoverProgram, problem: CoverProblem, witness: np.ndarray) -> np.ndarray:
     """Smallest optimal index set in lexicographic order.
 
     Fixes indices in ascending order. With the chosen prefix forced to 1,
@@ -132,6 +142,14 @@ def _lexicographic_minimum(program: _CoverProgram, witness: np.ndarray) -> np.nd
     probe zeroes [low, high) and fixes ``high``, a feasible probe's witness
     lowers ``high``. At most k* + W probes; the index-weighted cost keeps
     witnesses low, so most indices need one probe or none.
+
+    Each probe is an LP first, with the MIP's rows, bounds and cost. An
+    LP-infeasible probe is MIP-infeasible. Otherwise the LP point is
+    rounded and checked in exact integer arithmetic against the visit
+    bounds, the cap k*, the window and the fixed indices; a point that
+    passes is the probe's witness (the descent needs a feasible one, not
+    an optimal one). Only a point that fails, which takes a fractional
+    one, pays for the probe's MIP.
     """
     W = program.n_vars
     k_star = len(witness)
@@ -144,7 +162,20 @@ def _lexicographic_minimum(program: _CoverProgram, witness: np.ndarray) -> np.nd
         while low < high:
             window = np.zeros((1, W))
             window[0, low:high] = 1.0
-            probe = program.solve(lo, hi, [at_most_k, LinearConstraint(window, 1, np.inf)])
+            rows = [at_most_k, LinearConstraint(window, 1, np.inf)]
+            point = program.relax(lo, hi, rows)
+            probe = None
+            if point is not None:
+                x = (point > 0.5).astype(int)
+                visits = x @ program.eta
+                feasible = (
+                    x.sum() <= k_star
+                    and x[low:high].any()
+                    and (lo <= x).all()
+                    and (x <= hi).all()
+                    and ((problem.p_max <= visits) & (visits <= problem.p_hat_max)).all()
+                )
+                probe = np.flatnonzero(x) if feasible else program.solve(lo, hi, rows)
             if probe is None:
                 hi[low:high] = 0.0
                 low = high
@@ -201,7 +232,7 @@ def solve_cover(problem: CoverProblem) -> CoverSolution:
         raise InfeasibleCoverError(_infeasibility_diagnostic(problem, program))
 
     if program.lexicographic:
-        selection = _lexicographic_minimum(program, selection)
+        selection = _lexicographic_minimum(program, problem, selection)
 
     selected = tuple(int(w) for w in selection)
     counts = verify_cover(problem, selected)

@@ -276,21 +276,68 @@ class TestLexicographicCover:
                 assert solve_cover(problem).selected == expected
                 feasible += 1
 
-    def test_pinned_benchmark_instances(self, final_graph, monkeypatch):
+    def test_pinned_benchmark_instances(self, final_graph, milp_calls):
         from capnet.synthesis import synthesize
 
         # The plan-lex benchmark's instances (131-489 columns), read only.
         pool = json.loads(LEX_POOL.read_text(encoding="utf-8"))["instances"]
-        calls = []
-        real = cover.milp
-        monkeypatch.setattr(cover, "milp", lambda *a, **k: calls.append(1) or real(*a, **k))
         for inst in pool:
             nodes = [pid(n) for n in inst["nodes"]]
             result = synthesize(final_graph, nodes, inst["n_min"], inst["p_max"], inst["p_hat_max"])
             assert len(result.path_set) == inst["columns"]
             assert result.solution.selected == tuple(inst["selected"])
             assert result.solution.lexicographic
-        assert len(calls) <= 90  # fixing each index by bisection takes 183
+        mips = sum(integral for integral, _ in milp_calls)
+        # 5 first solves and 58 probes; a probe is a MIP only when its LP point is fractional (1 of 57)
+        assert mips <= 10
+        assert len(milp_calls) <= 90
+
+    def test_fractional_lp_probe_is_not_trusted(self, milp_calls):
+        # Paths of the complete DAG on 4-8 nodes, every node visited exactly p_max times.
+        # On these draws some probe's LP is feasible but fractional, and rounding its point
+        # gives a selection that violates the visit bounds: only the probe's MIP settles it.
+        rng = random.Random(23)
+        settled = 0
+        for _ in range(40):
+            nodes = tuple(pid(f"9.{i:02d}") for i in range(1, rng.randint(4, 8) + 1))
+            paths = tuple(tuple(sorted(rng.sample(nodes, rng.randint(2, len(nodes))))) for _ in range(rng.randint(6, 40)))
+            p_max = rng.randint(2, 3)
+            milp_calls.clear()
+            try:
+                selected = solve_cover(CoverProblem(paths=paths, node_set=nodes, p_max=p_max, p_hat_max=p_max)).selected
+            except InfeasibleCoverError:
+                selected = None
+            if any(not integral and res.status == 0 and not np.allclose(res.x, np.round(res.x)) for integral, res in milp_calls):
+                assert selected == lex_min_cover_by_columns(paths, nodes, p_max, p_max)
+                settled += 1
+        assert settled >= 1  # 2 with scipy 1.17
+
+    def test_lp_probe_without_verdict_is_an_error(self, monkeypatch):
+        from scipy.optimize import OptimizeResult
+
+        # Exact cover of A, B, C: the least index sum is {1, 2}, so the descent probes [0, 1).
+        problem = CoverProblem(paths=((A, B), (A,), (B, C), (A, C), (B,), (C,)), node_set=(A, B, C), p_max=1, p_hat_max=1)
+        assert solve_cover(problem).selected == (0, 5)
+        real = cover.milp
+        stopped = OptimizeResult(status=1, message="iteration limit reached", x=None)
+        monkeypatch.setattr(cover, "milp", lambda c, integrality, **k: real(c, integrality=integrality, **k) if integrality.any() else stopped)
+        with pytest.raises(AnnotationError, match=r"LP solver gave no verdict \(status 1"):
+            solve_cover(problem)
+
+
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """Every ``cover.milp`` call inside, as (integral, result): a MIP, or an LP without integer variables."""
+    calls = []
+    real = cover.milp
+
+    def spy(c, integrality, **kwargs):
+        res = real(c, integrality=integrality, **kwargs)
+        calls.append((bool(integrality.any()), res))
+        return res
+
+    monkeypatch.setattr(cover, "milp", spy)
+    return calls
 
 
 def _optimum(problem):
