@@ -270,16 +270,20 @@ def cmd_gen_data(count, seed, correlation, degenerate_fraction, out_path):
 
 
 def _read_requirements(path) -> "profiles.RequirementSet":
+    values = {}
+
+    def parse(row) -> None:
+        cap_id, level = row
+        cap = taxonomy.parse_capability_id(cap_id)
+        if cap in values:
+            raise DatasetError(f"requirement id {cap} repeats")
+        try:
+            values[cap] = taxonomy.quantification(taxonomy.parse_score(level))
+        except (ValueError, CapnetError) as exc:
+            raise DatasetError(f"requirement level: {exc}") from None
+
     with open(path, newline="", encoding="utf-8") as handle:
-        values = {}
-        for line, row in taxonomy.read_table(handle, ("id", "level"), "requirement", DatasetError):
-            cap = taxonomy.parse_capability_id(row["id"])
-            if cap in values:
-                raise DatasetError(f"line {line}: requirement id {cap} repeats")
-            try:
-                values[cap] = taxonomy.parse_score(row["level"])
-            except ValueError as exc:
-                raise DatasetError(f"line {line}: requirement level {exc}") from None
+        taxonomy.read_table(handle, ("id", "level"), "requirement", DatasetError, parse)
     return profiles.RequirementSet(action_id=str(path), requirements=values)
 
 

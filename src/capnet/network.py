@@ -1,18 +1,19 @@
 """Directed conjugated-capability graph: build, prune, augment, export.
 
-The interrelation table is a list of (row, column, relation) entries read
-row-to-column. Orientation rules applied when building the graph:
+One record, ``Edge``, is both a graph edge (source -> target) and an entry
+of the interrelation table, read row -> column. ``build_graph`` orients
+each capability pair of the table in one pass:
 
-* ``condition_for`` (c):  edge row -> column
-* ``depends_on`` (d):     edge column -> row (converse of c)
-* ``appears_with`` (a) and ``replaced_by`` (r): symmetric relations,
-  oriented from the canonically smaller to the canonically larger id
+* ``condition_for`` (c) points row -> column and ``depends_on`` (d)
+  column -> row. The pair's c/d entries must agree on one arc, which
+  becomes a c edge; two arcs are contradictory.
+* A pair with no c/d entry becomes a symmetric edge from the canonically
+  smaller to the canonically larger id: ``appears_with`` (a) if any entry
+  is a, otherwise ``replaced_by`` (r).
+* The edge is manufacturing-specific if any entry of its pair is.
 
-Duplicate entries for the same capability pair are merged; condition or
-dependency entries take precedence over appears_with, which takes
-precedence over replaced_by. Symmetric edges that would close a cycle
-against the already oriented edges are dropped and reported, keeping the
-graph acyclic by construction.
+Symmetric edges that would close a cycle against the already oriented
+edges are dropped and reported, keeping the graph acyclic by construction.
 
 A ConjugationGraph stores itself in canonical order (nodes sorted, edges
 sorted by (source, target)), so every export and every traversal follows
@@ -48,8 +49,6 @@ from .taxonomy import (
 
 __all__ = [
     "RelationKind",
-    "Relation",
-    "InterrelationEntry",
     "Edge",
     "ConjugationGraph",
     "CandidateVerdict",
@@ -74,34 +73,20 @@ class RelationKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class Relation:
-    kind: RelationKind
-    manufacturing: bool = False
-
-    def __post_init__(self):
-        if not isinstance(self.manufacturing, bool):
-            raise GraphConstructionError(f"manufacturing flag {self.manufacturing!r} is not a bool")
-
-
-@dataclass(frozen=True)
-class InterrelationEntry:
-    row: CapabilityId
-    col: CapabilityId
-    relation: Relation
-
-    def __post_init__(self):
-        if self.row == self.col:
-            raise GraphConstructionError(f"self interrelation on {self.row}")
-
-
-@dataclass(frozen=True)
 class Edge:
+    """A labelled arc: a graph edge, or an interrelation table entry read row -> column."""
+
     source: CapabilityId
     target: CapabilityId
-    relation: Relation
+    kind: RelationKind
+    manufacturing: bool = False
     correlation: float | None = None
 
     def __post_init__(self):
+        if self.source == self.target:
+            raise GraphConstructionError(f"self relation on {self.source}")
+        if not isinstance(self.manufacturing, bool):
+            raise GraphConstructionError(f"manufacturing flag {self.manufacturing!r} is not a bool")
         r = self.correlation
         if r is not None and (
             isinstance(r, bool) or not isinstance(r, (int, float)) or not (math.isfinite(r) and abs(r) <= 1.0)
@@ -196,85 +181,66 @@ def find_cycle(nodes, arcs) -> list | None:
     return None
 
 
-_RELATION_PRECEDENCE = {
-    RelationKind.CONDITION_FOR: 0,
-    RelationKind.DEPENDS_ON: 0,
-    RelationKind.APPEARS_WITH: 1,
-    RelationKind.REPLACED_BY: 2,
-}
-
-
 def build_graph(
-    table: Iterable[InterrelationEntry],
+    table: Iterable[Edge],
     catalog: CapabilityCatalog | None = None,
 ) -> ConjugationGraph:
-    """Orient interrelation table entries into an acyclic conjugation graph.
+    """Orient row -> column interrelation entries, one pair at a time, into an acyclic graph.
 
     Raises CatalogError when an entry names an id the catalog (if given)
     lacks, and GraphConstructionError when the condition/dependency entries
     are contradictory or cyclic. Symmetric edges dropped to preserve
     acyclicity are reported on the result's ``dropped_edges``.
     """
-    table = tuple(table)
-    if catalog is not None:
-        for entry in table:
-            for cap_id in (entry.row, entry.col):
-                if cap_id not in catalog:
-                    raise CatalogError(f"interrelation references unknown id {cap_id}")
-
-    # Merge the two reading directions of each unordered pair.
-    by_pair: dict[frozenset[CapabilityId], list[InterrelationEntry]] = {}
+    # Gather both reading directions of each unordered pair, keyed (smaller, larger).
+    by_pair: dict[tuple[CapabilityId, CapabilityId], list[Edge]] = {}
     for entry in table:
-        by_pair.setdefault(frozenset((entry.row, entry.col)), []).append(entry)
+        for cap_id in (entry.source, entry.target):
+            if catalog is not None and cap_id not in catalog:
+                raise CatalogError(f"interrelation references unknown id {cap_id}")
+        by_pair.setdefault(tuple(sorted((entry.source, entry.target))), []).append(entry)
 
-    nodes = sorted({cap for entry in table for cap in (entry.row, entry.col)})
-    directed: dict[tuple[CapabilityId, CapabilityId], Relation] = {}
-    symmetric: dict[tuple[CapabilityId, CapabilityId], Relation] = {}
-
-    for pair, entries in sorted(by_pair.items(), key=lambda kv: sorted(kv[0])):
-        best = min(_RELATION_PRECEDENCE[e.relation.kind] for e in entries)
-        chosen = [e for e in entries if _RELATION_PRECEDENCE[e.relation.kind] == best]
-        manufacturing = any(e.relation.manufacturing for e in entries)
-        if best == 0:
-            # condition/dependency: orient from the condition to the dependent
-            orientations = set()
-            for e in chosen:
-                if e.relation.kind is RelationKind.CONDITION_FOR:
-                    orientations.add((e.row, e.col))
-                else:
-                    orientations.add((e.col, e.row))
-            if len(orientations) != 1:
-                a, b = sorted(pair)
-                raise GraphConstructionError(
-                    f"contradictory condition/dependency orientation on pair {a}, {b}"
-                )
-            (source, target) = orientations.pop()
-            directed[(source, target)] = Relation(RelationKind.CONDITION_FOR, manufacturing)
+    nodes = sorted({cap for pair in by_pair for cap in pair})
+    edges: list[Edge] = []  # the c edges; symmetric edges join them once the c edges prove acyclic
+    symmetric: list[Edge] = []
+    for (small, large), entries in sorted(by_pair.items()):
+        manufacturing = any(e.manufacturing for e in entries)
+        arcs = set()
+        for e in entries:
+            if e.kind is RelationKind.CONDITION_FOR:
+                arcs.add((e.source, e.target))
+            elif e.kind is RelationKind.DEPENDS_ON:
+                arcs.add((e.target, e.source))
+        if len(arcs) > 1:
+            raise GraphConstructionError(
+                f"contradictory condition/dependency orientation on pair {small}, {large}"
+            )
+        if arcs:
+            edges.append(Edge(*arcs.pop(), RelationKind.CONDITION_FOR, manufacturing))
         else:
-            kind = chosen[0].relation.kind
-            small, large = sorted(pair)
-            symmetric[(small, large)] = Relation(kind, manufacturing)
+            kinds = {e.kind for e in entries}
+            kind = RelationKind.APPEARS_WITH if RelationKind.APPEARS_WITH in kinds else RelationKind.REPLACED_BY
+            symmetric.append(Edge(small, large, kind, manufacturing))
 
-    skeleton_cycle = find_cycle(nodes, list(directed))
+    skeleton_cycle = find_cycle(nodes, [(e.source, e.target) for e in edges])
     if skeleton_cycle is not None:
         pretty = " -> ".join(str(n) for n in skeleton_cycle)
         raise GraphConstructionError(f"condition/dependency entries form a cycle: {pretty}")
 
-    # The accepted arcs stay acyclic, so a cycle can only run through the new arc.
-    accepted = dict(directed)
-    dropped: list[Edge] = []
-    for arc, rel in sorted(symmetric.items()):
-        if find_cycle(nodes, [*accepted, arc]) is None:
-            accepted[arc] = rel
+    # The accepted edges stay acyclic, so a cycle can only run through the new edge.
+    dropped = []
+    for edge in symmetric:
+        if find_cycle(nodes, [(e.source, e.target) for e in (*edges, edge)]) is None:
+            edges.append(edge)
         else:
-            dropped.append(Edge(*arc, rel))
+            dropped.append(edge)
 
     categories = ()
     if catalog is not None:
         categories = tuple((n, catalog[n].category.value) for n in nodes)
     return ConjugationGraph(
         nodes=tuple(nodes),
-        edges=tuple(Edge(s, t, rel) for (s, t), rel in accepted.items()),
+        edges=tuple(edges),
         categories=categories,
         dropped_edges=tuple(dropped),
     )
@@ -310,7 +276,7 @@ def prune_weak(graph: ConjugationGraph, corr, threshold: float) -> ConjugationGr
             )
         if abs(r) < threshold:
             continue
-        kept.append(Edge(edge.source, edge.target, edge.relation, float(r)))
+        kept.append(replace(edge, correlation=float(r)))
     return replace(graph, edges=tuple(kept))
 
 
@@ -336,24 +302,26 @@ def augment_strong(
     candidates: Iterable[StrongCandidate],
     repair: bool = True,
 ) -> ConjugationGraph:
-    """Add eligible strongly correlated pairs as canonical-order edges.
+    """Add eligible correlated pairs as canonical-order ``a`` edges carrying their r.
 
-    Pairs absent from the interrelation table and not excluded by a
-    feasibility class are added when strongly correlated (|r| >= 0.8).
-    The moderate reachability-repair pair is added only when requested.
-    Raises GraphConstructionError if an added edge names a node outside
-    the graph or would create a cycle; the unknown node is reported first.
+    A ``not_in_table`` candidate (absent from the interrelation table, not
+    excluded by a feasibility class) whose pair is not yet an edge is added
+    when strong (|r| >= 0.8) or, with ``repair``, moderate (0.4 <= |r| <
+    0.8: the reachability-repair pair); a weak one (|r| < 0.4) never is.
+    The bands are those of ``stats.classify_correlation``. Raises
+    GraphConstructionError if an added edge names a node outside the graph
+    or would create a cycle; the unknown node is reported first.
     """
     edges = list(graph.edges)
     existing = graph.edge_pairs()
     for cand in candidates:
-        if cand.verdict is not CandidateVerdict.NOT_IN_TABLE or (abs(cand.r) < 0.8 and not repair):
+        if cand.verdict is not CandidateVerdict.NOT_IN_TABLE or abs(cand.r) < (0.4 if repair else 0.8):
             continue
         pair = frozenset((cand.c1, cand.c2))
         if pair in existing:
             continue
         source, target = sorted((cand.c1, cand.c2))
-        edges.append(Edge(source, target, Relation(RelationKind.APPEARS_WITH), cand.r))
+        edges.append(Edge(source, target, RelationKind.APPEARS_WITH, correlation=cand.r))
         existing.add(pair)
     return replace(graph, edges=tuple(edges))
 
@@ -373,8 +341,8 @@ def export_graph(graph: ConjugationGraph, fmt: str = "structured", catalog: Capa
                 {
                     "from": str(e.source),
                     "to": str(e.target),
-                    "relation": e.relation.kind.value,
-                    "manufacturing": e.relation.manufacturing,
+                    "relation": e.kind.value,
+                    "manufacturing": e.manufacturing,
                     "correlation": e.correlation,
                 }
                 for e in graph.edges
@@ -389,7 +357,7 @@ def export_graph(graph: ConjugationGraph, fmt: str = "structured", catalog: Capa
                 label = f"{node} {catalog.name_of(node)}"
             lines.append(f'  "{node}" [label="{label}"];')
         for edge in graph.edges:
-            attrs = [f'label="{edge.relation.kind.value}{"(M)" if edge.relation.manufacturing else ""}"']
+            attrs = [f'label="{edge.kind.value}{"(M)" if edge.manufacturing else ""}"']
             if edge.correlation is not None:
                 attrs.append(f'tooltip="r={edge.correlation:g}"')
             lines.append(f'  "{edge.source}" -> "{edge.target}" [{", ".join(attrs)}];')
@@ -420,7 +388,8 @@ def import_graph(text: str) -> ConjugationGraph:
             Edge(
                 parse_capability_id(e["from"]),
                 parse_capability_id(e["to"]),
-                Relation(RelationKind(e["relation"]), e["manufacturing"]),
+                RelationKind(e["relation"]),
+                e["manufacturing"],
                 e["correlation"],
             )
             for e in doc["edges"]
@@ -435,64 +404,67 @@ def import_graph(text: str) -> ConjugationGraph:
 # -- fixture loading -------------------------------------------------------
 
 
-def read_interrelations(lines: Iterable[str]) -> tuple[InterrelationEntry, ...]:
-    columns = ("row_id", "col_id", "relation", "manufacturing")
-    entries = []
-    for line, row in read_table(lines, columns, "interrelation", GraphConstructionError):
+def read_interrelations(lines: Iterable[str]) -> tuple[Edge, ...]:
+    def parse(row) -> Edge:
+        row_id, col_id, relation, manufacturing = row
         try:
-            kind = RelationKind(row["relation"].strip())
+            kind = RelationKind(relation.strip())
         except ValueError:
-            raise GraphConstructionError(f"line {line}: unknown relation {row['relation']!r}") from None
-        flag = row["manufacturing"].strip()
+            raise GraphConstructionError(f"unknown relation {relation!r}") from None
+        flag = manufacturing.strip()
         if flag not in ("0", "1"):
-            raise GraphConstructionError(f"line {line}: manufacturing flag {row['manufacturing']!r} is not 0 or 1")
-        entries.append(
-            InterrelationEntry(
-                row=parse_capability_id(row["row_id"]),
-                col=parse_capability_id(row["col_id"]),
-                relation=Relation(kind, flag == "1"),
-            )
+            raise GraphConstructionError(f"manufacturing flag {manufacturing!r} is not 0 or 1")
+        return Edge(
+            source=parse_capability_id(row_id),
+            target=parse_capability_id(col_id),
+            kind=kind,
+            manufacturing=flag == "1",
         )
-    return tuple(entries)
+
+    columns = ("row_id", "col_id", "relation", "manufacturing")
+    return tuple(read_table(lines, columns, "interrelation", GraphConstructionError, parse))
 
 
-def _parse_r(text, line: int) -> float:
+def _parse_r(text) -> float:
     try:
         r = float(text)
     except ValueError:
-        raise GraphConstructionError(f"line {line}: correlation {text!r} is not a number") from None
+        raise GraphConstructionError(f"correlation {text!r} is not a number") from None
     if not math.isfinite(r):
-        raise GraphConstructionError(f"line {line}: correlation {text!r} is not finite")
+        raise GraphConstructionError(f"correlation {text!r} is not finite")
     return r
 
 
 def read_candidates(lines: Iterable[str]) -> tuple[StrongCandidate, ...]:
-    entries = []
-    for line, row in read_table(lines, ("c1", "c2", "r", "verdict"), "candidate", GraphConstructionError):
+    def parse(row) -> StrongCandidate:
+        c1, c2, r, verdict_text = row
         try:
-            verdict = CandidateVerdict(row["verdict"].strip())
+            verdict = CandidateVerdict(verdict_text.strip())
         except ValueError:
-            raise GraphConstructionError(f"line {line}: unknown candidate verdict {row['verdict']!r}") from None
-        entries.append(
-            StrongCandidate(
-                c1=parse_capability_id(row["c1"]),
-                c2=parse_capability_id(row["c2"]),
-                r=_parse_r(row["r"], line),
-                verdict=verdict,
-            )
+            raise GraphConstructionError(f"unknown candidate verdict {verdict_text!r}") from None
+        return StrongCandidate(
+            c1=parse_capability_id(c1),
+            c2=parse_capability_id(c2),
+            r=_parse_r(r),
+            verdict=verdict,
         )
-    return tuple(entries)
+
+    return tuple(read_table(lines, ("c1", "c2", "r", "verdict"), "candidate", GraphConstructionError, parse))
 
 
 def read_correlations(lines: Iterable[str]) -> EdgeCorrelations:
     """Long-form ``id1,id2,r`` rows; a pair given twice, in either order, is an error."""
     values = {}
-    for line, row in read_table(lines, ("id1", "id2", "r"), "correlation", GraphConstructionError):
-        a, b = parse_capability_id(row["id1"]), parse_capability_id(row["id2"])
+
+    def parse(row) -> None:
+        id1, id2, r = row
+        a, b = parse_capability_id(id1), parse_capability_id(id2)
         pair = frozenset((a, b))
         if pair in values:
-            raise GraphConstructionError(f"line {line}: correlation pair {a}, {b} repeats")
-        values[pair] = (a, b, _parse_r(row["r"], line))
+            raise GraphConstructionError(f"correlation pair {a}, {b} repeats")
+        values[pair] = (a, b, _parse_r(r))
+
+    read_table(lines, ("id1", "id2", "r"), "correlation", GraphConstructionError, parse)
     return EdgeCorrelations(values.values())
 
 
@@ -500,7 +472,7 @@ def _fixture_text(name: str) -> str:
     return resources.files("capnet.fixtures").joinpath(name).read_text("utf-8")
 
 
-def load_interrelations(path) -> tuple[InterrelationEntry, ...]:
+def load_interrelations(path) -> tuple[Edge, ...]:
     with open(path, newline="", encoding="utf-8") as handle:
         return read_interrelations(handle)
 
@@ -515,7 +487,7 @@ def load_correlations(path) -> EdgeCorrelations:
         return read_correlations(handle)
 
 
-def load_default_interrelations() -> tuple[InterrelationEntry, ...]:
+def load_default_interrelations() -> tuple[Edge, ...]:
     return read_interrelations(_fixture_text("interrelations.csv").splitlines())
 
 

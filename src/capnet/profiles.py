@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -17,13 +18,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError, IncompleteProfileError
+from .errors import ConfigError, DatasetError, IncompleteProfileError, QuantificationError
 from .taxonomy import (
     CapabilityCatalog,
     CapabilityId,
     parse_capability_id,
     parse_score,
     quantification,
+    read_table,
 )
 
 __all__ = [
@@ -91,7 +93,7 @@ class ProfileDataset:
         for profile in self.profiles:
             key = (profile.agent_id, profile.phase)
             if key in seen:
-                raise DatasetError(f"duplicate agent/phase pair {key}")
+                raise DatasetError(f"duplicate row for agent {profile.agent_id!r} phase {profile.phase.value}")
             seen.add(key)
 
     def __len__(self) -> int:
@@ -107,10 +109,18 @@ class ProfileDataset:
         return ProfileDataset(p for p in self.profiles if p.phase is phase)
 
     def select(self, agent_id: str, phase: Phase | None = None) -> Profile:
-        for profile in self.profiles:
-            if profile.agent_id == agent_id and (phase is None or profile.phase is phase):
-                return profile
-        raise DatasetError(f"no profile for agent {agent_id!r}" + (f" phase {phase.value}" if phase else ""))
+        """The agent's profile in ``phase``; with no phase, the agent's only profile.
+
+        No match is a DatasetError; several matches (no phase given) are a
+        ConfigError naming the phases found.
+        """
+        found = [p for p in self.profiles if p.agent_id == agent_id and (phase is None or p.phase is phase)]
+        if not found:
+            raise DatasetError(f"no profile for agent {agent_id!r}" + (f" phase {phase.value}" if phase else ""))
+        if len(found) > 1:
+            phases = ", ".join(p.phase.value for p in found)
+            raise ConfigError(f"agent {agent_id!r} has profiles for phases {phases}; name one")
+        return found[0]
 
 
 def propagate_main_level(profile: Profile) -> Profile:
@@ -262,11 +272,11 @@ def write_dataset(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> str:
 
 
 def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None) -> ProfileDataset:
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetError("empty dataset file") from None
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
+        raise DatasetError("empty dataset file")
+    header = next(csv.reader([first]), [])
     if header[:2] != ["agent_id", "phase"]:
         raise DatasetError("dataset header must start with agent_id,phase")
     try:
@@ -278,22 +288,24 @@ def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None)
             raise DatasetError(f"capability id {cap} repeats in the dataset header")
     if catalog is not None and (unknown := sorted(cap for cap in ids if not catalog.knows_value_id(cap))):
         raise DatasetError(f"dataset header: unknown capability ids {', '.join(str(u) for u in unknown)}")
-    profiles = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(ids) + 2:
-            raise DatasetError(f"row for agent {row[0]!r} has {len(row)} cells, expected {len(ids) + 2}")
+
+    def parse(row) -> Profile:
+        agent, phase_text, *cells = row
         try:
-            phase = Phase(row[1])
+            phase = Phase(phase_text)
         except ValueError:
-            raise DatasetError(f"unknown phase {row[1]!r} for agent {row[0]!r}") from None
+            raise DatasetError(f"unknown phase {phase_text!r} for agent {agent!r}") from None
         try:
-            values = {cap: parse_score(cell) for cap, cell in zip(ids, row[2:]) if cell != ""}
+            values = {cap: parse_score(cell) for cap, cell in zip(ids, cells) if cell != ""}
+            return Profile(agent_id=agent, phase=phase, values=values)
         except ValueError as exc:
-            raise DatasetError(f"non-integer level for agent {row[0]!r}: {exc}") from None
-        profiles.append(Profile(agent_id=row[0], phase=phase, values=values))
-    return ProfileDataset(profiles)
+            raise DatasetError(f"non-integer level for agent {agent!r}: {exc}") from None
+        except QuantificationError as exc:
+            raise DatasetError(f"level for agent {agent!r}: {exc}") from None
+
+    # The header line goes back in front, so read_table counts lines from 1.
+    rows = itertools.chain([first], lines)
+    return ProfileDataset(read_table(rows, tuple(header), "dataset", DatasetError, parse))
 
 
 def load_dataset(path, catalog: CapabilityCatalog | None = None) -> ProfileDataset:

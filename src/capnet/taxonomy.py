@@ -21,9 +21,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import CapabilityIdError, CatalogError, QuantificationError
+from .errors import CapabilityIdError, CapnetError, CatalogError, QuantificationError
 
 __all__ = [
     "CapabilityId",
@@ -237,43 +237,50 @@ def sitting_over_table_set(catalog: CapabilityCatalog) -> list[CapabilityId]:
 
 
 def read_table(
-    lines: Iterable[str], columns: tuple[str, ...], what: str, error: type[Exception]
-) -> Iterator[tuple[int, dict[str, str]]]:
-    """Rows of a CSV table whose header is exactly ``columns``.
+    lines: Iterable[str],
+    columns: tuple[str, ...],
+    what: str,
+    error: type[Exception],
+    parse: Callable[[list[str]], object],
+) -> list:
+    """``parse`` applied to each row of a CSV table whose header is exactly ``columns``.
 
-    Yields ``(line number, {column: cell})`` per non-blank row. A different
-    header, or a row with more or fewer cells than the header, raises
-    ``error``; a bad row's message names its line.
+    ``parse`` gets each non-blank row as its list of cells. A different
+    header, a row with more or fewer cells than the header, a CSV syntax
+    error, or a ValueError or CapnetError from ``parse`` raises ``error``
+    with the message prefixed by the line it happened on.
     """
     reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None or tuple(header) != columns:
-        raise error(f"{what} header must be {','.join(columns)}")
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(columns):
-            raise error(f"line {reader.line_num}: {what} row has {len(row)} cells, expected {len(columns)}")
-        yield reader.line_num, dict(zip(columns, row))
+    parsed = []
+    try:
+        if tuple(next(reader, ())) != columns:
+            raise ValueError(f"{what} header must be {','.join(columns)}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise ValueError(f"{what} row has {len(row)} cells, expected {len(columns)}")
+            parsed.append(parse(row))
+    except (ValueError, CapnetError, csv.Error) as exc:
+        raise error(f"line {max(reader.line_num, 1)}: {exc}") from None
+    return parsed
 
 
 def read_catalog(lines: Iterable[str]) -> CapabilityCatalog:
     """Read a catalog from CSV lines (header row required)."""
-    entries = []
-    for _, row in read_table(lines, ("id", "name", "category", "posture", "laterality"), "catalog", CatalogError):
-        try:
-            entries.append(
-                CatalogEntry(
-                    id=parse_capability_id(row["id"]),
-                    name=row["name"].strip(),
-                    category=Category(row["category"].strip()),
-                    posture=Posture(row["posture"].strip()),
-                    laterality=Laterality(row["laterality"].strip()),
-                )
-            )
-        except ValueError as exc:
-            raise CatalogError(f"bad catalog row {row!r}: {exc}") from exc
-    return CapabilityCatalog(entries)
+
+    def parse(row) -> CatalogEntry:
+        cap_id, name, category, posture, laterality = row
+        return CatalogEntry(
+            id=parse_capability_id(cap_id),
+            name=name.strip(),
+            category=Category(category.strip()),
+            posture=Posture(posture.strip()),
+            laterality=Laterality(laterality.strip()),
+        )
+
+    columns = ("id", "name", "category", "posture", "laterality")
+    return CapabilityCatalog(read_table(lines, columns, "catalog", CatalogError, parse))
 
 
 def load_catalog(path) -> CapabilityCatalog:

@@ -17,7 +17,7 @@ from capnet import network, profiles, stats, synthesis, taxonomy
 from capnet.cover import CoverProblem, solve_cover
 from capnet.deltas import CompensationOutcome, FuzzyParams, compensate
 from capnet.errors import InfeasibleCoverError
-from capnet.network import ConjugationGraph, Edge, Relation, RelationKind
+from capnet.network import ConjugationGraph, Edge, RelationKind
 from capnet.profiles import Phase, Profile, RequirementSet
 from capnet.taxonomy import parse_capability_id as pid
 
@@ -192,7 +192,7 @@ def test_criterion_6_delta_compensation():
         if sum(max(0, reqs[c] - caps[c]) for c in subset) > 6:
             continue
         pairs = [p for p in all_pairs if p[0] in subset and p[1] in subset and rng.random() < 0.5]
-        edges = tuple(Edge(a, b, Relation(RelationKind.APPEARS_WITH)) for a, b in pairs)
+        edges = tuple(Edge(a, b, RelationKind.APPEARS_WITH) for a, b in pairs)
         graph = ConjugationGraph(nodes=tuple(subset), edges=edges)
         xi = {cap: rng.randint(0, 2) for cap in subset if rng.random() < 0.3}
         theta = rng.randint(0, 2)

@@ -81,6 +81,13 @@ class TestBuildGraph:
         assert result.exit_code == 0
         assert "4 edges pruned, 2 edges added" in result.output
 
+    def test_weak_candidate_never_added(self, runner, tmp_path):
+        cands = tmp_path / "candidates.csv"
+        cands.write_text("c1,c2,r,verdict\n1.01,1.06.01,0.05,not_in_table\n")
+        result = runner.invoke(main, ["build-graph", "--candidates", str(cands)])
+        assert result.exit_code == 0, result.output
+        assert "4 edges pruned, 0 edges added" in result.output
+
     def test_nan_threshold_usage_error(self, runner, tmp_path):
         out = tmp_path / "graph.json"
         result = runner.invoke(main, ["build-graph", "--threshold", "nan", "--out-graph", str(out)])
@@ -99,32 +106,35 @@ class TestBuildGraph:
         assert result.exit_code == EXIT_DATA
 
     @pytest.mark.parametrize(
-        "flag, text",
+        "flag, text, line",
         [
-            pytest.param("--correlations", "a,b,c\n1.01,1.05.01,0.5\n", id="correlations-header"),
-            pytest.param("--correlations", "id1,id2,r\n1.01,1.05.01,strong\n", id="correlations-r"),
-            pytest.param("--candidates", "a,b,c,d\n1.05.01,1.05.02,0.81,impossible\n", id="candidates-header"),
-            pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,1.05.02,0.81,maybe\n", id="candidates-verdict"),
-            pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,1.05.02,high,impossible\n", id="candidates-r"),
-            pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,1.05.01,z,0\n", id="interrelations-letter"),
-            pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,1.05.01\n", id="interrelations-short"),
-            pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,3.²,c,0\n", id="interrelations-id"),
-            pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,3.²,0.81,impossible\n", id="candidates-id"),
-            pytest.param("--correlations", "id1,id2,r\n1.01,3.²,0.5\n", id="correlations-id"),
-            pytest.param("--catalog", "id,name,category,posture,laterality\n1.01,Sitting\n", id="catalog-short"),
+            pytest.param("--correlations", "a,b,c\n1.01,1.05.01,0.5\n", 1, id="correlations-header"),
+            pytest.param("--correlations", "id1,id2,r\n1.01,1.05.01,strong\n", 2, id="correlations-r"),
+            pytest.param("--candidates", "a,b,c,d\n1.05.01,1.05.02,0.81,impossible\n", 1, id="candidates-header"),
+            pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,1.05.02,0.81,maybe\n", 2, id="candidates-verdict"),
+            pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,1.05.02,high,impossible\n", 2, id="candidates-r"),
+            pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,1.05.01,z,0\n", 2, id="interrelations-letter"),
+            pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,1.05.01\n", 2, id="interrelations-short"),
+            pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,3.²,c,0\n", 2, id="interrelations-id"),
+            pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,3.²,0.81,impossible\n", 2, id="candidates-id"),
+            pytest.param("--correlations", "id1,id2,r\n1.01,3.²,0.5\n", 2, id="correlations-id"),
+            pytest.param("--catalog", "id,name,category,posture,laterality\n1.01,Sitting\n", 2, id="catalog-short"),
+            pytest.param("--catalog", "id,name,category,posture,laterality\n1.01,Sitting,upstream,lying,n/a\n", 2, id="catalog-enum"),
             pytest.param(
                 "--interrelations",
                 "row_id,col_id,relation,manufacturing\n1.01,1.05.01,c," + "0" * (128 * 1024 + 1) + "\n",
+                2,
                 id="interrelations-field-over-csv-limit",
             ),
         ],
     )
-    def test_malformed_table_data_error(self, runner, tmp_path, flag, text):
+    def test_malformed_table_data_error(self, runner, tmp_path, flag, text, line):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         result = runner.invoke(main, ["build-graph", flag, str(bad)])
         assert result.exit_code == EXIT_DATA, result.output
         assert "error:" in result.stderr
+        assert f"error: line {line}: " in result.stderr
 
     def test_repeated_correlation_pair_data_error(self, runner, tmp_path):
         # the reference table with its first pair given again, reversed and weak
@@ -421,6 +431,26 @@ class TestAllocate:
         assert "feasible_after_compensation" in result.output
         assert result.output.count("shift") == 1
 
+    def test_agent_with_two_phases_needs_phase(self, runner, graph_artifact, tmp_path):
+        data = tmp_path / "data.csv"
+        assert runner.invoke(main, ["gen-data", "--count", "3", "--out", str(data)]).exit_code == 0
+        args = [
+            "allocate",
+            "--requirements",
+            fixture_path("demo_requirements.csv"),
+            "--profiles",
+            str(data),
+            "--agent",
+            "A00001",
+            "--graph",
+            str(graph_artifact),
+        ]
+        result = runner.invoke(main, args)
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "agent 'A00001' has profiles for phases pre_rehab, post_rehab" in result.stderr
+        result = runner.invoke(main, [*args, "--phase", "post_rehab"])
+        assert result.exit_code != EXIT_USAGE, result.output
+
     def test_slack_options_and_trace(self, runner, graph_artifact, tmp_path):
         from capnet import deltas, profiles, taxonomy
 
@@ -552,8 +582,14 @@ class TestAllocate:
 
     @pytest.mark.parametrize(
         "text",
-        ["id,level\n3.03.04\n", "id,level\n3.03.04,6,99\n", "id,level\n3.03.04,high\n", "id,level\n3.03.04,５\n"],
-        ids=["short", "long", "non-integer", "fullwidth"],
+        [
+            "id,level\n3.03.04\n",
+            "id,level\n3.03.04,6,99\n",
+            "id,level\n3.03.04,high\n",
+            "id,level\n3.03.04,５\n",
+            "id,level\n3.03.04,9\n",
+        ],
+        ids=["short", "long", "non-integer", "fullwidth", "outside-scale"],
     )
     def test_bad_requirement_row_data_error(self, runner, graph_artifact, tmp_path, text):
         reqs = tmp_path / "r.csv"

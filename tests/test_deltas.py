@@ -17,7 +17,6 @@ from capnet.errors import ConfigError, IncompleteProfileError
 from capnet.network import (
     ConjugationGraph,
     Edge,
-    Relation,
     RelationKind,
 )
 from capnet.profiles import Phase, Profile, RequirementSet
@@ -45,7 +44,7 @@ def random_instance(rng):
 def graph_of(*pairs):
     nodes = sorted({n for pair in pairs for n in pair})
     edges = tuple(
-        Edge(min(a, b), max(a, b), Relation(RelationKind.APPEARS_WITH)) for a, b in pairs
+        Edge(min(a, b), max(a, b), RelationKind.APPEARS_WITH) for a, b in pairs
     )
     return ConjugationGraph(nodes=tuple(nodes), edges=edges)
 

@@ -11,8 +11,6 @@ from capnet.network import (
     ConjugationGraph,
     Edge,
     EdgeCorrelations,
-    InterrelationEntry,
-    Relation,
     RelationKind,
     StrongCandidate,
     augment_strong,
@@ -30,7 +28,7 @@ from oracles import has_cycle_dfs
 
 
 def entry(row, col, letter, m=False):
-    return InterrelationEntry(pid(row), pid(col), Relation(RelationKind(letter), m))
+    return Edge(pid(row), pid(col), RelationKind(letter), m)
 
 
 class TestBuildGraph:
@@ -57,12 +55,12 @@ class TestBuildGraph:
         table = [entry("2.01", "1.01", "a"), entry("1.01", "2.01", "c")]
         graph = build_graph(table)
         assert graph.has_edge(pid("1.01"), pid("2.01"))
-        assert graph.edges[0].relation.kind is RelationKind.CONDITION_FOR
+        assert graph.edges[0].kind is RelationKind.CONDITION_FOR
 
     def test_appears_precedence_over_replaced(self):
         table = [entry("2.01", "1.01", "r"), entry("1.01", "2.01", "a")]
         graph = build_graph(table)
-        assert graph.edges[0].relation.kind is RelationKind.APPEARS_WITH
+        assert graph.edges[0].kind is RelationKind.APPEARS_WITH
 
     def test_condition_cycle_is_irreducible(self):
         table = [
@@ -163,6 +161,18 @@ class TestAugmentStrong:
         pruned = prune_weak(built_graph, reference_correlations, 0.4)
         final = augment_strong(pruned, candidates, repair=False)
         assert len(final.edge_pairs() - pruned.edge_pairs()) == 2
+
+    @pytest.mark.parametrize("repair", [True, False])
+    def test_correlation_bands_decide_what_is_added(self, repair):
+        g = build_graph([entry("1.01", "2.01", "c"), entry("2.01", "3.01", "c"), entry("3.01", "4.01", "c")])
+        cands = [
+            StrongCandidate(pid("1.01"), pid("3.01"), 0.85, CandidateVerdict.NOT_IN_TABLE),
+            StrongCandidate(pid("1.01"), pid("4.01"), -0.5, CandidateVerdict.NOT_IN_TABLE),
+            StrongCandidate(pid("2.01"), pid("4.01"), 0.05, CandidateVerdict.NOT_IN_TABLE),
+        ]
+        added = augment_strong(g, cands, repair=repair).edge_pairs() - g.edge_pairs()
+        strong, moderate = frozenset((pid("1.01"), pid("3.01"))), frozenset((pid("1.01"), pid("4.01")))
+        assert added == ({strong, moderate} if repair else {strong})
 
     def test_empty_candidates_is_identity(self, final_graph):
         again = augment_strong(final_graph, [], repair=True)
@@ -325,14 +335,14 @@ class TestGraphType:
             ConjugationGraph(
                 nodes=(a, b),
                 edges=(
-                    Edge(a, b, Relation(RelationKind.CONDITION_FOR)),
-                    Edge(b, a, Relation(RelationKind.APPEARS_WITH)),
+                    Edge(a, b, RelationKind.CONDITION_FOR),
+                    Edge(b, a, RelationKind.APPEARS_WITH),
                 ),
             )
 
     def test_cycle_rejected_at_construction(self):
         a, b, c = pid("1.01"), pid("1.05.01"), pid("1.05.02")
-        rel = Relation(RelationKind.CONDITION_FOR)
+        rel = RelationKind.CONDITION_FOR
         with pytest.raises(GraphConstructionError, match="cycle"):
             ConjugationGraph(
                 nodes=(a, b, c),
@@ -342,7 +352,7 @@ class TestGraphType:
     def test_correlation_bound_enforced(self):
         a, b = pid("1.01"), pid("1.05.01")
         with pytest.raises(GraphConstructionError):
-            Edge(a, b, Relation(RelationKind.CONDITION_FOR), 1.5)
+            Edge(a, b, RelationKind.CONDITION_FOR, correlation=1.5)
 
     def test_adjacency_either_direction(self, final_graph):
         assert pid("3.03.04") in final_graph.adjacency[pid("3.02.03")]

@@ -244,7 +244,12 @@ class TestDatasetFile:
             "a,pre_rehab,4",
             "a,pre_rehab,5",
         ]
-        with pytest.raises(DatasetError):
+        with pytest.raises(DatasetError, match="duplicate row for agent 'a' phase pre_rehab$"):
+            read_dataset(lines)
+
+    def test_level_outside_scale_names_line_and_agent(self):
+        lines = ["agent_id,phase,3.02.03,3.03.04", "a,pre_rehab,4,5", "b,pre_rehab,9,5"]
+        with pytest.raises(DatasetError, match="^line 3: level for agent 'b': quantification 9 outside scale"):
             read_dataset(lines)
 
     def test_requirement_set_validation(self, catalog):

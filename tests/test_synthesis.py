@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from capnet import cover, network, synthesis
 from capnet.cover import CoverProblem, solve_cover, solve_priced_cover, verify_cover
 from capnet.errors import AnnotationError, ConfigError, InfeasibleCoverError
-from capnet.network import ConjugationGraph, Edge, Relation, RelationKind
+from capnet.network import ConjugationGraph, Edge, RelationKind
 from capnet.synthesis import (
     MovementSequence,
     PathPricer,
@@ -39,7 +39,7 @@ LEX_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "lex_pool.json"
 
 
 def chain_graph(*nodes):
-    rel = Relation(RelationKind.CONDITION_FOR)
+    rel = RelationKind.CONDITION_FOR
     edges = tuple(Edge(a, b, rel) for a, b in zip(nodes, nodes[1:]))
     return ConjugationGraph(nodes=tuple(sorted(nodes)), edges=edges)
 
@@ -71,7 +71,7 @@ class TestEnumeratePaths:
                 assert (a, b) in edge_set
 
     def test_lexicographic_order(self):
-        rel = Relation(RelationKind.CONDITION_FOR)
+        rel = RelationKind.CONDITION_FOR
         graph = ConjugationGraph(
             nodes=(A, B, C, D, E),
             edges=(
@@ -96,7 +96,7 @@ def _dags(draw):
     """Up to 7 nodes; each pair joined or not, oriented along a drawn order."""
     nodes = [pid(f"9.{k:02d}") for k in range(1, draw(st.integers(1, 7)) + 1)]
     order = draw(st.permutations(nodes))
-    rel = Relation(RelationKind.CONDITION_FOR)
+    rel = RelationKind.CONDITION_FOR
     edges = tuple(
         Edge(order[i], order[j], rel) for i in range(len(order)) for j in range(i + 1, len(order)) if draw(st.booleans())
     )
@@ -126,7 +126,7 @@ class TestPathPricer:
     def test_walk_on_complete_dag_prunes_by_longest_path(self):
         # 2^39 paths start at the first of 40 nodes; only the longest-path prune finishes the walk
         nodes = tuple(pid(f"9.{k:02d}") for k in range(1, 41))
-        rel = Relation(RelationKind.CONDITION_FOR)
+        rel = RelationKind.CONDITION_FOR
         graph = ConjugationGraph(nodes=nodes, edges=tuple(Edge(a, b, rel) for a in nodes for b in nodes if a < b))
         assert enumerate_paths(graph, 41) == ()
         assert enumerate_paths(graph, 40) == (nodes,)
@@ -456,7 +456,7 @@ class TestPricedCover:
         # The complete DAG on four nodes has four 3-node paths and one 4-node path. Two
         # visits each need 8 = 3a + 4b visits, so b = 2 copies of one path: no selection,
         # though the LP covers every node at 7/3.
-        rel = Relation(RelationKind.CONDITION_FOR)
+        rel = RelationKind.CONDITION_FOR
         nodes = (A, B, C, D)
         graph = ConjugationGraph(nodes=nodes, edges=tuple(Edge(a, b, rel) for a in nodes for b in nodes if a < b))
         assert cover_lp_bound(enumerate_paths(graph, 3), nodes, 2, 2) == pytest.approx(7 / 3)
@@ -527,7 +527,7 @@ class TestPipeline:
 class TestAnnotate:
     def _sequences(self, paths, p_hat=7):
         nodes = sorted({n for p in paths for n in p})
-        rel = Relation(RelationKind.CONDITION_FOR)
+        rel = RelationKind.CONDITION_FOR
         edges = {}
         for path in paths:
             for a, b in zip(path, path[1:]):
