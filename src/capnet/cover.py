@@ -12,12 +12,14 @@ doubles; W² > k·(W−1) for every k ≤ W, so the first solve returns a
 minimum-cardinality selection with the smallest index sum. Indices are
 then fixed in ascending order by a descent of probes, each of which
 fixes an index or lowers the bound on the next: at most k* + W probes
-for k* selected of W columns, far fewer in practice. A probe is an LP
-first and a MIP only when the LP point is fractional: an LP-infeasible
-probe is MIP-infeasible, and an integral LP point is checked exactly
-against the probe's rows and bounds before it is used. Larger instances
-count paths only and return HiGHS's deterministic optimum, which depends
-on the scipy/HiGHS version; the result records which guarantee applied.
+for k* selected of W columns, far fewer in practice. The first solve and
+every probe are an LP first and a MIP only when the LP point is
+fractional: an LP-infeasible program is MIP-infeasible, and an integral
+LP point is checked exactly against the rows and bounds before it is
+used. HiGHS gets the visit rows as one CSC matrix built once, a probe's
+two rows appended to it. Larger instances count paths only and return
+HiGHS's deterministic MIP optimum, which depends on the scipy/HiGHS
+version; the result records which guarantee applied.
 
 ``solve_priced_cover`` solves a larger instance without listing its
 paths, by column generation (Gilmore & Gomory, 1961; Desrosiers &
@@ -97,24 +99,49 @@ class _CoverProgram:
                 if node in node_index:
                     eta[w, node_index[node]] = 1
         self.eta = eta
-        self.visits = LinearConstraint(sparse.csr_matrix(eta.T), problem.p_max, problem.p_hat_max)
+        self.p_max, self.p_hat_max = problem.p_max, problem.p_hat_max
+        self.visits = LinearConstraint(sparse.csc_array(eta.T, dtype=float), self.p_max, self.p_hat_max)
         self.n_vars = W
         self.lexicographic = lexicographic
         self.cost = W * W + np.arange(W, dtype=float) if self.lexicographic else np.ones(W)
 
-    def relax(self, lo: np.ndarray, hi: np.ndarray, extra=(), integral: bool = False) -> np.ndarray | None:
+    def probe_rows(self, k: int, low: int, high: int) -> LinearConstraint:
+        """The visit rows, Σx ≤ k and Σ x[low:high] ≥ 1, stacked in one CSC matrix.
+
+        Each column holds its visit rows, then the cap row J, then, inside
+        the window, the window row J + 1. ``milp`` hands one CSC constraint
+        to HiGHS with no format conversion or ``vstack``.
+        """
+        visits = self.visits.A
+        J, W = visits.shape
+        indices = np.insert(visits.indices, visits.indptr[1:], J)
+        indptr = visits.indptr + np.arange(W + 1)
+        indices = np.insert(indices, indptr[low + 1 : high + 1], J + 1)
+        indptr += np.clip(np.arange(W + 1) - low, 0, high - low)
+        matrix = sparse.csc_array((np.ones(len(indices)), indices, indptr), shape=(J + 2, W))
+        return LinearConstraint(
+            matrix,
+            np.concatenate([self.visits.lb, [-np.inf, 1]]),
+            np.concatenate([self.visits.ub, [k, np.inf]]),
+        )
+
+    def relax(
+        self, lo: np.ndarray, hi: np.ndarray, rows: LinearConstraint | None = None, integral: bool = False
+    ) -> np.ndarray | None:
         """Optimal point of the LP relaxation within the bounds, or None if infeasible.
 
-        With ``integral`` the program is the binary MIP instead. ``extra``
-        holds further LinearConstraint rows. Any verdict other than optimal
-        or infeasible raises AnnotationError rather than being mistaken for
-        either.
+        With ``integral`` the program is the binary MIP instead. ``rows``,
+        as ``probe_rows`` builds them, replaces the visit rows. The
+        lexicographic first solve and every probe of the descent call the
+        LP first and the MIP only on a fractional point. Any verdict other
+        than optimal or infeasible raises AnnotationError rather than being
+        mistaken for either.
         """
         res = milp(
             self.cost,
             integrality=np.full(self.n_vars, int(integral)),
             bounds=Bounds(lo, hi),
-            constraints=[self.visits, *extra],
+            constraints=self.visits if rows is None else rows,
             options={"mip_rel_gap": 0},
         )
         if res.status == 2:
@@ -124,13 +151,41 @@ class _CoverProgram:
             raise AnnotationError(f"{kind} solver gave no verdict (status {res.status}: {res.message})")
         return res.x
 
-    def solve(self, lo: np.ndarray, hi: np.ndarray, extra=()) -> np.ndarray | None:
+    def solve(self, lo: np.ndarray, hi: np.ndarray, rows: LinearConstraint | None = None) -> np.ndarray | None:
         """Indices of a minimum selection within the bounds, or None if infeasible."""
-        x = self.relax(lo, hi, extra, integral=True)
+        x = self.relax(lo, hi, rows, integral=True)
         return None if x is None else np.flatnonzero(x > 0.5)
 
+    def covers(self, x: np.ndarray) -> bool:
+        """Whether the 0/1 vector ``x`` visits every node within the bounds, in exact integers."""
+        visits = x.astype(int) @ self.eta
+        return bool(((self.p_max <= visits) & (visits <= self.p_hat_max)).all())
 
-def _lexicographic_minimum(program: _CoverProgram, problem: CoverProblem, witness: np.ndarray) -> np.ndarray:
+    def first_selection(self) -> np.ndarray | None:
+        """Indices of a minimum selection, or None if infeasible.
+
+        Where the cost is lexicographic the LP goes first: an LP-infeasible
+        program is MIP-infeasible, and an LP optimum within 1e-9 of a 0/1
+        point whose exact recount meets the visit bounds is a MIP optimum.
+        At W ≤ 512 the costs sum to under 1.4e8, so the rounding moves the
+        cost by under 0.14, less than 1, the least gap between two
+        selections' costs. Only a fractional point pays for the MIP.
+        Otherwise HiGHS's own MIP optimum is the answer, so the MIP runs at
+        once.
+        """
+        lo, hi = np.zeros(self.n_vars), np.ones(self.n_vars)
+        if not self.lexicographic:
+            return self.solve(lo, hi)
+        point = self.relax(lo, hi)
+        if point is None:
+            return None
+        x = np.round(point)
+        if np.abs(point - x).max() <= 1e-9 and self.covers(x):
+            return np.flatnonzero(x)
+        return self.solve(lo, hi)
+
+
+def _lexicographic_minimum(program: _CoverProgram, witness: np.ndarray) -> np.ndarray:
     """Smallest optimal index set in lexicographic order.
 
     Fixes indices in ascending order. With the chosen prefix forced to 1,
@@ -155,25 +210,21 @@ def _lexicographic_minimum(program: _CoverProgram, problem: CoverProblem, witnes
     k_star = len(witness)
     lo = np.zeros(W)
     hi = np.ones(W)
-    at_most_k = LinearConstraint(np.ones((1, W)), -np.inf, k_star)
     low = 0
     for _ in range(k_star):
         high = int(witness[witness >= low][0])
         while low < high:
-            window = np.zeros((1, W))
-            window[0, low:high] = 1.0
-            rows = [at_most_k, LinearConstraint(window, 1, np.inf)]
+            rows = program.probe_rows(k_star, low, high)
             point = program.relax(lo, hi, rows)
             probe = None
             if point is not None:
                 x = (point > 0.5).astype(int)
-                visits = x @ program.eta
                 feasible = (
                     x.sum() <= k_star
                     and x[low:high].any()
                     and (lo <= x).all()
                     and (x <= hi).all()
-                    and ((problem.p_max <= visits) & (visits <= problem.p_hat_max)).all()
+                    and program.covers(x)
                 )
                 probe = np.flatnonzero(x) if feasible else program.solve(lo, hi, rows)
             if probe is None:
@@ -215,8 +266,11 @@ def solve_cover(problem: CoverProblem) -> CoverSolution:
     """Exact minimum-cardinality path selection under the visit bounds.
 
     Raises InfeasibleCoverError naming binding nodes when no selection
-    exists. The returned visit counts come from an independent recount of
-    the selected path tuples and are re-verified against the bounds.
+    exists. At most ``DEFAULT_LEX_LIMIT`` columns the first solve is
+    screened by its LP relaxation like every probe of the descent, and an
+    LP-infeasible instance runs no MIP. The returned visit counts come from
+    an independent recount of the selected path tuples and are re-verified
+    against the bounds.
     """
     if not problem.node_set:
         return CoverSolution(selected=(), objective=0, visit_counts={}, lexicographic=True)
@@ -227,12 +281,12 @@ def solve_cover(problem: CoverProblem) -> CoverSolution:
     if under:
         raise InfeasibleCoverError(sorted(under))
 
-    selection = program.solve(np.zeros(program.n_vars), np.ones(program.n_vars))
+    selection = program.first_selection()
     if selection is None:
         raise InfeasibleCoverError(_infeasibility_diagnostic(problem, program))
 
     if program.lexicographic:
-        selection = _lexicographic_minimum(program, problem, selection)
+        selection = _lexicographic_minimum(program, selection)
 
     selected = tuple(int(w) for w in selection)
     counts = verify_cover(problem, selected)

@@ -305,7 +305,9 @@ def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None)
 
     # The header line goes back in front, so read_table counts lines from 1.
     rows = itertools.chain([first], lines)
-    return ProfileDataset(read_table(rows, tuple(header), "dataset", DatasetError, parse))
+    key = lambda profile: (profile.agent_id, profile.phase)
+    describe = lambda profile: f"row for agent {profile.agent_id!r} phase {profile.phase.value}"
+    return ProfileDataset(read_table(rows, tuple(header), "dataset", DatasetError, parse, key, describe))
 
 
 def load_dataset(path, catalog: CapabilityCatalog | None = None) -> ProfileDataset:

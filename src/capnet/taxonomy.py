@@ -21,7 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import CapabilityIdError, CapnetError, CatalogError, QuantificationError
 
@@ -242,16 +242,22 @@ def read_table(
     what: str,
     error: type[Exception],
     parse: Callable[[list[str]], object],
+    key: Callable[[object], Hashable] | None = None,
+    describe: Callable[[object], str] = str,
 ) -> list:
     """``parse`` applied to each row of a CSV table whose header is exactly ``columns``.
 
     ``parse`` gets each non-blank row as its list of cells. A different
     header, a row with more or fewer cells than the header, a CSV syntax
     error, or a ValueError or CapnetError from ``parse`` raises ``error``
-    with the message prefixed by the line it happened on.
+    with the message prefixed by the line it happened on. With ``key``, a
+    row whose parsed value has the key of an earlier row raises ``error``
+    as a duplicate: ``describe`` of the value says what repeats, and the
+    message names the earlier line too. ``describe`` runs only on a repeat.
     """
     reader = csv.reader(lines)
     parsed = []
+    first_line: dict[Hashable, int] = {}
     try:
         if tuple(next(reader, ())) != columns:
             raise ValueError(f"{what} header must be {','.join(columns)}")
@@ -261,6 +267,11 @@ def read_table(
             if len(row) != len(columns):
                 raise ValueError(f"{what} row has {len(row)} cells, expected {len(columns)}")
             parsed.append(parse(row))
+            if key is not None:
+                k = key(parsed[-1])
+                if k in first_line:
+                    raise ValueError(f"duplicate {describe(parsed[-1])} (first on line {first_line[k]})")
+                first_line[k] = reader.line_num
     except (ValueError, CapnetError, csv.Error) as exc:
         raise error(f"line {max(reader.line_num, 1)}: {exc}") from None
     return parsed
@@ -280,7 +291,10 @@ def read_catalog(lines: Iterable[str]) -> CapabilityCatalog:
         )
 
     columns = ("id", "name", "category", "posture", "laterality")
-    return CapabilityCatalog(read_table(lines, columns, "catalog", CatalogError, parse))
+    entries = read_table(
+        lines, columns, "catalog", CatalogError, parse, key=lambda entry: entry.id, describe=lambda entry: f"catalog id {entry.id}"
+    )
+    return CapabilityCatalog(entries)
 
 
 def load_catalog(path) -> CapabilityCatalog:

@@ -121,6 +121,13 @@ class TestBuildGraph:
             pytest.param("--catalog", "id,name,category,posture,laterality\n1.01,Sitting\n", 2, id="catalog-short"),
             pytest.param("--catalog", "id,name,category,posture,laterality\n1.01,Sitting,upstream,lying,n/a\n", 2, id="catalog-enum"),
             pytest.param(
+                "--catalog",
+                "id,name,category,posture,laterality\n1.01,Sitting,upstream,sitting,n/a\n"
+                "1.02,Standing,upstream,standing,n/a\n1.01,Seated,upstream,sitting,n/a\n",
+                4,
+                id="catalog-duplicate-id",
+            ),
+            pytest.param(
                 "--interrelations",
                 "row_id,col_id,relation,manufacturing\n1.01,1.05.01,c," + "0" * (128 * 1024 + 1) + "\n",
                 2,

@@ -244,8 +244,15 @@ class TestDatasetFile:
             "a,pre_rehab,4",
             "a,pre_rehab,5",
         ]
-        with pytest.raises(DatasetError, match="duplicate row for agent 'a' phase pre_rehab$"):
+        with pytest.raises(DatasetError, match=r"^line 3: duplicate row for agent 'a' phase pre_rehab \(first on line 2\)$"):
             read_dataset(lines)
+        # the same agent in another phase is no repeat; a later repeat names both lines
+        lines[2:] = ["a,post_rehab,5", "b,pre_rehab,3", "a,post_rehab,6"]
+        with pytest.raises(DatasetError, match=r"^line 5: duplicate row for agent 'a' phase post_rehab \(first on line 3\)$"):
+            read_dataset(lines)
+        # a library caller building the dataset itself meets the same check, without lines
+        with pytest.raises(DatasetError, match="^duplicate row for agent 'a' phase pre_rehab$"):
+            ProfileDataset([Profile("a", Phase.PRE_REHAB), Profile("a", Phase.PRE_REHAB)])
 
     def test_level_outside_scale_names_line_and_agent(self):
         lines = ["agent_id,phase,3.02.03,3.03.04", "a,pre_rehab,4,5", "b,pre_rehab,9,5"]
