@@ -14,12 +14,14 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DatasetError, IncompleteProfileError, QuantificationError
 from .taxonomy import (
+    QUANT_MAX,
+    QUANT_MIN,
     CapabilityCatalog,
     CapabilityId,
     parse_capability_id,
@@ -47,6 +49,22 @@ class Phase(str, Enum):
     UNSPECIFIED = "unspecified"
 
 
+_SCALE = frozenset(range(QUANT_MIN, QUANT_MAX + 1))
+
+
+def _checked_scores(values: Mapping[CapabilityId, int]) -> dict[CapabilityId, int]:
+    """A copy of ``values`` with every score checked by ``quantification``.
+
+    Plain ints on the scale, what every reader and the generator pass, are
+    copied as they are; anything else (a bool, a float, a numpy integer)
+    goes through ``quantification`` one value at a time.
+    """
+    scores = dict(values)
+    if set(map(type, scores.values())) <= {int} and _SCALE.issuperset(scores.values()):
+        return scores
+    return {cap: quantification(v) for cap, v in scores.items()}
+
+
 @dataclass(frozen=True)
 class Profile:
     """One agent's assessed capacities. Missing ids mean "not assessed"."""
@@ -56,7 +74,7 @@ class Profile:
     values: dict[CapabilityId, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", {cap: quantification(v) for cap, v in self.values.items()})
+        object.__setattr__(self, "values", _checked_scores(self.values))
 
     def missing_from(self, capability_set: Iterable[CapabilityId]) -> list[CapabilityId]:
         return sorted(cap for cap in capability_set if cap not in self.values)
@@ -70,9 +88,7 @@ class RequirementSet:
     requirements: dict[CapabilityId, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "requirements", {cap: quantification(v) for cap, v in self.requirements.items()}
-        )
+        object.__setattr__(self, "requirements", _checked_scores(self.requirements))
 
     def total(self) -> int:
         return sum(self.requirements.values())
@@ -271,7 +287,25 @@ def write_dataset(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> str:
     return buffer.getvalue()
 
 
+class _ScoreTable(dict):
+    """Cell text -> checked score; each distinct text is parsed and checked once."""
+
+    def __missing__(self, cell: str) -> int:
+        score = self[cell] = quantification(parse_score(cell))
+        return score
+
+
 def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None) -> ProfileDataset:
+    """The dataset in CSV ``lines``; a malformed file raises DatasetError.
+
+    A header that does not start with ``agent_id,phase``, or whose ids are
+    malformed, repeated or (with ``catalog``) unknown, is named as such. A
+    row error names its line and agent, then the first fault of the row:
+    an unknown phase, else the first cell, left to right, that is not an
+    ASCII decimal number or lies off the 0..6 scale. An earlier line's
+    fault wins over a later one's. A repeated (agent, phase) row names
+    both lines.
+    """
     lines = iter(lines)
     first = next(lines, None)
     if first is None:
@@ -296,13 +330,14 @@ def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None)
         except ValueError:
             raise DatasetError(f"unknown phase {phase_text!r} for agent {agent!r}") from None
         try:
-            values = {cap: parse_score(cell) for cap, cell in zip(ids, cells) if cell != ""}
-            return Profile(agent_id=agent, phase=phase, values=values)
+            values = {cap: scores[cell] for cap, cell in zip(ids, cells) if cell != ""}
         except ValueError as exc:
             raise DatasetError(f"non-integer level for agent {agent!r}: {exc}") from None
         except QuantificationError as exc:
             raise DatasetError(f"level for agent {agent!r}: {exc}") from None
+        return Profile(agent_id=agent, phase=phase, values=values)
 
+    scores = _ScoreTable()
     # The header line goes back in front, so read_table counts lines from 1.
     rows = itertools.chain([first], lines)
     key = lambda profile: (profile.agent_id, profile.phase)

@@ -6,16 +6,22 @@ counter-based (Philox) stream keyed by the seed, drawn in fixed chunks of
 rows; a p-value table applies the same rows to every pair (no seed is
 derived per pair), so its entries are dependent across pairs. Statistics
 are cross products of scale-centred columns c = n*x - sum(x), and a
-chunk's null statistics are one batched matrix product. When the centred
-columns are integers whose squares sum below 2**53, that product goes to
-BLAS: every product and every partial sum is then an integer no larger
-than that sum (Cauchy-Schwarz), so it is exact in float64 whatever order,
-blocking or thread split BLAS uses, and observed and permuted values tie
-where integers do. Profiles of 0-6 scores always qualify for n < 100,000,
-since sum(c**2) <= 9*n**3 < 2**53. Other input is reduced by einsum,
-whose order does not depend on BLAS/OpenMP thread settings, and carries
-a relative tie tolerance of 100 eps. So results are bit-identical across
-runs and thread settings.
+chunk's null statistics are one batched matrix product. When the shifted
+columns y = x - min(x) are integers that give c = n*y - sum(y), and the
+squares of c sum below 2**53, that product goes to BLAS over y: the null
+is n*(n*T - sum(y_i)*sum(y_j)) with T = y_i'y_j[pi], rebuilt in int64.
+Every product and partial sum of T is an integer no larger than T, and
+T <= sqrt(sum(y_i**2) * sum(y_j**2)) (Cauchy-Schwarz). That is at most
+n*max(y)**2, so float32 holds T exactly while that stays below 2**24,
+and float64 does always, since sum(y**2) <= sum(c**2) < 2**53. So T is
+exact whatever order, blocking or thread split BLAS uses, and observed
+and permuted values tie where integers do; n*T and sum(y_i)*sum(y_j)
+stay below 2**54, so int64 holds the rebuild. Profiles of 0-6 scores
+qualify for n < 100,000, since sum(c**2) <= 9*n**3 < 2**53, and there
+always use float32, since 36*n < 2**24. Other input is reduced over c
+by einsum, whose order does not depend on BLAS/OpenMP thread settings,
+and carries a relative tie tolerance of 100 eps. So results are
+bit-identical across runs and thread settings.
 """
 
 from __future__ import annotations
@@ -188,6 +194,11 @@ def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
     on (seed, r) only. A null within scipy's relative tolerance of 100 eps
     below the observed value counts as reaching it. Pairs with a constant
     column stay 0.
+
+    On integer scores the product gathers the shifted scores y = x - min(x),
+    in float32 when max(y)**2 * n < 2**24 and in float64 otherwise, and
+    the nulls are rebuilt from y exactly (see the module docstring); the
+    counts equal those of the product over c. Other input multiplies c.
     """
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
@@ -195,13 +206,28 @@ def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
     live = np.flatnonzero(np.ptp(data, axis=0) > 0)
     centred, observed = centred[:, live], np.abs(products[np.ix_(live, live)])
     reach = observed - 100 * np.finfo(float).eps * observed  # scipy's tie tolerance
-    exact = np.array_equal(centred, np.rint(centred)) and observed.diagonal().max(initial=0) < 2.0**53
-    product = np.matmul if exact else partial(np.einsum, "in,rnj->rij", optimize=False)
     n, width = centred.shape
+    scores = data[:, live]
+    shifted = scores - scores.min(axis=0)
+    sums = shifted.sum(axis=0)
+    exact = (
+        np.array_equal(shifted, np.rint(shifted))
+        and np.array_equal(centred, n * shifted - sums)
+        and observed.diagonal().max(initial=0) < 2.0**53
+    )
+    if exact:
+        # y reproduces c exactly, so the rebuilt null of the identity row is the observed value;
+        # every partial sum of T = y'y[pi] is an integer of at most n * max(y)**2, and below 2**53
+        columns = shifted.astype(np.float32 if shifted.max(initial=0) ** 2 * n < 2**24 else np.float64)
+        cross = np.outer(sums.astype(np.int64), sums.astype(np.int64))
+        null = lambda permuted: n * (n * np.matmul(columns.T, permuted).astype(np.int64) - cross)
+    else:
+        columns = centred
+        null = partial(np.einsum, "in,rnj->rij", centred.T, optimize=False)
     counts = np.zeros((width, width), dtype=np.int64)
     # every chunk gathers into one buffer, since a fresh array per chunk raises peak RSS; take fills
     # it in place only in mode "clip" (the default mode buffers), and argsort's indices are in range
-    buffer = np.empty((min(_CHUNK, n_resamples), n, width), dtype=centred.dtype)
+    buffer = np.empty((min(_CHUNK, n_resamples), n, width), dtype=columns.dtype)
     bits = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     for start in range(0, n_resamples if width > 1 else 0, _CHUNK):  # no defined pair: draw nothing
         keys = bits.random((min(_CHUNK, n_resamples - start), n))
@@ -209,8 +235,8 @@ def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
         ordered = np.take_along_axis(keys, perms, axis=1)
         tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
         perms[tied] = np.argsort(keys[tied], axis=1, kind="stable")
-        permuted = np.take(centred, perms, axis=0, out=buffer[: len(perms)], mode="clip")
-        nulls = product(centred.T, permuted)  # [r, i, j]: pair (i, j) under row r
+        permuted = np.take(columns, perms, axis=0, out=buffer[: len(perms)], mode="clip")
+        nulls = null(permuted)  # [r, i, j]: pair (i, j) under row r
         counts += np.count_nonzero(np.abs(nulls) >= reach, axis=0)
     exceed = np.zeros(products.shape, dtype=np.int64)
     exceed[np.ix_(live, live)] = np.triu(counts, 1)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from capnet import profiles
 from capnet.errors import ConfigError, DatasetError, IncompleteProfileError, QuantificationError
 from capnet.profiles import (
     GeneratorConfig,
@@ -20,6 +21,7 @@ from capnet.profiles import (
     write_dataset,
 )
 from capnet.taxonomy import parse_capability_id as pid
+from capnet.taxonomy import parse_score
 
 from oracles import population_std_two_pass
 
@@ -259,6 +261,47 @@ class TestDatasetFile:
         with pytest.raises(DatasetError, match="^line 3: level for agent 'b': quantification 9 outside scale"):
             read_dataset(lines)
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ("9,x", "level for agent 'a': quantification 9 outside scale"),
+            ("x,9", r"non-integer level for agent 'a': 'x' is not"),
+            ("x,y", r"non-integer level for agent 'a': 'x' is not"),
+        ],
+        ids=["range-then-digits", "digits-then-range", "digits-twice"],
+    )
+    def test_first_bad_cell_of_a_row_is_named(self, cells, message):
+        lines = ["agent_id,phase,3.02.03,3.03.04", "b,pre_rehab,4,5", f"a,pre_rehab,{cells}"]
+        with pytest.raises(DatasetError, match=f"^line 3: {message}"):
+            read_dataset(lines)
+
+    def test_bad_phase_wins_over_bad_cell(self):
+        lines = ["agent_id,phase,3.02.03,3.03.04", "a,rehab,9,x"]
+        with pytest.raises(DatasetError, match="^line 2: unknown phase 'rehab' for agent 'a'$"):
+            read_dataset(lines)
+
+    def test_earlier_line_with_a_bad_cell_is_named(self):
+        header = "agent_id,phase,3.02.03,3.03.04"
+        with pytest.raises(DatasetError, match="^line 2: level for agent 'a': quantification 7"):
+            read_dataset([header, "a,pre_rehab,4,7", "b,pre_rehab,x,5"])
+        with pytest.raises(DatasetError, match="^line 2: non-integer level for agent 'a'"):
+            read_dataset([header, "a,pre_rehab,4,x", "b,pre_rehab,7,5"])
+
+    @pytest.mark.parametrize("cell", [" 4", "04", "4 ", "4"])
+    def test_padded_cells_read_as_their_number(self, cell):
+        lines = ["agent_id,phase,3.02.03,3.03.04", f"a,unspecified,{cell},{cell}"]
+        assert read_dataset(lines).profiles[0].values == {pid("3.02.03"): 4, pid("3.03.04"): 4}
+
+    def test_each_read_parses_its_own_cells(self, monkeypatch):
+        # a read parses each distinct cell text once, and keeps nothing for the next read
+        parsed = []
+        monkeypatch.setattr(profiles, "parse_score", lambda text: parsed.append(text) or parse_score(text))
+        lines = ["agent_id,phase,3.02.03,3.03.04", "a,pre_rehab,4,4", "a,post_rehab,5,4", "b,pre_rehab,,5"]
+        first = read_dataset(lines)
+        assert parsed == ["4", "5"]
+        assert read_dataset(lines) == first
+        assert parsed == ["4", "5", "4", "5"]
+
     def test_requirement_set_validation(self, catalog):
         req = RequirementSet("act", {pid("3.03.04"): 5})
         req.validate_against(catalog)
@@ -280,3 +323,11 @@ class TestScoreCheck:
         requirements = RequirementSet("act", {pid("3.03.04"): np.uint8(5)})
         assert type(profile.values[pid("3.03.04")]) is int and profile.values[pid("3.03.04")] == 3
         assert type(requirements.requirements[pid("3.03.04")]) is int and requirements.total() == 5
+
+    @pytest.mark.parametrize("value", [3, np.int64(3)], ids=["int", "numpy"])
+    def test_input_mapping_not_aliased(self, value):
+        values = {pid("3.03.04"): value}
+        profile, requirements = Profile("a", values=values), RequirementSet("act", values)
+        values[pid("3.03.04")] = 5
+        values[pid("3.02.03")] = 1
+        assert profile.values == requirements.requirements == {pid("3.03.04"): 3}

@@ -246,6 +246,39 @@ class TestPermutationTest:
                 b = permutation_exceedances_exact(data[:, i], data[:, j], rows)
                 assert table.r[i, j] == (b + 1) / 71
 
+    @pytest.mark.parametrize(
+        "n, dtype", [(90, np.float32), (91, np.float64), (400, np.float64)], ids=["f32-edge", "f64-edge", "f64-wide"]
+    )
+    def test_shifted_product_dtype_follows_its_bound(self, monkeypatch, n, dtype):
+        # shifted scores y = x - min(x) are multiplied in float32 only while max(y)**2 * n < 2**24:
+        # 431**2 * 90 lies just below that bound and 431**2 * 91 just above. Two levels, mostly the
+        # top one, give many exact ties, and at n = 400 partial sums of y'y[pi] past 2**24 that
+        # float32 would round (431**2 is odd)
+        rng = np.random.default_rng(n)
+        x, y = (np.where(rng.random(n) < 0.8, 431.0, 0.0) for _ in range(2))
+        real, seen = np.matmul, set()
+        monkeypatch.setattr(np, "matmul", lambda a, b: seen.add(b.dtype) or real(a, b))
+        b = permutation_exceedances_exact(x, y, _resample_rows(5, 70, n))
+        assert permutation_test(x, y, 70, seed=5).p_value == (b + 1) / 71
+        assert seen == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize(
+        "move",
+        [lambda v: v, lambda v: v + 1000, lambda v: v - 1000, lambda v: v + 0.5, lambda v: v / 64],
+        ids=["scores", "plus-1000", "minus-1000", "plus-half", "64ths"],
+    )
+    def test_moved_integer_scores_count_exactly(self, move):
+        # the exact product shifts each column to start at 0, which makes offset integers and
+        # half-integers integers again. x / 64 has integer centred columns 64x - sum(x), as 64
+        # divides sum(x), but no integer shift: einsum counts it, exactly on those integers.
+        # y holds negative integers; 45 rows are one full chunk and a part
+        rng = np.random.default_rng(37)
+        x = rng.integers(0, 7, size=64).astype(float)
+        x[0] += -x.sum() % 64
+        y = rng.integers(-6, 1, size=64).astype(float)
+        b = permutation_exceedances_exact(x, y, _resample_rows(21, 45, 64))
+        assert permutation_test(move(x), y, 45, seed=21).p_value == (b + 1) / 46
+
 
 class TestPairwisePvalues:
     def _dataset(self):
