@@ -26,19 +26,22 @@ paths, by column generation (Gilmore & Gomory, 1961; Desrosiers &
 Lübbecke, 2005). HiGHS ``linprog`` solves the path LP (0 <= x <= 1) over
 a pool of paths; its node duals π price every path at reduced cost
 1 − Σπ, and a DP over the DAG (``synthesis.PathPricer``) adds the best
-unpooled paths until none is negative. The dual objective LP* then bounds
-every selection, so a pool MIP that reaches ⌈LP*⌉ is optimal over all
-paths. Nothing else is trusted: when the LP keeps an artificial, or the
-pool MIP finds no selection or a larger one, the caller enumerates the
-paths, and ``solve_cover`` settles the instance and names the binding
-nodes.
+unpooled paths until none is negative. The first round needs no LP: over
+the empty pool every node's artificial alone meets its p_max row, so π is
+J·p_hat_max + 1 on every node in closed form. Each pooled path's visit row
+is made once, and each LP stacks the rows in canonical path order. The
+dual objective LP* then bounds every selection, so a pool MIP that reaches
+⌈LP*⌉ is optimal over all paths. Nothing else is trusted: when the LP
+keeps an artificial, or the pool MIP finds no selection or a larger one,
+the caller enumerates the paths, and ``solve_cover`` settles the instance
+and names the binding nodes.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -87,18 +90,23 @@ class CoverSolution:
     lexicographic: bool
 
 
+def _visit_rows(paths, node_set) -> np.ndarray:
+    """The paths x nodes 0/1 matrix of which node each path visits, as int8."""
+    node_index = {node: j for j, node in enumerate(node_set)}
+    eta = np.zeros((len(paths), len(node_set)), dtype=np.int8)
+    for w, path in enumerate(paths):
+        for node in path:
+            if node in node_index:
+                eta[w, node_index[node]] = 1
+    return eta
+
+
 class _CoverProgram:
     """The binary multicover program over path variables, solved by HiGHS MIP."""
 
     def __init__(self, problem: CoverProblem, lexicographic: bool):
-        node_index = {node: i for i, node in enumerate(problem.node_set)}
-        W, J = len(problem.paths), len(problem.node_set)
-        eta = np.zeros((W, J), dtype=np.int8)
-        for w, path in enumerate(problem.paths):
-            for node in path:
-                if node in node_index:
-                    eta[w, node_index[node]] = 1
-        self.eta = eta
+        self.eta = eta = _visit_rows(problem.paths, problem.node_set)
+        W = len(eta)
         self.p_max, self.p_hat_max = problem.p_max, problem.p_hat_max
         self.visits = LinearConstraint(sparse.csc_array(eta.T, dtype=float), self.p_max, self.p_hat_max)
         self.n_vars = W
@@ -351,6 +359,18 @@ def _restricted_lp(eta: np.ndarray, p_max: int, p_hat_max: int):
     return covered - capped, bound, float(res.x[P:].max(initial=0.0))
 
 
+def _empty_pool_lp(J: int, p_max: int, p_hat_max: int):
+    """``_restricted_lp`` over the empty pool, in closed form.
+
+    With no path pooled, each p_max row is met by its artificial alone, at
+    p_max, and each p_hat_max row is empty. The unique duals are then the
+    artificial's cost J·p_hat_max + 1 on every node and 0 on every cap, so
+    the dual objective is p_max·J times that cost.
+    """
+    price = J * p_hat_max + 1.0
+    return np.full(J, price), p_max * J * price, float(p_max)
+
+
 def solve_priced_cover(
     source: PathPricer, node_set: tuple[CapabilityId, ...], p_max: int, p_hat_max: int
 ) -> tuple[CoverProblem, CoverSolution] | None:
@@ -365,21 +385,31 @@ def solve_priced_cover(
     the pool MIP finds no selection or a larger one, for the caller to
     enumerate and let ``solve_cover`` decide the instance and name the
     binding nodes. At most one MIP runs.
+
+    The first round prices from the empty pool's duals in closed form
+    (``_empty_pool_lp``) and runs no LP. Each pooled path's visit row is
+    made once; every later LP gets the rows stacked in canonical path
+    order, and the problem and its MIP program are built once, after the
+    last round.
     """
-    pool: set[tuple[CapabilityId, ...]] = set()
+    problem = CoverProblem(paths=(), node_set=node_set, p_max=p_max, p_hat_max=p_hat_max)  # checks the settings
+    rows: dict[tuple[CapabilityId, ...], np.ndarray] = {}  # each pooled path's visit row
+    eta = _visit_rows((), node_set)
+    pi, bound, artificial = _empty_pool_lp(len(node_set), p_max, p_hat_max)
     while True:
-        problem = CoverProblem(paths=tuple(sorted(pool)), node_set=node_set, p_max=p_max, p_hat_max=p_hat_max)
-        pooled = _CoverProgram(problem, lexicographic=False)
-        pi, bound, artificial = _restricted_lp(pooled.eta.T, p_max, p_hat_max)
         # pooled paths priced above 1 may sit at their upper bound and outrank new ones
-        ranked = source.best(dict(zip(node_set, pi.tolist())), int((pooled.eta @ pi > 1).sum()) + _BATCH)
-        fresh = [path for total, path in ranked if total > 1 + _TOL and path not in pool]
+        ranked = source.best(dict(zip(node_set, pi.tolist())), int((eta @ pi > 1).sum()) + _BATCH)
+        fresh = [path for total, path in ranked if total > 1 + _TOL and path not in rows]
         if not fresh:
             break
-        pool.update(fresh)
+        rows.update(zip(fresh, _visit_rows(fresh, node_set)))
+        eta = np.array([rows[path] for path in sorted(rows)])
+        pi, bound, artificial = _restricted_lp(eta.T, p_max, p_hat_max)
     if artificial > _TOL:
         return None
 
+    problem = replace(problem, paths=tuple(sorted(rows)))
+    pooled = _CoverProgram(problem, lexicographic=False)
     best = pooled.solve(np.zeros(pooled.n_vars), np.ones(pooled.n_vars))
     if best is None or len(best) > math.ceil(bound - math.ceil(bound) * _TOL):
         return None

@@ -13,7 +13,9 @@ each capability pair of the table in one pass:
 * The edge is manufacturing-specific if any entry of its pair is.
 
 Symmetric edges that would close a cycle against the already oriented
-edges are dropped and reported, keeping the graph acyclic by construction.
+edges are dropped and reported, keeping the graph acyclic by construction:
+an edge source -> target closes one exactly when target already reaches
+source, which one depth-first search over the accepted edges decides.
 
 A ConjugationGraph stores itself in canonical order (nodes sorted, edges
 sorted by (source, target)), so every export and every traversal follows
@@ -181,6 +183,20 @@ def find_cycle(nodes, arcs) -> list | None:
     return None
 
 
+def _reaches(successors: Mapping, start, goal) -> bool:
+    """Whether a directed path leads from ``start`` to ``goal``, by depth-first search."""
+    seen, stack = {start}, [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            return True
+        for target in successors[node]:
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return False
+
+
 def build_graph(
     table: Iterable[Edge],
     catalog: CapabilityCatalog | None = None,
@@ -191,6 +207,12 @@ def build_graph(
     lacks, and GraphConstructionError when the condition/dependency entries
     are contradictory or cyclic. Symmetric edges dropped to preserve
     acyclicity are reported on the result's ``dropped_edges``.
+
+    One ``find_cycle`` call checks the condition/dependency skeleton. The
+    symmetric edges then join it in canonical pair order, and the accepted
+    edges stay acyclic, so an edge source -> target closes a cycle exactly
+    when target already reaches source: one depth-first search over the
+    accepted edges' successor map decides each one.
     """
     # Gather both reading directions of each unordered pair, keyed (smaller, larger).
     by_pair: dict[tuple[CapabilityId, CapabilityId], list[Edge]] = {}
@@ -227,13 +249,16 @@ def build_graph(
         pretty = " -> ".join(str(n) for n in skeleton_cycle)
         raise GraphConstructionError(f"condition/dependency entries form a cycle: {pretty}")
 
-    # The accepted edges stay acyclic, so a cycle can only run through the new edge.
+    successors: dict[CapabilityId, list[CapabilityId]] = {node: [] for node in nodes}
+    for edge in edges:
+        successors[edge.source].append(edge.target)
     dropped = []
     for edge in symmetric:
-        if find_cycle(nodes, [(e.source, e.target) for e in (*edges, edge)]) is None:
-            edges.append(edge)
-        else:
+        if _reaches(successors, edge.target, edge.source):
             dropped.append(edge)
+        else:
+            edges.append(edge)
+            successors[edge.source].append(edge.target)
 
     categories = ()
     if catalog is not None:

@@ -145,9 +145,10 @@ def profile_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> np.n
     """
     if len(dataset) < 2:
         raise DatasetError(f"need at least 2 profiles, got {len(dataset)}")
+    wanted = set(ids)
     for profile in dataset:
-        if missing := profile.missing_from(ids):
-            names = ", ".join(str(m) for m in missing)
+        if not profile.values.keys() >= wanted:
+            names = ", ".join(str(m) for m in profile.missing_from(ids))
             raise DatasetError(f"profile {profile.agent_id}/{profile.phase.value} incomplete over ids: {names}")
     return np.array([[profile.values[cap] for cap in ids] for profile in dataset], dtype=float)
 

@@ -132,18 +132,32 @@ class PathPricer:
 
         A path among the k best of its state extends a path among the k
         best of its predecessor state, so keeping k per state is exact.
+        Each state keeps (sum, node, entry it extends) and only the k
+        returned paths are spelled out; equal sums rank in the order their
+        entries were made, predecessor by predecessor.
         """
         n = self.n_min
-        ending: dict[CapabilityId, list[list[tuple[float, tuple[CapabilityId, ...]]]]] = {}
+        # per node and length, the k best entries (sum, node, the entry it extends or None)
+        ending: dict[CapabilityId, list[list[tuple]]] = {}
         for node in self._order:
             w = weight[node]
-            states: list[list[tuple[float, tuple[CapabilityId, ...]]]] = [[] for _ in range(n + 1)]
-            states[1].append((w, (node,)))
+            states: list[list[tuple]] = [[] for _ in range(n + 1)]
+            states[1].append((w, node, None))
             for source in self._predecessors[node]:
                 for length, ranked in enumerate(ending[source]):
-                    states[min(length + 1, n)].extend((total + w, path + (node,)) for total, path in ranked)
+                    states[min(length + 1, n)].extend((entry[0] + w, node, entry) for entry in ranked)
             ending[node] = [heapq.nlargest(k, ranked, key=itemgetter(0)) for ranked in states]
-        return heapq.nlargest(k, (entry for states in ending.values() for entry in states[n]), key=itemgetter(0))
+        top = heapq.nlargest(k, (entry for states in ending.values() for entry in states[n]), key=itemgetter(0))
+        return [(entry[0], _spelled(entry)) for entry in top]
+
+
+def _spelled(entry: tuple) -> tuple[CapabilityId, ...]:
+    """The path a ``PathPricer.best`` entry ends, first node first."""
+    nodes = []
+    while entry is not None:
+        _, node, entry = entry
+        nodes.append(node)
+    return tuple(reversed(nodes))
 
 
 @dataclass(frozen=True)

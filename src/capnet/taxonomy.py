@@ -20,6 +20,7 @@ import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from importlib import resources
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -95,9 +96,16 @@ def parse_capability_id(text: str) -> CapabilityId:
 
     Accepts unpadded components ("3.4.8") and renders back zero-padded
     ("3.04.08"). Raises CapabilityIdError naming the offending component.
+    Ids are immutable, so each text's id is memoised in a bounded cache;
+    text that raises is not cached and raises again on every call.
     """
     if not isinstance(text, str):
         raise CapabilityIdError(f"expected string, got {type(text).__name__}")
+    return _parse_id_text(text)
+
+
+@lru_cache(maxsize=4096)
+def _parse_id_text(text: str) -> CapabilityId:
     parts = text.strip().split(".")
     if len(parts) > 3:
         raise CapabilityIdError(f"{text!r}: more than 3 components")

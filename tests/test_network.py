@@ -317,6 +317,53 @@ _digraphs = st.integers(1, 7).flatmap(
 )
 
 
+_NODES = tuple(pid(f"1.{k:02d}") for k in range(1, 8))
+# one entry per unordered pair of at most 7 nodes: (row, column, relation, manufacturing)
+_tables = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from("cdar"), st.booleans()),
+    max_size=21,
+    unique_by=lambda row: frozenset(row[:2]),
+).map(lambda rows: [row for row in rows if row[0] != row[1]])
+
+
+def _reference_build(rows):
+    """(arcs, dropped arcs), or None when the c/d arcs form a cycle.
+
+    Each symmetric edge is accepted in canonical order unless the oracle
+    finds a cycle through it and the arcs accepted so far.
+    """
+    nodes = sorted({_NODES[i] for i, j, _, _ in rows} | {_NODES[j] for i, j, _, _ in rows})
+    arcs, symmetric = [], []
+    for i, j, letter, _ in rows:
+        a, b = _NODES[i], _NODES[j]
+        if letter == "c":
+            arcs.append((a, b))
+        elif letter == "d":
+            arcs.append((b, a))
+        else:
+            symmetric.append(tuple(sorted((a, b))))
+    if has_cycle_dfs(nodes, arcs):
+        return None
+    dropped = []
+    for arc in sorted(symmetric):
+        (dropped if has_cycle_dfs(nodes, [*arcs, arc]) else arcs).append(arc)
+    return sorted(arcs), dropped
+
+
+class TestBuildGraphReachability:
+    @given(_tables)
+    def test_matches_cycle_checked_reference(self, rows):
+        table = [Edge(_NODES[i], _NODES[j], RelationKind(letter), m) for i, j, letter, m in rows]
+        expected = _reference_build(rows)
+        if expected is None:
+            with pytest.raises(GraphConstructionError, match="cycle"):
+                build_graph(table)
+            return
+        graph = build_graph(table)
+        assert [(e.source, e.target) for e in graph.edges] == expected[0]
+        assert [(e.source, e.target) for e in graph.dropped_edges] == expected[1]
+
+
 class TestFindCycle:
     @given(_digraphs)
     def test_returns_closed_cycle_and_agrees_with_oracle(self, graph):

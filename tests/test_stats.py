@@ -139,6 +139,20 @@ class TestCorrelationMatrix:
         with pytest.raises(DatasetError):
             correlation_matrix(ProfileDataset(profiles), [a, b])
 
+    def test_only_the_incomplete_profile_is_named(self, monkeypatch):
+        a, b, c = pid("1.05.01"), pid("1.05.02"), pid("1.06.01")
+        profiles = [Profile(f"x{k}", Phase.POST_REHAB, {a: k, b: 2, c: 3}) for k in range(4)]
+        profiles.append(Profile("y", Phase.POST_REHAB, {b: 3}))
+        named = []
+        real = Profile.missing_from
+        monkeypatch.setattr(Profile, "missing_from", lambda self, ids: named.append(self.agent_id) or real(self, ids))
+        assert profile_matrix(ProfileDataset(profiles[:4]), [c, a, b]).shape == (4, 3)
+        assert named == []
+        with pytest.raises(DatasetError) as err:
+            profile_matrix(ProfileDataset(profiles), [c, a, b])
+        assert str(err.value) == "profile y/post_rehab incomplete over ids: 1.05.01, 1.06.01"
+        assert named == ["y"]
+
 
 class TestPermutationTest:
     def test_perfect_correlation_floors_p(self):

@@ -38,6 +38,31 @@ A, B, C, D, E = (pid(f"9.{i:02d}") for i in range(1, 6))
 LEX_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "lex_pool.json"
 
 
+# PathPricer.best at every weight 1.0 on the default sitting subgraph, k = 20: sums and tie order
+_UNIT_WEIGHT_BEST = [
+    (15.0, "1.05.01 1.05.02 3.01.01 3.01.02 3.02.01 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (15.0, "1.05.01 1.05.02 3.01.01 3.01.02 3.02.03 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.01 3.01.02 3.02.01 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03"),
+    (14.0, "1.05.01 1.05.02 3.01.01 3.01.02 3.02.03 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03"),
+    (14.0, "1.05.01 1.05.02 3.01.01 3.01.02 3.02.01 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.01 3.01.02 3.02.03 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.01 3.01.02 3.02.01 3.03.04 1.06.01 1.06.02 3.03.10 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.01 3.01.02 3.02.03 3.03.04 1.06.01 1.06.02 3.03.10 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.01 3.01.02 3.02.01 3.03.04 1.06.01 1.06.02 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.01 3.01.02 3.02.03 3.03.04 1.06.01 1.06.02 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.01 3.01.02 3.02.01 3.03.04 1.06.01 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.01 3.01.02 3.02.03 3.03.04 1.06.01 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.01 3.02.01 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.02 3.02.01 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 3.01.01 3.01.02 3.02.01 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.02 3.01.01 3.01.02 3.02.01 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.03 3.02.01 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.01 3.02.03 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 1.05.02 3.01.02 3.02.03 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+    (14.0, "1.05.01 3.01.01 3.01.02 3.02.03 3.03.04 1.06.01 1.06.02 3.03.10 3.04.02 3.04.06 3.04.08 5.01.01 5.01.03 5.01.04"),
+]
+
+
 def chain_graph(*nodes):
     rel = RelationKind.CONDITION_FOR
     edges = tuple(Edge(a, b, rel) for a, b in zip(nodes, nodes[1:]))
@@ -137,6 +162,12 @@ class TestPathPricer:
         assert PathPricer(graph, 1100).count == 1
         assert enumerate_paths(graph, 1100) == (nodes,)
         assert enumerate_paths(graph, 1101) == ()
+
+    def test_best_tie_order_on_the_default_graph(self, final_graph, sitting_set):
+        # unit weights make every sum an exact node count, so the order is the DP's alone, whatever the HiGHS version
+        sub = final_graph.restricted_to(sitting_set)
+        ranked = PathPricer(sub, 4).best(dict.fromkeys(sub.nodes, 1.0), 20)
+        assert [(total, " ".join(map(str, path))) for total, path in ranked] == _UNIT_WEIGHT_BEST
 
     def test_n_min_beyond_any_path_allocates_nothing(self, final_graph, sitting_set):
         sub = final_graph.restricted_to(sitting_set)
@@ -514,6 +545,22 @@ class TestPricedCover:
         assert len(calls) == 1
         with pytest.raises(InfeasibleCoverError):
             solve_cover(CoverProblem(paths=enumerate_paths(graph, 3), node_set=nodes, p_max=2, p_hat_max=2))
+
+    @pytest.mark.parametrize("J, p_max, p_hat_max", [(1, 1, 1), (3, 2, 5), (22, 1, 1), (22, 6, 7), (30, 4, 9)])
+    def test_empty_pool_duals_in_closed_form(self, J, p_max, p_hat_max):
+        pi, bound, artificial = cover._empty_pool_lp(J, p_max, p_hat_max)
+        lp_pi, lp_bound, lp_artificial = cover._restricted_lp(np.zeros((J, 0)), p_max, p_hat_max)
+        assert pi.tolist() == lp_pi.tolist() == [J * p_hat_max + 1.0] * J
+        assert bound == lp_bound and artificial == lp_artificial == p_max
+
+    def test_default_plan_runs_six_lps_and_one_mip(self, final_graph, sitting_set, monkeypatch):
+        calls = []
+        for name in ("linprog", "milp"):
+            real = getattr(cover, name)
+            monkeypatch.setattr(cover, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+        assert synthesis.synthesize(final_graph, sitting_set).solution.objective == 24
+        assert (calls.count("linprog"), calls.count("milp")) == (6, 1)
+        assert calls[-1] == "milp"
 
     @pytest.mark.parametrize("p_max, expected", [(1, 4), (2, 8)])
     def test_tight_bounds_on_the_default_graph(self, final_graph, sitting_set, p_max, expected):

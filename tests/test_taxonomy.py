@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from capnet import taxonomy
 from capnet.errors import CapabilityIdError, CatalogError, QuantificationError
 from capnet.taxonomy import (
     CapabilityId,
@@ -42,6 +43,29 @@ class TestParseCapabilityId:
     def test_error_names_component(self):
         with pytest.raises(CapabilityIdError, match="main"):
             parse_capability_id("3..08")
+
+    def test_repeated_parse_returns_equal_ids(self):
+        first = parse_capability_id("3.4.8")
+        assert parse_capability_id("3.4.8") == first == parse_capability_id("3.04.08") == CapabilityId(3, 4, 8)
+        assert type(parse_capability_id("3.4.8")) is CapabilityId
+
+    def test_bad_text_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(CapabilityIdError, match="main"):
+                parse_capability_id("3..08")
+
+    @pytest.mark.parametrize("value", [None, 304, b"3.04", ["3", "04"], {"3.04": 1}])
+    def test_non_string_raises_capability_id_error(self, value):
+        # unhashable values too: the type is checked before the memo is consulted
+        with pytest.raises(CapabilityIdError, match="expected string"):
+            parse_capability_id(value)
+
+    def test_memo_stays_within_its_bound(self):
+        memo = taxonomy._parse_id_text
+        bound = memo.cache_parameters()["maxsize"]
+        for k in range(bound + 100):
+            assert parse_capability_id(f"{k // 99 + 1}.{k % 99 + 1}") == CapabilityId(k // 99 + 1, k % 99 + 1)
+        assert memo.cache_info().currsize == bound
 
     @given(
         st.integers(1, 9),
