@@ -158,7 +158,7 @@ def cmd_synthesize(graph_path, catalog_path, n_min, p_max, p_hat_max, out_path, 
 
     catalog = _load_catalog(catalog_path)
     graph = network.import_graph(Path(graph_path).read_text(encoding="utf-8"))
-    node_set = [n for n in taxonomy.sitting_over_table_set(catalog) if n in set(graph.nodes)]
+    node_set = taxonomy.sitting_over_table_set(catalog)
     result = synthesis.synthesize(graph, node_set, n_min=n_min, p_max=p_max, p_hat_max=p_hat_max)
     _write(
         (out_path, lambda: synthesis.sequences_to_csv(result.sequences)),

@@ -13,11 +13,11 @@ minimum-cardinality selection with the smallest index sum. Indices are
 then fixed in ascending order by a descent of probes, each of which
 fixes an index or lowers the bound on the next: at most k* + W probes
 for k* selected of W columns, far fewer in practice. The first solve and
-every probe are an LP first and a MIP only when the LP point is
-fractional: an LP-infeasible program is MIP-infeasible, and an integral
-LP point is checked exactly against the rows and bounds before it is
-used. HiGHS gets the visit rows as one CSC matrix built once, a probe's
-two rows appended to it. Larger instances count paths only and return
+every probe accept an LP point by one rule: an LP-infeasible program is
+MIP-infeasible, an LP point within 1e-9 of 0/1 whose exact recount meets
+the rows and bounds is the answer, and any other point runs the MIP.
+HiGHS gets the visit rows as one CSC matrix built once, a probe's two
+rows appended to it. Larger instances count paths only and return
 HiGHS's deterministic MIP optimum, which depends on the scipy/HiGHS
 version; the result records which guarantee applied.
 
@@ -102,13 +102,12 @@ def _visit_rows(paths, node_set) -> np.ndarray:
 
 
 class _CoverProgram:
-    """The binary multicover program over path variables, solved by HiGHS MIP."""
+    """The binary multicover program over path variables, solved by HiGHS."""
 
-    def __init__(self, problem: CoverProblem, lexicographic: bool):
-        self.eta = eta = _visit_rows(problem.paths, problem.node_set)
+    def __init__(self, eta: np.ndarray, p_max: int, p_hat_max: int, lexicographic: bool):
+        """``eta`` is the paths x nodes visit matrix, as ``_visit_rows`` makes it."""
         W = len(eta)
-        self.p_max, self.p_hat_max = problem.p_max, problem.p_hat_max
-        self.visits = LinearConstraint(sparse.csc_array(eta.T, dtype=float), self.p_max, self.p_hat_max)
+        self.visits = LinearConstraint(sparse.csc_array(eta.T, dtype=float), p_max, p_hat_max)
         self.n_vars = W
         self.lexicographic = lexicographic
         self.cost = W * W + np.arange(W, dtype=float) if self.lexicographic else np.ones(W)
@@ -139,11 +138,9 @@ class _CoverProgram:
         """Optimal point of the LP relaxation within the bounds, or None if infeasible.
 
         With ``integral`` the program is the binary MIP instead. ``rows``,
-        as ``probe_rows`` builds them, replaces the visit rows. The
-        lexicographic first solve and every probe of the descent call the
-        LP first and the MIP only on a fractional point. Any verdict other
-        than optimal or infeasible raises AnnotationError rather than being
-        mistaken for either.
+        as ``probe_rows`` builds them, replaces the visit rows. Any verdict
+        other than optimal or infeasible raises AnnotationError rather than
+        being mistaken for either.
         """
         res = milp(
             self.cost,
@@ -159,38 +156,29 @@ class _CoverProgram:
             raise AnnotationError(f"{kind} solver gave no verdict (status {res.status}: {res.message})")
         return res.x
 
-    def solve(self, lo: np.ndarray, hi: np.ndarray, rows: LinearConstraint | None = None) -> np.ndarray | None:
-        """Indices of a minimum selection within the bounds, or None if infeasible."""
+    def select(self, lo: np.ndarray, hi: np.ndarray, rows: LinearConstraint | None = None) -> np.ndarray | None:
+        """Indices of a minimum selection within the bounds and rows, or None if infeasible.
+
+        ``rows`` defaults to the visit rows. Where the cost is lexicographic
+        the LP goes first: an LP-infeasible program is MIP-infeasible, and
+        an LP optimum within 1e-9 of a 0/1 point whose exact recount meets
+        the rows and bounds is a MIP optimum. At W ≤ 512 the costs sum to
+        under 1.4e8, so the rounding moves the cost by under 0.14, less
+        than 1, the least gap between two selections' costs. Any other
+        point, or a cost that is not lexicographic, runs the MIP.
+        """
+        rows = self.visits if rows is None else rows
+        if self.lexicographic:
+            point = self.relax(lo, hi, rows)
+            if point is None:
+                return None
+            x = np.round(point)
+            counts = rows.A @ x  # sums of 0/1 terms, exact in doubles
+            integral = np.abs(point - x).max() <= 1e-9
+            if integral and ((rows.lb <= counts) & (counts <= rows.ub)).all() and ((lo <= x) & (x <= hi)).all():
+                return np.flatnonzero(x)
         x = self.relax(lo, hi, rows, integral=True)
         return None if x is None else np.flatnonzero(x > 0.5)
-
-    def covers(self, x: np.ndarray) -> bool:
-        """Whether the 0/1 vector ``x`` visits every node within the bounds, in exact integers."""
-        visits = x.astype(int) @ self.eta
-        return bool(((self.p_max <= visits) & (visits <= self.p_hat_max)).all())
-
-    def first_selection(self) -> np.ndarray | None:
-        """Indices of a minimum selection, or None if infeasible.
-
-        Where the cost is lexicographic the LP goes first: an LP-infeasible
-        program is MIP-infeasible, and an LP optimum within 1e-9 of a 0/1
-        point whose exact recount meets the visit bounds is a MIP optimum.
-        At W ≤ 512 the costs sum to under 1.4e8, so the rounding moves the
-        cost by under 0.14, less than 1, the least gap between two
-        selections' costs. Only a fractional point pays for the MIP.
-        Otherwise HiGHS's own MIP optimum is the answer, so the MIP runs at
-        once.
-        """
-        lo, hi = np.zeros(self.n_vars), np.ones(self.n_vars)
-        if not self.lexicographic:
-            return self.solve(lo, hi)
-        point = self.relax(lo, hi)
-        if point is None:
-            return None
-        x = np.round(point)
-        if np.abs(point - x).max() <= 1e-9 and self.covers(x):
-            return np.flatnonzero(x)
-        return self.solve(lo, hi)
 
 
 def _lexicographic_minimum(program: _CoverProgram, witness: np.ndarray) -> np.ndarray:
@@ -204,15 +192,8 @@ def _lexicographic_minimum(program: _CoverProgram, witness: np.ndarray) -> np.nd
     demanding at least one index in [low, high) settles it: an infeasible
     probe zeroes [low, high) and fixes ``high``, a feasible probe's witness
     lowers ``high``. At most k* + W probes; the index-weighted cost keeps
-    witnesses low, so most indices need one probe or none.
-
-    Each probe is an LP first, with the MIP's rows, bounds and cost. An
-    LP-infeasible probe is MIP-infeasible. Otherwise the LP point is
-    rounded and checked in exact integer arithmetic against the visit
-    bounds, the cap k*, the window and the fixed indices; a point that
-    passes is the probe's witness (the descent needs a feasible one, not
-    an optimal one). Only a point that fails, which takes a fractional
-    one, pays for the probe's MIP.
+    witnesses low, so most indices need one probe or none. Each probe is a
+    ``select`` over the visit, cap and window rows.
     """
     W = program.n_vars
     k_star = len(witness)
@@ -222,19 +203,7 @@ def _lexicographic_minimum(program: _CoverProgram, witness: np.ndarray) -> np.nd
     for _ in range(k_star):
         high = int(witness[witness >= low][0])
         while low < high:
-            rows = program.probe_rows(k_star, low, high)
-            point = program.relax(lo, hi, rows)
-            probe = None
-            if point is not None:
-                x = (point > 0.5).astype(int)
-                feasible = (
-                    x.sum() <= k_star
-                    and x[low:high].any()
-                    and (lo <= x).all()
-                    and (x <= hi).all()
-                    and program.covers(x)
-                )
-                probe = np.flatnonzero(x) if feasible else program.solve(lo, hi, rows)
+            probe = program.select(lo, hi, program.probe_rows(k_star, low, high))
             if probe is None:
                 hi[low:high] = 0.0
                 low = high
@@ -246,14 +215,13 @@ def _lexicographic_minimum(program: _CoverProgram, witness: np.ndarray) -> np.nd
     return np.flatnonzero(lo)
 
 
-def _infeasibility_diagnostic(problem: CoverProblem, program: _CoverProgram) -> list[CapabilityId]:
+def _infeasibility_diagnostic(problem: CoverProblem, eta: np.ndarray) -> list[CapabilityId]:
     """Best-effort naming of nodes blocking feasibility when the caps conflict.
 
     Every node lies on at least p_max paths (``solve_cover`` checks that
     first), so these are the nodes a greedy max-coverage pass that respects
     p_hat_max cannot fill.
     """
-    eta = program.eta
     counts = np.zeros(len(problem.node_set), dtype=int)
     unused = np.ones(len(eta), dtype=bool)
     while (need := counts < problem.p_max).any():
@@ -283,15 +251,16 @@ def solve_cover(problem: CoverProblem) -> CoverSolution:
     if not problem.node_set:
         return CoverSolution(selected=(), objective=0, visit_counts={}, lexicographic=True)
 
-    program = _CoverProgram(problem, lexicographic=len(problem.paths) <= DEFAULT_LEX_LIMIT)
-    membership = program.eta.sum(axis=0)
-    under = [n for n, c in zip(problem.node_set, membership) if c < problem.p_max]
+    eta = _visit_rows(problem.paths, problem.node_set)
+    under = [n for n, c in zip(problem.node_set, eta.sum(axis=0)) if c < problem.p_max]
     if under:
         raise InfeasibleCoverError(sorted(under))
 
-    selection = program.first_selection()
+    W = len(eta)
+    program = _CoverProgram(eta, problem.p_max, problem.p_hat_max, lexicographic=W <= DEFAULT_LEX_LIMIT)
+    selection = program.select(np.zeros(W), np.ones(W))
     if selection is None:
-        raise InfeasibleCoverError(_infeasibility_diagnostic(problem, program))
+        raise InfeasibleCoverError(_infeasibility_diagnostic(problem, eta))
 
     if program.lexicographic:
         selection = _lexicographic_minimum(program, selection)
@@ -389,8 +358,7 @@ def solve_priced_cover(
     The first round prices from the empty pool's duals in closed form
     (``_empty_pool_lp``) and runs no LP. Each pooled path's visit row is
     made once; every later LP gets the rows stacked in canonical path
-    order, and the problem and its MIP program are built once, after the
-    last round.
+    order, and the last round's stack is the pool MIP's program.
     """
     problem = CoverProblem(paths=(), node_set=node_set, p_max=p_max, p_hat_max=p_hat_max)  # checks the settings
     rows: dict[tuple[CapabilityId, ...], np.ndarray] = {}  # each pooled path's visit row
@@ -409,8 +377,8 @@ def solve_priced_cover(
         return None
 
     problem = replace(problem, paths=tuple(sorted(rows)))
-    pooled = _CoverProgram(problem, lexicographic=False)
-    best = pooled.solve(np.zeros(pooled.n_vars), np.ones(pooled.n_vars))
+    pooled = _CoverProgram(eta, p_max, p_hat_max, lexicographic=False)
+    best = pooled.select(np.zeros(len(eta)), np.ones(len(eta)))
     if best is None or len(best) > math.ceil(bound - math.ceil(bound) * _TOL):
         return None
     selected = tuple(int(w) for w in best)

@@ -55,7 +55,6 @@ __all__ = [
     "ConjugationGraph",
     "CandidateVerdict",
     "StrongCandidate",
-    "EdgeCorrelations",
     "build_graph",
     "prune_weak",
     "augment_strong",
@@ -271,30 +270,20 @@ def build_graph(
     )
 
 
-class EdgeCorrelations:
-    """Sparse pairwise correlation lookup (order-insensitive)."""
-
-    def __init__(self, values: Iterable[tuple[CapabilityId, CapabilityId, float]]):
-        self._values: dict[frozenset[CapabilityId], float] = {
-            frozenset((a, b)): float(r) for a, b, r in values
-        }
-
-    def pair(self, a: CapabilityId, b: CapabilityId) -> float | None:
-        return self._values.get(frozenset((a, b)))
-
-
-def prune_weak(graph: ConjugationGraph, corr, threshold: float) -> ConjugationGraph:
+def prune_weak(
+    graph: ConjugationGraph, corr: Mapping[frozenset[CapabilityId], float], threshold: float
+) -> ConjugationGraph:
     """Drop edges whose |r| is below the threshold; annotate survivors with r.
 
-    ``corr`` is anything exposing ``pair(a, b) -> float | None`` (an
-    EdgeCorrelations fixture or a computed CorrelationMatrix). A missing
-    value for an edge endpoint pair is an error.
+    ``corr`` maps each unordered endpoint pair to its r, as
+    ``read_correlations`` returns it. A missing value for an edge's pair
+    is an error.
     """
     if not threshold >= 0:
         raise ConfigError(f"threshold must be non-negative, got {threshold}")
     kept: list[Edge] = []
     for edge in graph.edges:
-        r = corr.pair(edge.source, edge.target)
+        r = corr.get(edge.pair())
         if r is None:
             raise MissingCorrelationError(
                 f"no correlation for edge pair {edge.source}, {edge.target}"
@@ -477,9 +466,9 @@ def read_candidates(lines: Iterable[str]) -> tuple[StrongCandidate, ...]:
     return tuple(read_table(lines, ("c1", "c2", "r", "verdict"), "candidate", GraphConstructionError, parse))
 
 
-def read_correlations(lines: Iterable[str]) -> EdgeCorrelations:
-    """Long-form ``id1,id2,r`` rows; a pair given twice, in either order, is an error."""
-    values = {}
+def read_correlations(lines: Iterable[str]) -> dict[frozenset[CapabilityId], float]:
+    """Long-form ``id1,id2,r`` rows as {unordered pair: r}; a pair given twice, in either order, is an error."""
+    values: dict[frozenset[CapabilityId], float] = {}
 
     def parse(row) -> None:
         id1, id2, r = row
@@ -487,10 +476,10 @@ def read_correlations(lines: Iterable[str]) -> EdgeCorrelations:
         pair = frozenset((a, b))
         if pair in values:
             raise GraphConstructionError(f"correlation pair {a}, {b} repeats")
-        values[pair] = (a, b, _parse_r(r))
+        values[pair] = _parse_r(r)
 
     read_table(lines, ("id1", "id2", "r"), "correlation", GraphConstructionError, parse)
-    return EdgeCorrelations(values.values())
+    return values
 
 
 def _fixture_text(name: str) -> str:
@@ -507,7 +496,7 @@ def load_candidates(path) -> tuple[StrongCandidate, ...]:
         return read_candidates(handle)
 
 
-def load_correlations(path) -> EdgeCorrelations:
+def load_correlations(path) -> dict[frozenset[CapabilityId], float]:
     with open(path, newline="", encoding="utf-8") as handle:
         return read_correlations(handle)
 
@@ -520,5 +509,5 @@ def load_default_candidates() -> tuple[StrongCandidate, ...]:
     return read_candidates(_fixture_text("strong_candidates.csv").splitlines())
 
 
-def load_default_correlations() -> EdgeCorrelations:
+def load_default_correlations() -> dict[frozenset[CapabilityId], float]:
     return read_correlations(_fixture_text("reference_correlations.csv").splitlines())

@@ -10,7 +10,6 @@ from capnet.network import (
     CandidateVerdict,
     ConjugationGraph,
     Edge,
-    EdgeCorrelations,
     RelationKind,
     StrongCandidate,
     augment_strong,
@@ -138,7 +137,7 @@ class TestPruneWeak:
     def test_missing_endpoint_errors(self):
         graph = build_graph([entry("1.01", "1.05.01", "c")])
         with pytest.raises(MissingCorrelationError):
-            prune_weak(graph, EdgeCorrelations([]), 0.4)
+            prune_weak(graph, {}, 0.4)
 
     def test_survivors_annotated(self, built_graph, reference_correlations):
         pruned = prune_weak(built_graph, reference_correlations, 0.4)

@@ -97,7 +97,7 @@ class TestCorrelationMatrix:
         col = [1, 2, 3, 4, 5, 6, 0, 2]
         dataset, ids = self._dataset({a: col, b: col}, len(col))
         matrix = correlation_matrix(dataset, ids)
-        assert matrix.pair(a, b) == 1.0
+        assert matrix.r[0, 1] == 1.0
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(5)
@@ -120,9 +120,9 @@ class TestCorrelationMatrix:
         a, b = pid("1.05.01"), pid("1.05.02")
         dataset, ids = self._dataset({a: [3] * 6, b: [1, 2, 3, 1, 2, 3]}, 6)
         matrix = correlation_matrix(dataset, ids)
-        assert matrix.pair(a, b) is None
+        assert np.isnan(matrix.r[0, 1])
         assert matrix.undefined_ids() == [a]
-        assert matrix.pair(b, b) == 1.0
+        assert matrix.r[1, 1] == 1.0
 
     def test_too_few_profiles(self):
         a = pid("1.05.01")

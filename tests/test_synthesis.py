@@ -319,7 +319,7 @@ class TestLexicographicCover:
             assert result.solution.selected == tuple(inst["selected"])
             assert result.solution.lexicographic
         mips = sum(integral for integral, _ in milp_calls)
-        # 5 first solves and 58 probes, each an LP first and a MIP only when its LP point is
+        # 5 first solves and 57 probes, each an LP first and a MIP only when its LP point is
         # fractional: here one probe of the 351-column instance
         assert mips <= 2
         assert len(milp_calls) <= 90
@@ -402,6 +402,43 @@ class TestLexicographicCover:
         with pytest.raises(AnnotationError, match=r"LP solver gave no verdict \(status 1"):
             solve_cover(problem)
 
+    def test_fractional_probe_point_runs_the_probe_mip(self, final_graph, sitting_set, monkeypatch):
+        # Every feasible probe LP's integral point x is reported as 0.9·x + 0.05: fractional,
+        # yet it rounds back to x, which meets the probe's rows. Only the probe's MIP may settle it.
+        real = cover.milp
+        calls = []
+
+        def milp(c, integrality, constraints, **kwargs):
+            res = real(c, integrality=integrality, constraints=constraints, **kwargs)
+            probe_lp = not integrality.any() and constraints.A.shape[0] == len(sub.nodes) + 2
+            blurred = probe_lp and res.status == 0 and np.allclose(res.x, np.round(res.x), rtol=0, atol=1e-9)
+            if blurred:
+                res.x = 0.9 * res.x + 0.05
+            calls.append((bool(integrality.any()), blurred))
+            return res
+
+        monkeypatch.setattr(cover, "milp", milp)
+        rng = random.Random(2)
+        blurred_count = drawn = 0
+        while drawn < 20:
+            sub = final_graph.restricted_to(sorted(rng.sample(sitting_set, rng.randint(6, 12))))
+            paths = enumerate_paths(sub, 3)
+            if not 20 <= len(paths) <= 120:
+                continue
+            drawn += 1
+            p_max = rng.randint(1, 2)
+            p_hat = p_max + rng.randint(0, 1)
+            calls.clear()
+            try:
+                selected = solve_cover(CoverProblem(paths=paths, node_set=sub.nodes, p_max=p_max, p_hat_max=p_hat)).selected
+            except InfeasibleCoverError:
+                selected = None
+            assert selected == lex_min_cover_by_columns(paths, sub.nodes, p_max, p_hat)
+            for (_, blurred), (next_integral, _) in zip(calls, calls[1:] + [(False, False)]):
+                assert next_integral or not blurred  # each blurred probe LP is followed by its MIP
+            blurred_count += sum(blurred for _, blurred in calls)
+        assert blurred_count >= 5  # 11 with scipy 1.17
+
 
 @pytest.fixture
 def milp_calls(monkeypatch):
@@ -452,16 +489,16 @@ def _priced_optimum(sub, p_max, p_hat):
 
 @pytest.fixture
 def rigged_pool(monkeypatch):
-    """``with rigged_pool(mode) as columns:`` the first cover MIP inside misreports its selection.
+    """``with rigged_pool(mode) as columns:`` the first cover ``select`` inside misreports its selection.
 
     Mode "none" reports no selection; mode "over" adds the lowest unselected
     column, one path more than the optimum. ``columns`` collects the column
-    count of every cover MIP inside.
+    count of every cover ``select`` inside.
     """
-    real = cover._CoverProgram.solve
+    real = cover._CoverProgram.select
     rig, columns = [None], []
 
-    def solve(program, *args):
+    def select(program, *args):
         columns.append(program.n_vars)
         found = real(program, *args)
         if len(columns) > 1 or found is None or rig[0] is None:
@@ -479,7 +516,7 @@ def rigged_pool(monkeypatch):
         finally:
             rig[0] = None
 
-    monkeypatch.setattr(cover._CoverProgram, "solve", solve)
+    monkeypatch.setattr(cover._CoverProgram, "select", select)
     return rigged
 
 
