@@ -270,21 +270,19 @@ def cmd_gen_data(count, seed, correlation, degenerate_fraction, out_path):
 
 
 def _read_requirements(path) -> "profiles.RequirementSet":
-    values = {}
-
-    def parse(row) -> None:
+    def parse(row) -> tuple:
         cap_id, level = row
         cap = taxonomy.parse_capability_id(cap_id)
-        if cap in values:
-            raise DatasetError(f"requirement id {cap} repeats")
         try:
-            values[cap] = taxonomy.quantification(taxonomy.parse_score(level))
+            return cap, taxonomy.quantification(taxonomy.parse_score(level))
         except (ValueError, CapnetError) as exc:
             raise DatasetError(f"requirement level: {exc}") from None
 
+    key = lambda row: row[0]
+    describe = lambda row: f"requirement id {row[0]}"
     with open(path, newline="", encoding="utf-8") as handle:
-        taxonomy.read_table(handle, ("id", "level"), "requirement", DatasetError, parse)
-    return profiles.RequirementSet(action_id=str(path), requirements=values)
+        rows = taxonomy.read_table(handle, ("id", "level"), "requirement", DatasetError, parse, key, describe)
+    return profiles.RequirementSet(action_id=str(path), requirements=dict(rows))
 
 
 if __name__ == "__main__":

@@ -249,7 +249,7 @@ def solve_cover(problem: CoverProblem) -> CoverSolution:
     against the bounds.
     """
     if not problem.node_set:
-        return CoverSolution(selected=(), objective=0, visit_counts={}, lexicographic=True)
+        return _checked_solution(problem, (), lexicographic=True)
 
     eta = _visit_rows(problem.paths, problem.node_set)
     under = [n for n, c in zip(problem.node_set, eta.sum(axis=0)) if c < problem.p_max]
@@ -265,14 +265,13 @@ def solve_cover(problem: CoverProblem) -> CoverSolution:
     if program.lexicographic:
         selection = _lexicographic_minimum(program, selection)
 
+    return _checked_solution(problem, selection, program.lexicographic)
+
+
+def _checked_solution(problem: CoverProblem, selection: Sequence[int], lexicographic: bool) -> CoverSolution:
+    """The solution selecting ``selection``, its visit counts recounted and checked by ``verify_cover``."""
     selected = tuple(int(w) for w in selection)
-    counts = verify_cover(problem, selected)
-    return CoverSolution(
-        selected=selected,
-        objective=len(selected),
-        visit_counts=counts,
-        lexicographic=program.lexicographic,
-    )
+    return CoverSolution(selected, len(selected), verify_cover(problem, selected), lexicographic)
 
 
 def verify_cover(problem: CoverProblem, selected: Sequence[int]) -> dict[CapabilityId, int]:
@@ -381,6 +380,4 @@ def solve_priced_cover(
     best = pooled.select(np.zeros(len(eta)), np.ones(len(eta)))
     if best is None or len(best) > math.ceil(bound - math.ceil(bound) * _TOL):
         return None
-    selected = tuple(int(w) for w in best)
-    counts = verify_cover(problem, selected)
-    return problem, CoverSolution(selected=selected, objective=len(selected), visit_counts=counts, lexicographic=False)
+    return problem, _checked_solution(problem, best, lexicographic=False)

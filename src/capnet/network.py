@@ -419,6 +419,8 @@ def import_graph(text: str) -> ConjugationGraph:
 
 
 def read_interrelations(lines: Iterable[str]) -> tuple[Edge, ...]:
+    """The ``row_id,col_id,relation,manufacturing`` entries; a cell given twice is an error."""
+
     def parse(row) -> Edge:
         row_id, col_id, relation, manufacturing = row
         try:
@@ -436,7 +438,9 @@ def read_interrelations(lines: Iterable[str]) -> tuple[Edge, ...]:
         )
 
     columns = ("row_id", "col_id", "relation", "manufacturing")
-    return tuple(read_table(lines, columns, "interrelation", GraphConstructionError, parse))
+    key = lambda edge: (edge.source, edge.target)
+    describe = lambda edge: f"interrelation cell {edge.source}, {edge.target}"
+    return tuple(read_table(lines, columns, "interrelation", GraphConstructionError, parse, key, describe))
 
 
 def _parse_r(text) -> float:
@@ -444,8 +448,8 @@ def _parse_r(text) -> float:
         r = float(text)
     except ValueError:
         raise GraphConstructionError(f"correlation {text!r} is not a number") from None
-    if not math.isfinite(r):
-        raise GraphConstructionError(f"correlation {text!r} is not finite")
+    if not abs(r) <= 1.0:  # also rejects NaN
+        raise GraphConstructionError(f"correlation {text!r} is not in [-1, 1]")
     return r
 
 
@@ -468,18 +472,15 @@ def read_candidates(lines: Iterable[str]) -> tuple[StrongCandidate, ...]:
 
 def read_correlations(lines: Iterable[str]) -> dict[frozenset[CapabilityId], float]:
     """Long-form ``id1,id2,r`` rows as {unordered pair: r}; a pair given twice, in either order, is an error."""
-    values: dict[frozenset[CapabilityId], float] = {}
 
-    def parse(row) -> None:
+    def parse(row) -> tuple[CapabilityId, CapabilityId, float]:
         id1, id2, r = row
-        a, b = parse_capability_id(id1), parse_capability_id(id2)
-        pair = frozenset((a, b))
-        if pair in values:
-            raise GraphConstructionError(f"correlation pair {a}, {b} repeats")
-        values[pair] = _parse_r(r)
+        return parse_capability_id(id1), parse_capability_id(id2), _parse_r(r)
 
-    read_table(lines, ("id1", "id2", "r"), "correlation", GraphConstructionError, parse)
-    return values
+    key = lambda row: frozenset(row[:2])
+    describe = lambda row: f"correlation pair {row[0]}, {row[1]}"
+    rows = read_table(lines, ("id1", "id2", "r"), "correlation", GraphConstructionError, parse, key, describe)
+    return {frozenset((a, b)): r for a, b, r in rows}
 
 
 def _fixture_text(name: str) -> str:

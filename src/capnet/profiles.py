@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError, IncompleteProfileError, QuantificationError
+from .errors import CapabilityIdError, ConfigError, DatasetError, QuantificationError
 from .taxonomy import (
     QUANT_MAX,
     QUANT_MIN,
@@ -37,7 +37,6 @@ __all__ = [
     "ProfileDataset",
     "GeneratorConfig",
     "propagate_main_level",
-    "profile_std",
     "filter_profiles",
     "generate_synthetic_profiles",
 ]
@@ -158,19 +157,6 @@ def propagate_main_level(profile: Profile) -> Profile:
     return replace(profile, values=extended)
 
 
-def profile_std(profile: Profile, capability_set: Sequence[CapabilityId]) -> float:
-    """Population standard deviation of the profile over the evaluation set.
-
-    This is the dispersion statistic used by filter_profiles. Raises
-    IncompleteProfileError listing missing ids.
-    """
-    missing = profile.missing_from(capability_set)
-    if missing:
-        raise IncompleteProfileError(missing)
-    data = np.array([profile.values[cap] for cap in capability_set], dtype=float)
-    return float(np.sqrt(np.mean((data - data.mean()) ** 2)))
-
-
 def filter_profiles(
     dataset: ProfileDataset,
     capability_set: Sequence[CapabilityId],
@@ -187,7 +173,7 @@ def filter_profiles(
     complete = [profile for profile in dataset if profile.values.keys() >= needed]
     data = np.array([[profile.values[cap] for cap in capability_set] for profile in complete], dtype=float)
     data = data.reshape(len(complete), len(capability_set))
-    std = np.sqrt(np.mean((data - data.mean(axis=1, keepdims=True)) ** 2, axis=1))  # profile_std of each row
+    std = np.sqrt(np.mean((data - data.mean(axis=1, keepdims=True)) ** 2, axis=1))  # population std of each row
     return ProfileDataset(profile for profile, spread in zip(complete, std) if spread >= threshold)
 
 
@@ -315,7 +301,7 @@ def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None)
         raise DatasetError("dataset header must start with agent_id,phase")
     try:
         ids = [parse_capability_id(text) for text in header[2:]]
-    except Exception as exc:
+    except CapabilityIdError as exc:
         raise DatasetError(f"bad capability id in header: {exc}") from exc
     for k, cap in enumerate(ids):
         if cap in ids[:k]:

@@ -22,6 +22,9 @@ always use float32, since 36*n < 2**24. Other input is reduced over c
 by einsum, whose order does not depend on BLAS/OpenMP thread settings,
 and carries a relative tie tolerance of 100 eps. So results are
 bit-identical across runs and thread settings.
+
+The exceedance counts cover every column, constant ones too; a p-value
+table masks each pair that touches a constant column as undefined (NaN).
 """
 
 from __future__ import annotations
@@ -85,8 +88,12 @@ def pearson(x, y) -> float:
 
 
 def _centred_products(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale-centred columns c = n*x - sum(x) and their cross-product matrix c'c."""
+    """Scale-centred columns c = n*x - sum(x) and their cross-product matrix c'c.
+
+    A constant column centres to exactly 0, which n*x - sum(x) in floats need not give (x = 0.1, n = 70).
+    """
     centred = len(data) * data - data.sum(axis=0)
+    centred[:, np.ptp(data, axis=0) == 0] = 0.0
     return centred, np.einsum("ki,kj->ij", centred, centred, optimize=False)
 
 
@@ -185,8 +192,9 @@ def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
     permutes column j. Every pair sees the same rows: row r is the stable
     argsort of row r of the Philox stream keyed by ``seed``, so it depends
     on (seed, r) only. A null within scipy's relative tolerance of 100 eps
-    below the observed value counts as reaching it. Pairs with a constant
-    column stay 0.
+    below the observed value counts as reaching it. Every column is
+    counted: a constant one's nulls and observed value are all 0, so its
+    count is n_resamples, and the p-value table masks it as undefined.
 
     On integer scores the product gathers the shifted scores y = x - min(x),
     in float32 when max(y)**2 * n < 2**24 and in float64 otherwise, and
@@ -196,33 +204,33 @@ def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
     centred, products = _centred_products(data)
-    live = np.flatnonzero(np.ptp(data, axis=0) > 0)
-    centred, observed = centred[:, live], np.abs(products[np.ix_(live, live)])
+    observed = np.abs(products)
     reach = observed - 100 * np.finfo(float).eps * observed  # scipy's tie tolerance
     n, width = centred.shape
-    scores = data[:, live]
-    shifted = scores - scores.min(axis=0)
+    shifted = data - data.min(axis=0)
     sums = shifted.sum(axis=0)
     exact = (
         np.array_equal(shifted, np.rint(shifted))
         and np.array_equal(centred, n * shifted - sums)
         and observed.diagonal().max(initial=0) < 2.0**53
     )
+    # columns are stored column-major (order="F"): at 430 x 22 one call took 15.0 ms on 1,000 integer
+    # resamples and 16.3 ms on 200 float ones, against 15.9 and 35.2 ms on row-major columns
     if exact:
         # y reproduces c exactly, so the rebuilt null of the identity row is the observed value;
         # every partial sum of T = y'y[pi] is an integer of at most n * max(y)**2, and below 2**53
-        columns = shifted.astype(np.float32 if shifted.max(initial=0) ** 2 * n < 2**24 else np.float64)
+        columns = shifted.astype(np.float32 if shifted.max(initial=0) ** 2 * n < 2**24 else np.float64, order="F")
         cross = np.outer(sums.astype(np.int64), sums.astype(np.int64))
         null = lambda permuted: n * (n * np.matmul(columns.T, permuted).astype(np.int64) - cross)
     else:
-        columns = centred
-        null = partial(np.einsum, "in,rnj->rij", centred.T, optimize=False)
+        columns = centred.astype(float, order="F")
+        null = partial(np.einsum, "in,rnj->rij", columns.T, optimize=False)
     counts = np.zeros((width, width), dtype=np.int64)
     # every chunk gathers into one buffer, since a fresh array per chunk raises peak RSS; take fills
     # it in place only in mode "clip" (the default mode buffers), and argsort's indices are in range
     buffer = np.empty((min(_CHUNK, n_resamples), n, width), dtype=columns.dtype)
     bits = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    for start in range(0, n_resamples if width > 1 else 0, _CHUNK):  # no defined pair: draw nothing
+    for start in range(0, n_resamples if width > 1 else 0, _CHUNK):  # no pair: draw nothing
         keys = bits.random((min(_CHUNK, n_resamples - start), n))
         perms = np.argsort(keys, axis=1)  # the stable order in every row without a tied key
         # a stable sort of every row costs 3x this tie check (430 against 141 µs per chunk at n = 430)
@@ -232,9 +240,7 @@ def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
         permuted = np.take(columns, perms, axis=0, out=buffer[: len(perms)], mode="clip")
         nulls = null(permuted)  # [r, i, j]: pair (i, j) under row r
         counts += np.count_nonzero(np.abs(nulls) >= reach, axis=0)
-    exceed = np.zeros(products.shape, dtype=np.int64)
-    exceed[np.ix_(live, live)] = np.triu(counts, 1)
-    return exceed
+    return np.triu(counts, 1)
 
 
 def permutation_test(x, y, n_resamples: int = 10_000, seed: int = 0) -> PermutationTestResult:

@@ -118,6 +118,14 @@ class TestBuildGraph:
             pytest.param("--interrelations", "row_id,col_id,relation,manufacturing\n1.01,3.²,c,0\n", 2, id="interrelations-id"),
             pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,3.²,0.81,impossible\n", 2, id="candidates-id"),
             pytest.param("--correlations", "id1,id2,r\n1.01,3.²,0.5\n", 2, id="correlations-id"),
+            pytest.param("--correlations", "id1,id2,r\n1.01,1.05.01,-1.2\n", 2, id="correlations-r-beyond-one"),
+            pytest.param("--candidates", "c1,c2,r,verdict\n1.05.01,1.05.02,-3.0,impossible\n", 2, id="candidates-r-beyond-one"),
+            pytest.param(
+                "--interrelations",
+                "row_id,col_id,relation,manufacturing\n1.01,1.05.01,c,0\n1.01,1.05.01,a,0\n",
+                3,
+                id="interrelations-duplicate-cell",
+            ),
             pytest.param("--catalog", "id,name,category,posture,laterality\n1.01,Sitting\n", 2, id="catalog-short"),
             pytest.param("--catalog", "id,name,category,posture,laterality\n1.01,Sitting,upstream,lying,n/a\n", 2, id="catalog-enum"),
             pytest.param(
@@ -151,7 +159,7 @@ class TestBuildGraph:
         doubled.write_text(text + "1.05.01,1.01,0.1\n")
         result = runner.invoke(main, ["build-graph", "--correlations", str(doubled)])
         assert result.exit_code == EXIT_DATA, result.output
-        assert "correlation pair 1.05.01, 1.01 repeats" in result.stderr
+        assert "duplicate correlation pair 1.05.01, 1.01 (first on line 2)" in result.stderr
 
     @pytest.mark.parametrize("width", ["short", "long"])
     @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from capnet.network import (
     find_cycle,
     import_graph,
     prune_weak,
+    read_candidates,
     read_correlations,
     read_interrelations,
 )
@@ -107,6 +108,25 @@ class TestBuildGraph:
         with pytest.raises(GraphConstructionError, match="line 3"):
             read_interrelations(lines)
 
+    def test_repeated_cell_names_both_lines(self):
+        lines = ["row_id,col_id,relation,manufacturing", "1.01,1.05.01,c,0", "1.05.01,1.01,d,0", "1.01,1.05.01,a,0"]
+        with pytest.raises(GraphConstructionError, match=r"line 4: duplicate interrelation cell 1.01, 1.05.01 \(first on line 2\)"):
+            read_interrelations(lines)
+        assert len(read_interrelations(lines[:3])) == 2  # the pair read column -> row is another cell
+
+    @pytest.mark.parametrize(
+        "read, header, r",
+        [
+            (read_correlations, "id1,id2,r", "-1.2"),
+            (read_candidates, "c1,c2,r,verdict", "-3.0"),
+        ],
+    )
+    def test_correlation_beyond_one_names_line(self, read, header, r):
+        row = f"1.05.01,1.05.02,{r}" + (",impossible" if read is read_candidates else "")
+        with pytest.raises(GraphConstructionError, match=rf"line 2: correlation '{r}' is not in \[-1, 1\]"):
+            read([header, row])
+        assert len(read([header, row.replace(r, "-1.0")])) == 1
+
 
 class TestPruneWeak:
     WEAK = [
@@ -118,7 +138,7 @@ class TestPruneWeak:
 
     def test_repeated_pair_rejected_in_either_order(self):
         lines = ["id1,id2,r", "1.01,1.05.01,0.9", "1.05.01,1.01,0.1"]
-        with pytest.raises(GraphConstructionError, match="line 3: correlation pair 1.05.01, 1.01 repeats"):
+        with pytest.raises(GraphConstructionError, match=r"line 3: duplicate correlation pair 1.05.01, 1.01 \(first on line 2\)"):
             read_correlations(lines)
 
     def test_reference_prune_removes_exactly_four(self, built_graph, reference_correlations):
@@ -172,6 +192,20 @@ class TestAugmentStrong:
         added = augment_strong(g, cands, repair=repair).edge_pairs() - g.edge_pairs()
         strong, moderate = frozenset((pid("1.01"), pid("3.01"))), frozenset((pid("1.01"), pid("4.01")))
         assert added == ({strong, moderate} if repair else {strong})
+
+    def test_candidate_on_an_edge_pair_skipped(self):
+        g = build_graph([entry("1.01", "2.01", "c"), entry("2.01", "3.01", "c")])
+        cands = [
+            StrongCandidate(pid("2.01"), pid("1.01"), 0.9, CandidateVerdict.NOT_IN_TABLE),  # the c edge's pair
+            StrongCandidate(pid("1.01"), pid("3.01"), 0.9, CandidateVerdict.NOT_IN_TABLE),
+            StrongCandidate(pid("3.01"), pid("1.01"), -0.9, CandidateVerdict.NOT_IN_TABLE),  # the pair just added
+        ]
+        final = augment_strong(g, cands)
+        assert final.edges == (
+            *g.edges[:1],
+            Edge(pid("1.01"), pid("3.01"), RelationKind.APPEARS_WITH, correlation=0.9),
+            *g.edges[1:],
+        )
 
     def test_empty_candidates_is_identity(self, final_graph):
         again = augment_strong(final_graph, [], repair=True)
@@ -246,6 +280,10 @@ class TestExport:
         empty = ConjugationGraph(nodes=(), edges=())
         assert import_graph(export_graph(empty, "structured")) == empty
         assert export_graph(empty, "dot").startswith("digraph")
+
+    def test_unknown_format_rejected(self, final_graph):
+        with pytest.raises(ValueError, match="unknown export format 'svg'"):
+            export_graph(final_graph, "svg")
 
     def test_dot_labels_include_names(self, final_graph, catalog):
         dot = export_graph(final_graph, "dot", catalog=catalog)
@@ -385,6 +423,11 @@ class TestGraphType:
                     Edge(b, a, RelationKind.APPEARS_WITH),
                 ),
             )
+
+    def test_repeated_node_rejected(self):
+        a = pid("1.01")
+        with pytest.raises(GraphConstructionError, match="duplicate nodes"):
+            ConjugationGraph(nodes=(a, pid("1.05.01"), a), edges=())
 
     def test_cycle_rejected_at_construction(self):
         a, b, c = pid("1.01"), pid("1.05.01"), pid("1.05.02")

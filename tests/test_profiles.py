@@ -1,11 +1,10 @@
 import hashlib
-import random
 
 import numpy as np
 import pytest
 
 from capnet import profiles
-from capnet.errors import ConfigError, DatasetError, IncompleteProfileError, QuantificationError
+from capnet.errors import ConfigError, DatasetError, QuantificationError
 from capnet.profiles import (
     GeneratorConfig,
     Phase,
@@ -15,7 +14,6 @@ from capnet.profiles import (
     filter_profiles,
     generate_synthetic_profiles,
     load_dataset,
-    profile_std,
     propagate_main_level,
     read_dataset,
     write_dataset,
@@ -56,42 +54,6 @@ class TestPropagateMainLevel:
         assert propagate_main_level(profile).values[pid("4.01")] == 6
 
 
-class TestProfileStd:
-    def test_constant_profile(self):
-        ids = [pid("1.05.01"), pid("1.05.02"), pid("3.01.01")]
-        profile = make_profile({"1.05.01": 3, "1.05.02": 3, "3.01.01": 3})
-        assert profile_std(profile, ids) == 0.0
-
-    def test_two_point_symmetric(self):
-        ids = [pid("1.05.01"), pid("1.05.02")]
-        profile = make_profile({"1.05.01": 2, "1.05.02": 4})
-        assert profile_std(profile, ids) == 1.0
-
-    def test_against_two_pass_oracle(self, sitting_set):
-        # frozen 24-value profile; expected value computed with the oracle
-        values = [3, 1, 1, 4, 1, 1, 2, 5, 0, 1, 6, 0, 6, 1, 5, 1, 0, 2, 0, 0, 6, 5, 1, 6]
-        ids = sitting_set + [pid("5.03.01"), pid("5.03.02")]
-        profile = Profile("a", Phase.UNSPECIFIED, dict(zip(ids, values)))
-        expected = 2.23451461296532
-        assert abs(population_std_two_pass(values) - expected) < 1e-12
-        assert abs(profile_std(profile, ids) - expected) < 1e-12
-
-    def test_oracle_agreement_randomized(self, sitting_set):
-        rng = random.Random(99)
-        for _ in range(50):
-            values = [rng.randint(0, 6) for _ in sitting_set]
-            if len(set(values)) == 1:
-                values[0] = (values[0] + 1) % 7
-            profile = Profile("a", Phase.UNSPECIFIED, dict(zip(sitting_set, values)))
-            assert abs(profile_std(profile, sitting_set) - population_std_two_pass(values)) < 1e-12
-
-    def test_incomplete_raises_with_missing_ids(self):
-        ids = [pid("1.05.01"), pid("3.03.04")]
-        with pytest.raises(IncompleteProfileError) as err:
-            profile_std(make_profile({"1.05.01": 3}), ids)
-        assert pid("3.03.04") in err.value.missing
-
-
 class TestFilterProfiles:
     def test_constant_profile_dropped(self, sitting_set):
         constant = Profile("a", Phase.POST_REHAB, {cap: 3 for cap in sitting_set})
@@ -125,7 +87,9 @@ class TestFilterProfiles:
     def test_equals_per_profile_rule(self, sitting_set, seed):
         config = GeneratorConfig(ids=tuple(sitting_set), agents=200, degenerate_fraction=0.3)
         dataset = generate_synthetic_profiles(config, seed=seed)
-        spreads = [(p, profile_std(p, sitting_set)) for p in dataset if not p.missing_from(sitting_set)]
+        spreads = [
+            (p, np.std([p.values[cap] for cap in sitting_set])) for p in dataset if not p.missing_from(sitting_set)
+        ]
         assert len(spreads) < len(dataset) and any(spread == 0.0 for _, spread in spreads)
         stds = sorted({spread for _, spread in spreads})
         for threshold in (0.0, 0.2, *stds[1::7]):  # also exactly at profiles' stds
@@ -177,6 +141,18 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             GeneratorConfig(ids=tuple(sitting_set), within_main_correlation=1.5)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"degenerate_fraction": -0.1}, r"degenerate_fraction must be in \[0, 1\], got -0.1"),
+            ({"degenerate_fraction": 1.5}, r"degenerate_fraction must be in \[0, 1\], got 1.5"),
+            ({"ids": ()}, "ids must not be empty"),
+        ],
+    )
+    def test_setting_out_of_range_rejected(self, sitting_set, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            GeneratorConfig(**{"ids": tuple(sitting_set), **setting})
+
     def test_golden_output_digest(self, sitting_set, catalog):
         # Pins the generator's bytes: any change to its draws, rounding or
         # degenerate handling changes the digest.
@@ -226,6 +202,11 @@ class TestDatasetFile:
     def test_repeated_header_id_rejected(self):
         lines = ["agent_id,phase,3.02.03,3.03.04,3.3.4", "demo,unspecified,5,0,4"]
         with pytest.raises(DatasetError, match="3.03.04 repeats"):
+            read_dataset(lines)
+
+    def test_malformed_header_id_rejected(self):
+        lines = ["agent_id,phase,3.03.04,3.x", "a,unspecified,4,4"]
+        with pytest.raises(DatasetError, match="bad capability id in header: '3.x': main component 'x'"):
             read_dataset(lines)
 
     @pytest.mark.parametrize("cell", ["4", ""], ids=["assessed", "empty"])

@@ -64,6 +64,18 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([np.nan, 1, 2, 5], [1, 2, 3, 4])
 
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], "expected 1-d vector"),
+            ([1.0, 2.0, 3.0], [1.0, 2.0], "length mismatch: 3 vs 2"),
+            ([1.0], [2.0], "at least 2 observations"),
+        ],
+    )
+    def test_malformed_shape_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            pearson(x, y)
+
     @settings(max_examples=60)
     @given(
         st.integers(2, 20),
@@ -317,21 +329,25 @@ class TestPairwisePvalues:
     @pytest.mark.parametrize("n_resamples", [1, 31, 32, 33, 255, 256, 257, 600])
     def test_entries_equal_single_pair_test(self, n_resamples):
         dataset, ids, data = self._dataset()
-        table = pairwise_permutation_pvalues(dataset, ids, n_resamples, seed=12)
         rows = _resample_rows(12, n_resamples, len(data))
-        defined = 0
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                if np.isnan(table.r[i, j]):
-                    continue
-                defined += 1
-                single = permutation_test(data[:, i], data[:, j], n_resamples, seed=12)
-                exact = permutation_exceedances_exact(data[:, i], data[:, j], rows)
-                assert single.p_value == (exact + 1) / (n_resamples + 1)
-                assert table.r[i, j] == single.p_value
-                assert table.r[j, i] == single.p_value
-        assert defined == 6
-        assert np.isnan(table.r[3]).all() and np.isnan(table.r[:, 3]).all()
+        # column 3 is constant at 4; the second input holds 0.1 there, a constant that is not an integer
+        fractional = data.copy()
+        fractional[:, 3] = 0.1
+        for source in (dataset, fractional):
+            table = pairwise_permutation_pvalues(source, ids, n_resamples, seed=12)
+            defined = 0
+            for i in range(len(ids)):
+                for j in range(i + 1, len(ids)):
+                    if np.isnan(table.r[i, j]):
+                        continue
+                    defined += 1
+                    single = permutation_test(data[:, i], data[:, j], n_resamples, seed=12)
+                    exact = permutation_exceedances_exact(data[:, i], data[:, j], rows)
+                    assert single.p_value == (exact + 1) / (n_resamples + 1)
+                    assert table.r[i, j] == single.p_value
+                    assert table.r[j, i] == single.p_value
+            assert defined == 6
+            assert np.isnan(table.r[3]).all() and np.isnan(table.r[:, 3]).all()
 
     def test_resample_count_validated(self):
         dataset, ids, _ = self._dataset()

@@ -286,6 +286,18 @@ class TestSolveCover:
         with pytest.raises(ConfigError):
             CoverProblem(paths=((A,),), node_set=(A,), p_max=0, p_hat_max=1)
 
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: CoverProblem(paths=((A,),), node_set=(A, B, A)), ConfigError, "node_set contains duplicates"),
+            (lambda: PathPricer(ConjugationGraph(nodes=(A,), edges=()), 0), ValueError, "n_min must be >= 1, got 0"),
+        ],
+        ids=["cover-repeated-node", "pricer-n-min-zero"],
+    )
+    def test_malformed_input_rejected(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
 
 class TestLexicographicCover:
     def test_matches_column_oracle_on_default_graph_subsets(self, final_graph, sitting_set):

@@ -212,6 +212,18 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             read_catalog(lines)
 
+    @pytest.mark.parametrize(
+        "misuse, message",
+        [
+            (lambda catalog: taxonomy.CapabilityCatalog([*catalog, next(iter(catalog))]), "duplicate catalog id 1.01"),
+            (lambda catalog: catalog[parse_capability_id("9.99")], "unknown capability id 9.99"),
+        ],
+        ids=["repeated-id", "unknown-id"],
+    )
+    def test_catalog_misuse_rejected(self, catalog, misuse, message):
+        with pytest.raises(CatalogError, match=message):
+            misuse(catalog)
+
     def test_short_row_rejected(self):
         lines = ["id,name,category,posture,laterality", "1.01,Sitting"]
         with pytest.raises(CatalogError, match="line 2"):
