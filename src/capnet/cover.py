@@ -26,15 +26,15 @@ paths, by column generation (Gilmore & Gomory, 1961; Desrosiers &
 Lübbecke, 2005). HiGHS ``linprog`` solves the path LP (0 <= x <= 1) over
 a pool of paths; its node duals π price every path at reduced cost
 1 − Σπ, and a DP over the DAG (``synthesis.PathPricer``) adds the best
-unpooled paths until none is negative. The first round needs no LP: over
-the empty pool every node's artificial alone meets its p_max row, so π is
-J·p_hat_max + 1 on every node in closed form. Each pooled path's visit row
-is made once, and each LP stacks the rows in canonical path order. The
-dual objective LP* then bounds every selection, so a pool MIP that reaches
-⌈LP*⌉ is optimal over all paths. Nothing else is trusted: when the LP
-keeps an artificial, or the pool MIP finds no selection or a larger one,
-the caller enumerates the paths, and ``solve_cover`` settles the instance
-and names the binding nodes.
+unpooled paths until none is negative. The first round runs no LP: one
+weight of 2 on every node ranks paths by node count, so it pools the
+longest paths. Each pooled path's visit row is made once, and each LP
+stacks the rows in canonical path order. The dual objective LP* then
+bounds every selection, so a pool MIP that reaches ⌈LP*⌉ is optimal over
+all paths. Nothing else is trusted: when the LP keeps an artificial, or
+the pool MIP finds no selection or a larger one, the caller enumerates
+the paths, and ``solve_cover`` settles the instance and names the binding
+nodes.
 """
 
 from __future__ import annotations
@@ -327,18 +327,6 @@ def _restricted_lp(eta: np.ndarray, p_max: int, p_hat_max: int):
     return covered - capped, bound, float(res.x[P:].max(initial=0.0))
 
 
-def _empty_pool_lp(J: int, p_max: int, p_hat_max: int):
-    """``_restricted_lp`` over the empty pool, in closed form.
-
-    With no path pooled, each p_max row is met by its artificial alone, at
-    p_max, and each p_hat_max row is empty. The unique duals are then the
-    artificial's cost J·p_hat_max + 1 on every node and 0 on every cap, so
-    the dual objective is p_max·J times that cost.
-    """
-    price = J * p_hat_max + 1.0
-    return np.full(J, price), p_max * J * price, float(p_max)
-
-
 def solve_priced_cover(
     source: PathPricer, node_set: tuple[CapabilityId, ...], p_max: int, p_hat_max: int
 ) -> tuple[CoverProblem, CoverSolution] | None:
@@ -354,15 +342,16 @@ def solve_priced_cover(
     enumerate and let ``solve_cover`` decide the instance and name the
     binding nodes. At most one MIP runs.
 
-    The first round prices from the empty pool's duals in closed form
-    (``_empty_pool_lp``) and runs no LP. Each pooled path's visit row is
-    made once; every later LP gets the rows stacked in canonical path
-    order, and the last round's stack is the pool MIP's program.
+    The first round weighs every node 2, which ranks paths by node count,
+    so it pools the longest paths and runs no LP. A source with no path
+    pools nothing and returns None. Each pooled path's visit row is made
+    once; every later LP gets the rows stacked in canonical path order,
+    and the last round's stack is the pool MIP's program.
     """
     problem = CoverProblem(paths=(), node_set=node_set, p_max=p_max, p_hat_max=p_hat_max)  # checks the settings
     rows: dict[tuple[CapabilityId, ...], np.ndarray] = {}  # each pooled path's visit row
     eta = _visit_rows((), node_set)
-    pi, bound, artificial = _empty_pool_lp(len(node_set), p_max, p_hat_max)
+    pi = np.full(len(node_set), 2.0)
     while True:
         # pooled paths priced above 1 may sit at their upper bound and outrank new ones
         ranked = source.best(dict(zip(node_set, pi.tolist())), int((eta @ pi > 1).sum()) + _BATCH)
@@ -372,7 +361,7 @@ def solve_priced_cover(
         rows.update(zip(fresh, _visit_rows(fresh, node_set)))
         eta = np.array([rows[path] for path in sorted(rows)])
         pi, bound, artificial = _restricted_lp(eta.T, p_max, p_hat_max)
-    if artificial > _TOL:
+    if not rows or artificial > _TOL:
         return None
 
     problem = replace(problem, paths=tuple(sorted(rows)))

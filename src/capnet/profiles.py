@@ -173,8 +173,7 @@ def filter_profiles(
     complete = [profile for profile in dataset if profile.values.keys() >= needed]
     data = np.array([[profile.values[cap] for cap in capability_set] for profile in complete], dtype=float)
     data = data.reshape(len(complete), len(capability_set))
-    std = np.sqrt(np.mean((data - data.mean(axis=1, keepdims=True)) ** 2, axis=1))  # population std of each row
-    return ProfileDataset(profile for profile, spread in zip(complete, std) if spread >= threshold)
+    return ProfileDataset(profile for profile, spread in zip(complete, data.std(axis=1)) if spread >= threshold)
 
 
 # -- synthetic generation ---------------------------------------------------

@@ -142,8 +142,6 @@ def profile_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> np.n
     Both table functions below accept this matrix in place of the dataset,
     so a caller that needs both builds it once.
     """
-    if len(dataset) < 2:
-        raise DatasetError(f"need at least 2 profiles, got {len(dataset)}")
     wanted = set(ids)
     for profile in dataset:
         if not profile.values.keys() >= wanted:
@@ -153,8 +151,14 @@ def profile_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> np.n
 
 
 def _data_matrix(dataset: ProfileDataset | np.ndarray, ids: tuple[CapabilityId, ...]) -> np.ndarray:
-    """The dataset's ``profile_matrix``; a prebuilt matrix must be finite with one column per id."""
+    """The dataset's ``profile_matrix``; either must hold at least 2 profiles, finite, one column per id.
+
+    A dataset without profiles gives a matrix of shape (0,), so the row
+    count is checked before the shape; a 0-d array fails the shape check.
+    """
     data = dataset if isinstance(dataset, np.ndarray) else profile_matrix(dataset, ids)
+    if data.ndim and len(data) < 2:
+        raise DatasetError(f"need at least 2 profiles, got {len(data)}")
     if data.ndim != 2 or data.shape[1] != len(ids):
         raise ValueError(f"profile matrix of shape {data.shape} does not have one column per id ({len(ids)})")
     if not np.isfinite(data).all():

@@ -371,6 +371,15 @@ class TestPairwisePvalues:
             with pytest.raises(ValueError):
                 table(data[:, :-1], ids)
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_rows_rejected_from_either_input(self, rows):
+        dataset, ids, data = self._dataset()
+        few = ProfileDataset(list(dataset)[:rows])
+        for table in (correlation_matrix, lambda d, i: pairwise_permutation_pvalues(d, i, 99, seed=5)):
+            for given_input in (few, data[:rows]):
+                with pytest.raises(DatasetError, match=f"need at least 2 profiles, got {rows}"):
+                    table(given_input, ids)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_prebuilt_matrix_must_be_finite(self, bad):
         _, ids, data = self._dataset()

@@ -595,12 +595,14 @@ class TestPricedCover:
         with pytest.raises(InfeasibleCoverError):
             solve_cover(CoverProblem(paths=enumerate_paths(graph, 3), node_set=nodes, p_max=2, p_hat_max=2))
 
-    @pytest.mark.parametrize("J, p_max, p_hat_max", [(1, 1, 1), (3, 2, 5), (22, 1, 1), (22, 6, 7), (30, 4, 9)])
-    def test_empty_pool_duals_in_closed_form(self, J, p_max, p_hat_max):
-        pi, bound, artificial = cover._empty_pool_lp(J, p_max, p_hat_max)
-        lp_pi, lp_bound, lp_artificial = cover._restricted_lp(np.zeros((J, 0)), p_max, p_hat_max)
-        assert pi.tolist() == lp_pi.tolist() == [J * p_hat_max + 1.0] * J
-        assert bound == lp_bound and artificial == lp_artificial == p_max
+    def test_source_without_paths_returns_none_and_solves_nothing(self, monkeypatch):
+        # no 4-node path in a 3-node chain: the first round pools nothing, so no LP or MIP runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver ran over an empty pool")
+
+        monkeypatch.setattr(cover, "linprog", refuse)
+        monkeypatch.setattr(cover, "milp", refuse)
+        assert solve_priced_cover(PathPricer(chain_graph(A, B, C), 4), (A, B, C), 1, 1) is None
 
     def test_default_plan_runs_six_lps_and_one_mip(self, final_graph, sitting_set, monkeypatch):
         calls = []
