@@ -15,11 +15,13 @@ fixes an index or lowers the bound on the next: at most k* + W probes
 for k* selected of W columns, far fewer in practice. The first solve and
 every probe accept an LP point by one rule: an LP-infeasible program is
 MIP-infeasible, an LP point within 1e-9 of 0/1 whose exact recount meets
-the rows and bounds is the answer, and any other point runs the MIP.
-HiGHS gets the visit rows as one CSC matrix built once, a probe's two
-rows appended to it. Larger instances count paths only and return
-HiGHS's deterministic MIP optimum, which depends on the scipy/HiGHS
-version; the result records which guarantee applied.
+the rows is the answer, and any other point runs the MIP. The visit rows
+are one CSC matrix built once. A probe spans only the free columns, from
+its window's start on: the chosen prefix's visits come off the visit
+rows' bounds, its size off the cap, and its two rows are appended to the
+slice. Every program is 0 ≤ x ≤ 1. Larger instances count paths only
+and return HiGHS's deterministic MIP optimum, which depends on the
+scipy/HiGHS version; the result records which guarantee applied.
 
 ``solve_priced_cover`` solves a larger instance without listing its
 paths, by column generation (Gilmore & Gomory, 1961; Desrosiers &
@@ -112,42 +114,50 @@ class _CoverProgram:
         self.lexicographic = lexicographic
         self.cost = W * W + np.arange(W, dtype=float) if self.lexicographic else np.ones(W)
 
-    def probe_rows(self, k: int, low: int, high: int) -> LinearConstraint:
-        """The visit rows, Σx ≤ k and Σ x[low:high] ≥ 1, stacked in one CSC matrix.
+    def probe_rows(self, low: int, high: int, k: int, taken: np.ndarray) -> LinearConstraint:
+        """A probe's rows over the free columns ``low:``, in one CSC matrix.
 
-        Each column holds its visit rows, then the cap row J, then, inside
-        the window, the window row J + 1. ``milp`` hands one CSC constraint
-        to HiGHS with no format conversion or ``vstack``.
+        The columns below ``low`` are settled: ``taken`` holds the visit
+        counts of the chosen ones, which come off the visit rows' bounds,
+        and the rest are out. The rows are the visit rows, Σx ≤ k (what is
+        left of the cap after the chosen prefix) and Σ x[low:high] ≥ 1. Each
+        column holds its visit rows, then the cap row J, then, inside the
+        window, the window row J + 1. ``milp`` hands one CSC constraint to
+        HiGHS with no format conversion or ``vstack``.
         """
         visits = self.visits.A
         J, W = visits.shape
-        indices = np.insert(visits.indices, visits.indptr[1:], J)
-        indptr = visits.indptr + np.arange(W + 1)
-        indices = np.insert(indices, indptr[low + 1 : high + 1], J + 1)
-        indptr += np.clip(np.arange(W + 1) - low, 0, high - low)
-        matrix = sparse.csc_array((np.ones(len(indices)), indices, indptr), shape=(J + 2, W))
+        n = W - low
+        indptr = visits.indptr[low:] - visits.indptr[low]
+        indices = np.insert(visits.indices[visits.indptr[low] :], indptr[1:], J)
+        indptr = indptr + np.arange(n + 1)
+        indices = np.insert(indices, indptr[1 : high - low + 1], J + 1)
+        indptr += np.minimum(np.arange(n + 1), high - low)
+        matrix = sparse.csc_array((np.ones(len(indices)), indices, indptr), shape=(J + 2, n))
         return LinearConstraint(
             matrix,
-            np.concatenate([self.visits.lb, [-np.inf, 1]]),
-            np.concatenate([self.visits.ub, [k, np.inf]]),
+            np.concatenate([self.visits.lb - taken, [-np.inf, 1]]),
+            np.concatenate([self.visits.ub - taken, [k, np.inf]]),
         )
 
-    def relax(
-        self, lo: np.ndarray, hi: np.ndarray, rows: LinearConstraint | None = None, integral: bool = False
-    ) -> np.ndarray | None:
-        """Optimal point of the LP relaxation within the bounds, or None if infeasible.
+    def relax(self, rows: LinearConstraint | None = None, integral: bool = False) -> np.ndarray | None:
+        """Optimal point of the LP relaxation, 0 ≤ x ≤ 1, or None if infeasible.
 
         With ``integral`` the program is the binary MIP instead. ``rows``,
-        as ``probe_rows`` builds them, replaces the visit rows. Any verdict
-        other than optimal or infeasible raises AnnotationError rather than
-        being mistaken for either.
+        as ``probe_rows`` builds them, replaces the visit rows; their n
+        columns are the last n, so they take the cost tail. Only a MIP gets
+        ``mip_rel_gap``, which means nothing to an LP. Any verdict other
+        than optimal or infeasible raises AnnotationError rather than being
+        mistaken for either.
         """
+        rows = self.visits if rows is None else rows
+        n = rows.A.shape[1]
         res = milp(
-            self.cost,
-            integrality=np.full(self.n_vars, int(integral)),
-            bounds=Bounds(lo, hi),
-            constraints=self.visits if rows is None else rows,
-            options={"mip_rel_gap": 0},
+            self.cost[self.n_vars - n :],
+            integrality=np.full(n, int(integral)),
+            bounds=Bounds(0, 1),
+            constraints=rows,
+            options={"mip_rel_gap": 0} if integral else None,
         )
         if res.status == 2:
             return None
@@ -156,63 +166,65 @@ class _CoverProgram:
             raise AnnotationError(f"{kind} solver gave no verdict (status {res.status}: {res.message})")
         return res.x
 
-    def select(self, lo: np.ndarray, hi: np.ndarray, rows: LinearConstraint | None = None) -> np.ndarray | None:
-        """Indices of a minimum selection within the bounds and rows, or None if infeasible.
+    def select(self, rows: LinearConstraint | None = None) -> np.ndarray | None:
+        """Indices of a minimum selection within the rows, or None if infeasible.
 
-        ``rows`` defaults to the visit rows. Where the cost is lexicographic
-        the LP goes first: an LP-infeasible program is MIP-infeasible, and
-        an LP optimum within 1e-9 of a 0/1 point whose exact recount meets
-        the rows and bounds is a MIP optimum. At W ≤ 512 the costs sum to
-        under 1.4e8, so the rounding moves the cost by under 0.14, less
-        than 1, the least gap between two selections' costs. Any other
+        ``rows`` defaults to the visit rows; a probe's rows span only the
+        free columns, so its indices count from ``low``. Where the cost is
+        lexicographic the LP goes first: an LP-infeasible program is
+        MIP-infeasible, and an LP optimum within 1e-9 of a 0/1 point whose
+        exact recount meets the rows is a MIP optimum. At W ≤ 512 the costs
+        sum to under 1.4e8, so the rounding moves the cost by under 0.14,
+        less than 1, the least gap between two selections' costs. Any other
         point, or a cost that is not lexicographic, runs the MIP.
         """
         rows = self.visits if rows is None else rows
         if self.lexicographic:
-            point = self.relax(lo, hi, rows)
+            point = self.relax(rows)
             if point is None:
                 return None
             x = np.round(point)
             counts = rows.A @ x  # sums of 0/1 terms, exact in doubles
             integral = np.abs(point - x).max() <= 1e-9
-            if integral and ((rows.lb <= counts) & (counts <= rows.ub)).all() and ((lo <= x) & (x <= hi)).all():
+            if integral and ((rows.lb <= counts) & (counts <= rows.ub)).all():
                 return np.flatnonzero(x)
-        x = self.relax(lo, hi, rows, integral=True)
+        x = self.relax(rows, integral=True)
         return None if x is None else np.flatnonzero(x > 0.5)
 
 
 def _lexicographic_minimum(program: _CoverProgram, witness: np.ndarray) -> np.ndarray:
     """Smallest optimal index set in lexicographic order.
 
-    Fixes indices in ascending order. With the chosen prefix forced to 1,
-    every index below ``low`` outside it forced to 0, and the selection
-    capped at the optimum k*, the next index is the smallest one at or
-    above ``low`` that some feasible selection uses. The witness's smallest
-    index ``high`` at or above ``low`` bounds it from above; a probe
-    demanding at least one index in [low, high) settles it: an infeasible
-    probe zeroes [low, high) and fixes ``high``, a feasible probe's witness
-    lowers ``high``. At most k* + W probes; the index-weighted cost keeps
+    Fixes indices in ascending order. With the chosen prefix fixed, every
+    index below ``low`` outside it ruled out, and the selection capped at
+    the optimum k*, the next index is the smallest one at or above ``low``
+    that some feasible selection uses. The witness's smallest index
+    ``high`` at or above ``low`` bounds it from above; a probe demanding at
+    least one index in [low, high) settles it: an infeasible probe rules
+    out [low, high) and fixes ``high``, a feasible probe's witness lowers
+    ``high``. At most k* + W probes; the index-weighted cost keeps
     witnesses low, so most indices need one probe or none. Each probe is a
-    ``select`` over the visit, cap and window rows.
+    ``select`` over only the free columns ``low:``: the chosen prefix's
+    visits come off the visit rows' bounds and its size off the cap.
     """
-    W = program.n_vars
+    visits = program.visits.A
     k_star = len(witness)
-    lo = np.zeros(W)
-    hi = np.ones(W)
+    chosen: list[int] = []
+    taken = np.zeros(visits.shape[0])
     low = 0
     for _ in range(k_star):
         high = int(witness[witness >= low][0])
         while low < high:
-            probe = program.select(lo, hi, program.probe_rows(k_star, low, high))
+            probe = program.select(program.probe_rows(low, high, k_star - len(chosen), taken))
             if probe is None:
-                hi[low:high] = 0.0
                 low = high
             else:
-                witness = probe
-                high = int(witness[witness >= low][0])
-        lo[high] = 1.0
+                witness = probe + low
+                high = int(witness[0])
+        chosen.append(high)
+        taken[visits.indices[visits.indptr[high] : visits.indptr[high + 1]]] += 1
         low = high + 1
-    return np.flatnonzero(lo)
+    return np.array(chosen)
 
 
 def _infeasibility_diagnostic(problem: CoverProblem, eta: np.ndarray) -> list[CapabilityId]:
@@ -258,7 +270,7 @@ def solve_cover(problem: CoverProblem) -> CoverSolution:
 
     W = len(eta)
     program = _CoverProgram(eta, problem.p_max, problem.p_hat_max, lexicographic=W <= DEFAULT_LEX_LIMIT)
-    selection = program.select(np.zeros(W), np.ones(W))
+    selection = program.select()
     if selection is None:
         raise InfeasibleCoverError(_infeasibility_diagnostic(problem, eta))
 
@@ -366,7 +378,7 @@ def solve_priced_cover(
 
     problem = replace(problem, paths=tuple(sorted(rows)))
     pooled = _CoverProgram(eta, p_max, p_hat_max, lexicographic=False)
-    best = pooled.select(np.zeros(len(eta)), np.ones(len(eta)))
+    best = pooled.select()
     if best is None or len(best) > math.ceil(bound - math.ceil(bound) * _TOL):
         return None
     return problem, _checked_solution(problem, best, lexicographic=False)

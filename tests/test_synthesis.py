@@ -451,6 +451,75 @@ class TestLexicographicCover:
             blurred_count += sum(blurred for _, blurred in calls)
         assert blurred_count >= 5  # 11 with scipy 1.17
 
+    @pytest.mark.parametrize("case", ["window-to-the-end", "window-of-one", "prefix-at-the-cap"])
+    def test_probe_rows_match_a_dense_reference(self, case):
+        # The reference takes the full visit matrix's columns low:, the visit bounds minus the
+        # prefix's visits, a cap row of k* - |prefix| and a window row over [low, high).
+        rng = random.Random(f"probe-rows/{case}")
+        nodes = [A, B, C, D, E]
+        checked = 0
+        while checked < 30:
+            node_set = tuple(nodes[: rng.randint(2, 5)])
+            paths = tuple(tuple(sorted(rng.sample(node_set, rng.randint(1, len(node_set))))) for _ in range(rng.randint(3, 20)))
+            eta = cover._visit_rows(paths, node_set)
+            W = len(eta)
+            p_max = rng.randint(1, 2)
+            p_hat = p_max + (0 if case == "prefix-at-the-cap" else rng.randint(0, 2))
+            low = rng.randint(1, W - 1)
+            prefix = sorted(rng.sample(range(low), rng.randint(0, min(low, 3))))
+            if case == "prefix-at-the-cap":
+                # the first p_hat_max columns through some node, and the window just past them
+                through = [w for w in range(W - 1) if eta[w, 0]][:p_hat]
+                if len(through) < p_hat:
+                    continue
+                prefix, low = through, through[-1] + 1
+            high = {"window-to-the-end": W, "window-of-one": low + 1}.get(case, rng.randint(low + 1, W))
+            cap = rng.randint(1, 3)  # k* - |prefix|
+            taken = eta[prefix].sum(axis=0)
+            rows = cover._CoverProgram(eta, p_max, p_hat, lexicographic=True).probe_rows(low, high, cap, taken)
+
+            window = (np.arange(low, W) < high).astype(float)
+            dense = np.vstack([eta[low:].T, np.ones(W - low), window])
+            lb = np.concatenate([p_max - taken, [-np.inf, 1]])
+            ub = np.concatenate([p_hat - taken, [cap, np.inf]])
+            assert rows.A.format == "csc" and rows.A.has_sorted_indices
+            assert np.array_equal(rows.A.toarray(), dense)
+            assert np.array_equal(rows.lb, lb) and np.array_equal(rows.ub, ub)
+            if case == "prefix-at-the-cap":
+                assert rows.ub[0] == 0
+            checked += 1
+
+    def test_probes_span_only_the_free_columns(self, final_graph, monkeypatch):
+        # Each probe hands HiGHS the columns low: with their tail of the cost, its window row
+        # starting at the first of them; within one instance the width never grows.
+        real_rows, real_milp = cover._CoverProgram.probe_rows, cover.milp
+        probe, widths = [None], []
+
+        def probe_rows(program, low, high, k, taken):
+            probe[0] = (program.n_vars, low, high)
+            return real_rows(program, low, high, k, taken)
+
+        def milp(c, integrality, constraints, options=None, **kwargs):
+            integral = bool(integrality.any())
+            assert options == ({"mip_rel_gap": 0} if integral else None)
+            if probe[0] is not None:
+                W, low, high = probe[0]
+                assert constraints.A.shape[1] == len(c) == W - low
+                assert np.array_equal(c, W * W + np.arange(low, W, dtype=float))
+                assert np.array_equal(constraints.A.toarray()[-1], np.arange(W - low) < high - low)
+                widths.append(W - low)
+            return real_milp(c, integrality=integrality, constraints=constraints, options=options, **kwargs)
+
+        monkeypatch.setattr(cover._CoverProgram, "probe_rows", probe_rows)
+        monkeypatch.setattr(cover, "milp", milp)
+        pool = json.loads(LEX_POOL.read_text(encoding="utf-8"))["instances"]
+        for inst in pool:
+            probe[0], widths[:] = None, []
+            result = synthesis.synthesize(final_graph, [pid(n) for n in inst["nodes"]], inst["n_min"], inst["p_max"], inst["p_hat_max"])
+            assert result.solution.selected == tuple(inst["selected"])
+            assert widths and widths == sorted(widths, reverse=True)
+            assert widths[-1] < inst["columns"]
+
 
 @pytest.fixture
 def milp_calls(monkeypatch):
