@@ -7,20 +7,19 @@ Only synthesize loads scipy's solvers: it imports ``synthesis`` when it
 runs, so the other commands start without scipy.optimize and scipy.sparse.
 
 Exit codes: 0 success/feasible, 2 usage error, 3 input or data error,
-4 infeasible, 5 internal invariant violation. Commands raise; the group
+4 infeasible, 5 internal invariant violation. Commands raise; ``main``
 maps each error class to its code once (see ``_EXIT_CODES``).
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import errno
 import os
 import sys
 from pathlib import Path
 from typing import Callable
-
-import click
 
 from . import deltas as deltas_mod
 from . import network, profiles, stats, taxonomy
@@ -51,17 +50,6 @@ _EXIT_CODES = {
     UnicodeDecodeError: EXIT_DATA,
     csv.Error: EXIT_DATA,
 }
-
-
-class _Main(click.Group):
-    """Runs a subcommand and turns the errors it raises into exit codes."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except tuple(_EXIT_CODES) as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)))
 
 
 def _load_catalog(path):
@@ -98,20 +86,6 @@ def _write(*artifacts: tuple[str | None, Callable[[], str]]) -> None:
             temporary.unlink(missing_ok=True)
 
 
-@click.group(cls=_Main)
-def main():
-    """Conjugated-capability network toolkit."""
-
-
-@main.command("build-graph")
-@click.option("--catalog", "catalog_path", type=click.Path(), default=None, help="Capability catalog CSV (default: packaged).")
-@click.option("--interrelations", "table_path", type=click.Path(), default=None, help="Interrelation table CSV (default: packaged).")
-@click.option("--candidates", "cand_path", type=click.Path(), default=None, help="Strong-candidate table CSV (default: packaged).")
-@click.option("--correlations", "corr_path", type=click.Path(), default=None, help="Pairwise correlation CSV (default: packaged reference values).")
-@click.option("--threshold", type=float, default=0.4, show_default=True, help="Prune edges with |r| below this.")
-@click.option("--repair/--no-repair", default=True, show_default=True, help="Add the moderate reachability-repair pair.")
-@click.option("--out-graph", type=click.Path(), default=None, help="Write the structured graph document here.")
-@click.option("--out-dot", type=click.Path(), default=None, help="Write the dot rendering here.")
 def cmd_build_graph(catalog_path, table_path, cand_path, corr_path, threshold, repair, out_graph, out_dot):
     """Build, prune, and augment the conjugated-capability graph."""
     catalog = _load_catalog(catalog_path)
@@ -131,27 +105,19 @@ def cmd_build_graph(catalog_path, table_path, cand_path, corr_path, threshold, r
     added = sorted(
         tuple(str(x) for x in sorted(pair)) for pair in final.edge_pairs() - pruned.edge_pairs()
     )
-    click.echo(f"nodes: {len(final.nodes)}")
-    click.echo(f"edges: {len(final.edges)}")
-    click.echo(f"{len(removed)} edges pruned, {len(added)} edges added")
+    print(f"nodes: {len(final.nodes)}")
+    print(f"edges: {len(final.edges)}")
+    print(f"{len(removed)} edges pruned, {len(added)} edges added")
     for a, b in removed:
-        click.echo(f"  pruned {a} -- {b}")
+        print(f"  pruned {a} -- {b}")
     for a, b in added:
-        click.echo(f"  added {a} -- {b}")
+        print(f"  added {a} -- {b}")
     if built.dropped_edges:
-        click.echo(f"{len(built.dropped_edges)} symmetric edges dropped to keep the graph acyclic")
+        print(f"{len(built.dropped_edges)} symmetric edges dropped to keep the graph acyclic")
         for edge in built.dropped_edges:
-            click.echo(f"  dropped {edge.source} -> {edge.target}")
+            print(f"  dropped {edge.source} -> {edge.target}")
 
 
-@main.command("synthesize")
-@click.option("--graph", "graph_path", type=click.Path(), required=True, help="Structured graph document from build-graph.")
-@click.option("--catalog", "catalog_path", type=click.Path(), default=None)
-@click.option("--n-min", type=click.IntRange(min=1), default=DEFAULT_N_MIN, show_default=True, help="Minimum nodes per movement sequence.")
-@click.option("--p-max", type=int, default=DEFAULT_P_MAX, show_default=True, help="Minimum visits per node.")
-@click.option("--p-hat-max", type=int, default=DEFAULT_P_HAT_MAX, show_default=True, help="Maximum visits per node.")
-@click.option("--out", "out_path", type=click.Path(), default=None, help="Write the sequence table CSV here.")
-@click.option("--out-text", type=click.Path(), default=None, help="Write the shaded text rendering here.")
 def cmd_synthesize(graph_path, catalog_path, n_min, p_max, p_hat_max, out_path, out_text):
     """Synthesize the minimal movement-sequence test plan."""
     from . import synthesis  # here, not at the top: only this command needs scipy.optimize
@@ -164,24 +130,15 @@ def cmd_synthesize(graph_path, catalog_path, n_min, p_max, p_hat_max, out_path, 
         (out_path, lambda: synthesis.sequences_to_csv(result.sequences)),
         (out_text, lambda: synthesis.sequences_to_text(result.sequences)),
     )
-    click.echo(f"candidate paths: {result.path_count}")
-    click.echo(f"selected sequences: {result.solution.objective}")
-    click.echo("visits per node:")
+    print(f"candidate paths: {result.path_count}")
+    print(f"selected sequences: {result.solution.objective}")
+    print("visits per node:")
     for node, count in sorted(result.solution.visit_counts.items()):
-        click.echo(f"  {node}: {count}")
+        print(f"  {node}: {count}")
     for warning in result.warnings:
-        click.echo(f"warning: {warning}")
+        print(f"warning: {warning}")
 
 
-@main.command("analyze")
-@click.option("--data", "data_path", type=click.Path(), required=True, help="Profile dataset CSV.")
-@click.option("--catalog", "catalog_path", type=click.Path(), default=None)
-@click.option("--phase", type=click.Choice(["pre_rehab", "post_rehab", "all"]), default="post_rehab", show_default=True)
-@click.option("--threshold", type=float, default=0.2, show_default=True, help="Dispersion filter threshold.")
-@click.option("--resamples", type=click.IntRange(min=1), default=10_000, show_default=True, help="Monte Carlo resamples shared by all pairs.")
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True, help="Key of the resample stream.")
-@click.option("--out-corr", type=click.Path(), default=None, help="Write the correlation matrix CSV here.")
-@click.option("--out-pvalues", type=click.Path(), default=None, help="Write the permutation p-value table here.")
 def cmd_analyze(data_path, catalog_path, phase, threshold, resamples, seed, out_corr, out_pvalues):
     """Filter a dataset, compute correlations and permutation p-values."""
     catalog = _load_catalog(catalog_path)
@@ -190,21 +147,21 @@ def cmd_analyze(data_path, catalog_path, phase, threshold, resamples, seed, out_
         dataset = dataset.with_phase(profiles.Phase(phase))
     evaluation_set = taxonomy.sitting_over_table_set(catalog)
     kept = profiles.filter_profiles(dataset, evaluation_set, threshold)
-    click.echo(f"retained {len(kept)} of {len(dataset)} profiles")
+    print(f"retained {len(kept)} of {len(dataset)} profiles")
     if len(kept) < 2:
         raise DatasetError("fewer than 2 profiles survive the completeness/dispersion filter")
     data = stats.profile_matrix(kept, evaluation_set)
     matrix = stats.correlation_matrix(data, evaluation_set)
     if matrix.undefined_ids():
         names = ", ".join(str(c) for c in matrix.undefined_ids())
-        click.echo(f"undefined (constant) columns: {names}")
+        print(f"undefined (constant) columns: {names}")
     _write(
         (out_corr, matrix.to_csv),
         (out_pvalues, lambda: stats.pairwise_permutation_pvalues(data, evaluation_set, resamples, seed).to_csv()),
     )
 
 
-def _parse_xi(ctx, param, items) -> dict:
+def _parse_xi(items) -> dict:
     """``--xi ID=SLACK`` items as a capability -> slack map; a bad or repeated item is a usage error."""
     xi = {}
     for item in items:
@@ -217,43 +174,28 @@ def _parse_xi(ctx, param, items) -> dict:
                 raise ValueError(f"slack for {cap} repeats")
             deltas_mod.FuzzyParams(xi={cap: slack})
         except (ValueError, CapnetError) as exc:
-            raise click.BadParameter(f"{item!r}: {exc}") from None
+            raise ConfigError(f"--xi {item!r}: {exc}") from None
         xi[cap] = slack
     return xi
 
 
-@main.command("allocate")
-@click.option("--requirements", "req_path", type=click.Path(), required=True, help="Requirement CSV with columns id,level.")
-@click.option("--profiles", "data_path", type=click.Path(), required=True, help="Profile dataset CSV.")
-@click.option("--agent", required=True, help="Agent id to allocate for.")
-@click.option("--phase", type=click.Choice(["pre_rehab", "post_rehab", "unspecified"]), default=None, help="Phase of the agent's profile (default: only row for the agent).")
-@click.option("--graph", "graph_path", type=click.Path(), required=True, help="Structured graph document.")
-@click.option("--xi", multiple=True, callback=_parse_xi, help="Per-capability slack, e.g. --xi 3.03.04=1 (repeatable).")
-@click.option("--theta", type=click.IntRange(min=0), default=0, show_default=True, help="Aggregate deficit slack.")
-@click.option("--out-trace", type=click.Path(), default=None, help="Write the machine-readable trace document here.")
 def cmd_allocate(req_path, data_path, agent, phase, graph_path, xi, theta, out_trace):
     """Judge an agent against an action, compensating deltas if needed."""
+    fuzz = deltas_mod.FuzzyParams(xi=_parse_xi(xi), theta=theta)
     catalog = taxonomy.load_default_catalog()
     graph = network.import_graph(Path(graph_path).read_text(encoding="utf-8"))
     dataset = profiles.load_dataset(data_path, catalog)
     requirements = _read_requirements(req_path)
     requirements.validate_against(catalog)
-    fuzz = deltas_mod.FuzzyParams(xi=xi, theta=theta)
     profile = dataset.select(agent, profiles.Phase(phase) if phase else None)
     profile = profiles.propagate_main_level(profile)
     trace = deltas_mod.compensate(requirements, profile, graph, fuzz)
-    click.echo(trace.text_report(), nl=False)
+    print(trace.text_report(), end="")
     _write((out_trace, trace.to_document))
     if trace.outcome is deltas_mod.CompensationOutcome.INFEASIBLE:
-        sys.exit(EXIT_INFEASIBLE)
+        return EXIT_INFEASIBLE
 
 
-@main.command("gen-data")
-@click.option("--count", type=int, default=500, show_default=True, help="Number of agents; each emits a pre/post pair.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--correlation", type=float, default=0.8, show_default=True, help="Within-main-capability correlation strength.")
-@click.option("--degenerate-fraction", type=float, default=0.15, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), required=True, help="Write the dataset CSV here.")
 def cmd_gen_data(count, seed, correlation, degenerate_fraction, out_path):
     """Generate a deterministic synthetic profile dataset."""
     catalog = taxonomy.load_default_catalog()
@@ -266,7 +208,7 @@ def cmd_gen_data(count, seed, correlation, degenerate_fraction, out_path):
     )
     dataset = profiles.generate_synthetic_profiles(config, seed)
     _write((out_path, lambda: profiles.write_dataset(dataset, ids)))
-    click.echo(f"wrote {len(dataset)} profiles for {count} agents")
+    print(f"wrote {len(dataset)} profiles for {count} agents")
 
 
 def _read_requirements(path) -> "profiles.RequirementSet":
@@ -283,6 +225,99 @@ def _read_requirements(path) -> "profiles.RequirementSet":
     with open(path, newline="", encoding="utf-8") as handle:
         rows = taxonomy.read_table(handle, ("id", "level"), "requirement", DatasetError, parse, key, describe)
     return profiles.RequirementSet(action_id=str(path), requirements=dict(rows))
+
+
+def _int_range(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argparse ``type``: an integer in [low, high] (no upper end when ``high`` is None)."""
+
+    def integer(text: str) -> int:  # argparse names it in its error: "invalid integer value: 'x'"
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"{value} is not an integer " + (f">= {low}" if high is None else f"in [{low}, {high}]"))
+        return value
+
+    return integer
+
+
+def _parser() -> argparse.ArgumentParser:
+    """One subparser per command, its ``run`` default the command; no parser takes a prefix of an option."""
+    parser = argparse.ArgumentParser(prog="capnet", description="Conjugated-capability network toolkit.", allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    option = command("build-graph", cmd_build_graph)
+    option("--catalog", dest="catalog_path", help="Capability catalog CSV (default: packaged).")
+    option("--interrelations", dest="table_path", help="Interrelation table CSV (default: packaged).")
+    option("--candidates", dest="cand_path", help="Strong-candidate table CSV (default: packaged).")
+    option("--correlations", dest="corr_path", help="Pairwise correlation CSV (default: packaged reference values).")
+    option("--threshold", type=float, default=0.4, help="Prune edges with |r| below this (default: %(default)s).")
+    option("--repair", action=argparse.BooleanOptionalAction, default=True, help="Add the moderate reachability-repair pair (on unless --no-repair).")
+    option("--out-graph", help="Write the structured graph document here.")
+    option("--out-dot", help="Write the dot rendering here.")
+
+    option = command("synthesize", cmd_synthesize)
+    option("--graph", dest="graph_path", required=True, help="Structured graph document from build-graph.")
+    option("--catalog", dest="catalog_path", help="Capability catalog CSV (default: packaged).")
+    option("--n-min", type=_int_range(1), default=DEFAULT_N_MIN, help="Minimum nodes per movement sequence (default: %(default)s).")
+    option("--p-max", type=int, default=DEFAULT_P_MAX, help="Minimum visits per node (default: %(default)s).")
+    option("--p-hat-max", type=int, default=DEFAULT_P_HAT_MAX, help="Maximum visits per node (default: %(default)s).")
+    option("--out", dest="out_path", help="Write the sequence table CSV here.")
+    option("--out-text", help="Write the shaded text rendering here.")
+
+    option = command("analyze", cmd_analyze)
+    option("--data", dest="data_path", required=True, help="Profile dataset CSV.")
+    option("--catalog", dest="catalog_path", help="Capability catalog CSV (default: packaged).")
+    option("--phase", choices=["pre_rehab", "post_rehab", "all"], default="post_rehab", help="Profiles of this phase, or all (default: %(default)s).")
+    option("--threshold", type=float, default=0.2, help="Dispersion filter threshold (default: %(default)s).")
+    option("--resamples", type=_int_range(1), default=10_000, help="Monte Carlo resamples shared by all pairs (default: %(default)s).")
+    option("--seed", type=_int_range(0, 2**64 - 1), default=0, help="Key of the resample stream (default: %(default)s).")
+    option("--out-corr", help="Write the correlation matrix CSV here.")
+    option("--out-pvalues", help="Write the permutation p-value table here.")
+
+    option = command("allocate", cmd_allocate)
+    option("--requirements", dest="req_path", required=True, help="Requirement CSV with columns id,level.")
+    option("--profiles", dest="data_path", required=True, help="Profile dataset CSV.")
+    option("--agent", required=True, help="Agent id to allocate for.")
+    option("--phase", choices=["pre_rehab", "post_rehab", "unspecified"], help="Phase of the agent's profile (default: only row for the agent).")
+    option("--graph", dest="graph_path", required=True, help="Structured graph document.")
+    option("--xi", action="append", default=[], help="Per-capability slack, e.g. --xi 3.03.04=1 (repeatable).")
+    option("--theta", type=_int_range(0), default=0, help="Aggregate deficit slack (default: %(default)s).")
+    option("--out-trace", help="Write the machine-readable trace document here.")
+
+    option = command("gen-data", cmd_gen_data)
+    option("--count", type=int, default=500, help="Number of agents; each emits a pre/post pair (default: %(default)s).")
+    option("--seed", type=_int_range(0), default=0, help="Generator seed (default: %(default)s).")
+    option("--correlation", type=float, default=0.8, help="Within-main-capability correlation strength (default: %(default)s).")
+    option("--degenerate-fraction", type=float, default=0.15, help="Share of profiles emitted constant or with holes (default: %(default)s).")
+    option("--out", dest="out_path", required=True, help="Write the dataset CSV here.")
+    return parser
+
+
+_PARSER = _parser()  # built once: a process may call ``main`` many times
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
+    """Run ``capnet`` on ``args`` (default ``sys.argv[1:]``); exit with its code, or return it unless ``standalone_mode``.
+
+    argparse reports a usage error itself, with code 2. A command's error goes
+    to stderr as ``error: ...``, its code taken from ``_EXIT_CODES``.
+    """
+    try:
+        options = vars(_PARSER.parse_args(args))
+        code = options.pop("run")(**options) or 0
+    except SystemExit as exc:  # raised by argparse after printing usage or help
+        code = exc.code
+    except tuple(_EXIT_CODES) as exc:
+        sys.stdout.flush()  # the report so far precedes the error where both streams share a file
+        print(f"error: {exc}", file=sys.stderr)
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

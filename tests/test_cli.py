@@ -1,13 +1,15 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,44 @@ from capnet.cli import (
     EXIT_USAGE,
     main,
 )
+
+
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved in the order they were written
+    exception: Exception | None
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies every write to a shared one."""
+
+    def __init__(self, shared):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text):
+        self.shared.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs a command-line entry point in-process with stdout and stderr captured."""
+
+    def invoke(self, main, args):
+        shared = io.StringIO()
+        out, err = _Tee(shared), _Tee(shared)
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                code, exception = 1, exc
+        return Result(code, out.getvalue(), err.getvalue(), shared.getvalue(), exception)
 
 
 @pytest.fixture()
@@ -223,18 +263,18 @@ class TestSynthesize:
         assert "selected sequences:" in result.output
         assert out.read_text().startswith("sequence_id,trivial_name,steps")
 
-    def test_infeasible_names_node(self, runner, graph_artifact):
+    def test_infeasible_names_node(self, runner, graph_artifact, tmp_path, monkeypatch):
         # without the repair pair, 3.01.03 sits on no path of length >= 4
         norepair = CliRunner().invoke(main, ["build-graph", "--no-repair"])
         assert norepair.exit_code == 0
-        with CliRunner().isolated_filesystem():
-            build = CliRunner().invoke(
-                main, ["build-graph", "--no-repair", "--out-graph", "g.json"]
-            )
-            assert build.exit_code == 0
-            result = CliRunner().invoke(main, ["synthesize", "--graph", "g.json"])
-            assert result.exit_code == EXIT_INFEASIBLE
-            assert "3.01.03" in result.output or "3.01.03" in (result.stderr or "")
+        monkeypatch.chdir(tmp_path)
+        build = CliRunner().invoke(
+            main, ["build-graph", "--no-repair", "--out-graph", "g.json"]
+        )
+        assert build.exit_code == 0
+        result = CliRunner().invoke(main, ["synthesize", "--graph", "g.json"])
+        assert result.exit_code == EXIT_INFEASIBLE
+        assert "3.01.03" in result.output or "3.01.03" in (result.stderr or "")
 
     @pytest.mark.parametrize("n_min", ["0", "-1"])
     def test_n_min_below_one_usage_error(self, runner, graph_artifact, n_min):
@@ -594,6 +634,7 @@ class TestAllocate:
             ],
         )
         assert result.exit_code == EXIT_USAGE, result.output
+        assert option[-1] in result.stderr  # the message names the offending value
 
     @pytest.mark.parametrize(
         "text",
@@ -779,6 +820,32 @@ class TestOutputsAllOrNothing:
         assert network.import_graph(real.read_text()).nodes
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        pytest.param(["build-graph", "--thresh", "0.5"], "--thresh", id="build-graph-abbreviated-option"),
+        pytest.param(["analyze", "--data", "{data}", "--resample", "5"], "--resample", id="analyze-abbreviated-option"),
+        pytest.param(["analyze", "--data", "{data}", "--phase", "during"], "during", id="analyze-unknown-phase"),
+        pytest.param(
+            ["allocate", "--requirements", fixture_path("demo_requirements.csv"), "--profiles", fixture_path("demo_profile.csv"),
+             "--agent", "demo", "--graph", "{graph}", "--phase", "during"],
+            "during",
+            id="allocate-unknown-phase",
+        ),
+        pytest.param(["synthesize"], "--graph", id="synthesize-without-graph"),
+        pytest.param([], "COMMAND", id="no-subcommand"),
+    ],
+)
+def test_malformed_command_line_usage_error(runner, graph_artifact, tmp_path, args, named):
+    """A prefix of an option, an unknown choice or a missing option or command is a usage error."""
+    data = tmp_path / "data.csv"
+    assert runner.invoke(main, ["gen-data", "--count", "20", "--seed", "5", "--out", str(data)]).exit_code == 0
+    result = runner.invoke(main, [arg.format(data=data, graph=graph_artifact) for arg in args])
+    assert result.exit_code == EXIT_USAGE, result.output
+    assert named in result.stderr
+    assert result.stdout == ""
+
+
 # sha256 of each artifact, and of build-graph's stdout, on the default
 # fixtures and on one generated dataset. Accept a new digest only together
 # with a declared change of that artifact. The synthesized plan is not
@@ -793,16 +860,16 @@ GOLDEN_ARTIFACT_SHA256 = {
 }
 
 
-def test_golden_artifact_digests(runner, tmp_path):
+def test_golden_artifact_digests(runner, tmp_path, monkeypatch):
     commands = [
         ["build-graph", "--out-graph", "graph.json", "--out-dot", "graph.dot"],
         ["gen-data", "--count", "260", "--seed", "4", "--out", "data.csv"],
         ["analyze", "--data", "data.csv", "--seed", "7", "--resamples", "1000", "--out-corr", "corr.csv", "--out-pvalues", "pvalues.csv"],
     ]
-    with runner.isolated_filesystem(temp_dir=tmp_path) as workdir:
-        results = [runner.invoke(main, args) for args in commands]
-        assert [r.exit_code for r in results] == [0, 0, 0], [r.output for r in results]
-        texts = {name: (Path(workdir) / name).read_bytes() for name in ("graph.json", "graph.dot", "corr.csv", "pvalues.csv")}
+    monkeypatch.chdir(tmp_path)
+    results = [runner.invoke(main, args) for args in commands]
+    assert [r.exit_code for r in results] == [0, 0, 0], [r.output for r in results]
+    texts = {name: (tmp_path / name).read_bytes() for name in ("graph.json", "graph.dot", "corr.csv", "pvalues.csv")}
     texts["build-graph stdout"] = results[0].stdout.encode("utf-8")
     assert {name: hashlib.sha256(text).hexdigest() for name, text in texts.items()} == GOLDEN_ARTIFACT_SHA256
 
@@ -899,7 +966,7 @@ def test_arbitrary_file_bytes_never_crash(fuzz_partners, command, option, first_
     assert result.exit_code in (0, EXIT_USAGE, EXIT_DATA, EXIT_INFEASIBLE), (result.output, repr(result.exception))
 
 
-# Runs every subcommand in one fresh interpreter and lists, after each, the scipy modules loaded.
+# Runs every subcommand in one fresh interpreter and lists, after each, the scipy and click modules loaded.
 LAZY_SOLVER_SCRIPT = """
 import json, sys
 from importlib import resources
@@ -908,13 +975,13 @@ from capnet import cli
 def fixture(name):
     return str(resources.files("capnet.fixtures").joinpath(name))
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def modules(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
 
-steps = [["import", 0, scipy_modules()]]
+steps = [["import", 0, modules("scipy"), modules("click")]]
 def run(*args):
     code = cli.main(list(args), standalone_mode=False)
-    steps.append([args[0], code or 0, scipy_modules()])
+    steps.append([args[0], code or 0, modules("scipy"), modules("click")])
 
 run("build-graph", "--out-graph", "graph.json")
 run("gen-data", "--count", "40", "--seed", "1", "--out", "data.csv")
@@ -933,5 +1000,6 @@ def test_only_synthesize_loads_the_solvers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout.splitlines()[-1])
     assert [step[:2] for step in steps] == [[name, 0] for name in ("import", "build-graph", "gen-data", "analyze", "allocate", "synthesize")]
-    assert all(loaded == [] for _, _, loaded in steps[:-1]), steps
+    assert all(scipy == [] for _, _, scipy, _ in steps[:-1]), steps
     assert {"scipy.optimize", "scipy.sparse"} <= set(steps[-1][2])
+    assert all(click == [] for _, _, _, click in steps), steps
