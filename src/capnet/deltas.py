@@ -8,7 +8,10 @@ are shifted from deficient capabilities to conjugated capabilities with
 reserves. Whether some shift sequence makes the test hold is decided as a
 flow from deficits to conjugated reserves, by augmenting paths, in time
 polynomial in the number of capabilities; a feasible trace shifts the
-fewest units that any sequence can.
+fewest units that any sequence can. The final report is read off the
+flow's own deltas rather than recomputed from the final requirements, and
+the augmenting search is a module-level function handed its state, so a
+query leaves no reference cycle behind for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ __all__ = [
 
 def compute_delta(requirements: RequirementSet, profile: Profile) -> dict[CapabilityId, int]:
     """Elementwise requirement minus capacity over the requirement ids."""
-    missing = profile.missing_from(requirements.requirements)
-    if missing:
-        raise IncompleteProfileError(missing)
-    return {cap: req - profile.values[cap] for cap, req in requirements.requirements.items()}
+    reqs, values = requirements.requirements, profile.values
+    if not reqs.keys() <= values.keys():
+        raise IncompleteProfileError(profile.missing_from(reqs))
+    return {cap: req - values[cap] for cap, req in reqs.items()}
 
 
 def deficit_sum(deltas: Mapping[CapabilityId, int]) -> int:
@@ -94,20 +97,29 @@ class FeasibilityReport:
 
 
 def is_feasible_fuzzy(deltas: Mapping[CapabilityId, int], fuzz: FuzzyParams) -> FeasibilityReport:
-    """Test both fuzzy clauses: delta_j <= xi_j for all j, and deficit sum <= theta."""
+    """Test both fuzzy clauses: delta_j <= xi_j for all j, and deficit sum <= theta.
+
+    One pass over the deltas sums the deficits and collects the violated
+    capabilities (a violation needs delta_j > xi_j >= 0, so only deficits
+    can violate); only the violators are sorted, by id.
+    """
     max_theta = len(deltas) * QUANT_MAX
     if fuzz.theta > max_theta:
         raise ConfigError(f"theta {fuzz.theta} exceeds requirement-set cap {max_theta}")
-    violations = tuple(
-        (cap, delta, fuzz.xi_for(cap))
-        for cap, delta in sorted(deltas.items())
-        if delta > fuzz.xi_for(cap)
-    )
-    total = deficit_sum(deltas)
+    xi = fuzz.xi
+    total = 0
+    violations = []
+    for cap, delta in deltas.items():
+        if delta > 0:
+            total += delta
+            slack = xi.get(cap, 0)
+            if delta > slack:
+                violations.append((cap, delta, slack))
+    violations.sort()
     aggregate = (total, fuzz.theta) if total > fuzz.theta else None
     return FeasibilityReport(
         feasible=not violations and aggregate is None,
-        per_capability_violations=violations,
+        per_capability_violations=tuple(violations),
         aggregate_violation=aggregate,
     )
 
@@ -158,6 +170,57 @@ class CompensationTrace:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _augment(
+    deficient: CapabilityId,
+    limit: int,
+    visited: set[CapabilityId],
+    deficits: list[CapabilityId],
+    neighbours: dict[CapabilityId, list[CapabilityId]],
+    spare: dict[CapabilityId, int],
+    flow: dict[CapabilityId, dict[CapabilityId, int]],
+) -> int:
+    # Depth-first augmenting path: a reserve with room takes the units,
+    # a full one passes them on by rerouting another deficit's flow into
+    # it. Each reserve is entered once, so depth is at most the reserves.
+    for reserve in neighbours[deficient]:
+        if reserve in visited:
+            continue
+        visited.add(reserve)
+        moved = min(limit, spare[reserve])
+        if moved:
+            spare[reserve] -= moved
+        else:
+            for other in deficits:
+                held = flow[other].get(reserve, 0)
+                if held and other != deficient:
+                    moved = _augment(other, min(limit, held), visited, deficits, neighbours, spare, flow)
+                    if moved:
+                        flow[other][reserve] = held - moved
+                        break
+        if moved:
+            flow[deficient][reserve] = flow[deficient].get(reserve, 0) + moved
+            return moved
+    return 0
+
+
+def _route(
+    deficient: CapabilityId,
+    want: int,
+    deficits: list[CapabilityId],
+    neighbours: dict[CapabilityId, list[CapabilityId]],
+    spare: dict[CapabilityId, int],
+    flow: dict[CapabilityId, dict[CapabilityId, int]],
+) -> int:
+    """Send up to ``want`` more units from ``deficient``; return how many went."""
+    sent = 0
+    while sent < want:
+        moved = _augment(deficient, want - sent, set(), deficits, neighbours, spare, flow)
+        if not moved:
+            break
+        sent += moved
+    return sent
+
+
 def compensate(
     requirements: RequirementSet,
     profile: Profile,
@@ -180,66 +243,62 @@ def compensate(
     deficient in that order, then by reserve id. Shifts are confined to
     capabilities carrying an explicit requirement, and conjugation works in
     either direction of the stored edge orientation.
+
+    The deltas are computed once. The final report tests the flow's own
+    deltas: each step lowers the deficient delta and raises the reserve's
+    by its amount, which is exactly the delta of the final requirements.
+    Without steps the final requirements are the given set itself. The
+    augmenting search is a module-level function handed its state, not a
+    closure: a recursive closure refers to itself through its cell, so
+    every query would leave a reference cycle for the cyclic collector.
     """
     deltas = compute_delta(requirements, profile)
-    deficits = sorted((cap for cap, d in deltas.items() if d > 0), key=lambda cap: (-deltas[cap], cap))
-    spare = {cap: -d for cap, d in deltas.items() if d < 0}
+    xi = fuzz.xi
+    need = -fuzz.theta  # deficit sum minus theta
+    spare: dict[CapabilityId, int] = {}
+    deficits = []
+    for cap, d in deltas.items():
+        if d > 0:
+            deficits.append(cap)
+            need += d
+        elif d < 0:
+            spare[cap] = -d
+    deficits.sort(key=lambda cap: (-deltas[cap], cap))
     neighbours = {d: [r for r in graph.adjacency.get(d, ()) if r in spare] for d in deficits}
     flow: dict[CapabilityId, dict[CapabilityId, int]] = {d: {} for d in deficits}
-    sent = dict.fromkeys(deficits, 0)
-
-    def push(deficient: CapabilityId, limit: int, visited: set[CapabilityId]) -> int:
-        # Depth-first augmenting path: a reserve with room takes the units,
-        # a full one passes them on by rerouting another deficit's flow into
-        # it. Each reserve is entered once, so depth is at most the reserves.
-        for reserve in neighbours[deficient]:
-            if reserve in visited:
-                continue
-            visited.add(reserve)
-            moved = min(limit, spare[reserve])
-            if moved:
-                spare[reserve] -= moved
-            else:
-                for other in deficits:
-                    held = flow[other].get(reserve, 0)
-                    if held and other != deficient:
-                        moved = push(other, min(limit, held), visited)
-                        if moved:
-                            flow[other][reserve] = held - moved
-                            break
-            if moved:
-                flow[deficient][reserve] = flow[deficient].get(reserve, 0) + moved
-                return moved
-        return 0
-
-    def route(deficient: CapabilityId, goal: int) -> bool:
-        while sent[deficient] < goal:
-            moved = push(deficient, goal - sent[deficient], set())
-            if not moved:
-                return False
-            sent[deficient] += moved
-        return True
 
     # Augmentation never lowers what another deficit sends, and a deficit
     # with no augmenting path never gains one later, so one pass in order
     # reaches the maximum flow: a failed lower bound is a Hall violation.
-    feasible = all(route(d, max(0, deltas[d] - fuzz.xi_for(d))) for d in deficits)
-    need = deficit_sum(deltas) - fuzz.theta
+    sent = {}
+    total = 0
     for d in deficits:
-        shortfall = need - sum(sent.values())
-        if not feasible or shortfall <= 0:
+        lower = max(0, deltas[d] - xi.get(d, 0))
+        sent[d] = _route(d, lower, deficits, neighbours, spare, flow)
+        if sent[d] < lower:
+            feasible = False
             break
-        route(d, min(deltas[d], sent[d] + shortfall))
-    feasible = feasible and sum(sent.values()) >= need
+        total += sent[d]
+    else:
+        for d in deficits:
+            if total >= need:
+                break
+            total += _route(d, min(deltas[d] - sent[d], need - total), deficits, neighbours, spare, flow)
+        feasible = total >= need
 
     steps = tuple(
         CompensationStep(d, r, flow[d][r]) for d in deficits for r in neighbours[d] if flow[d].get(r)
     ) if feasible else ()
-    final_reqs = dict(requirements.requirements)
-    for step in steps:
-        final_reqs[step.deficient] -= step.amount
-        final_reqs[step.reserve] += step.amount
-    final = RequirementSet(requirements.action_id, final_reqs)
+    final, final_deltas = requirements, deltas
+    if steps:
+        final_reqs = dict(requirements.requirements)
+        final_deltas = dict(deltas)
+        for step in steps:
+            final_reqs[step.deficient] -= step.amount
+            final_reqs[step.reserve] += step.amount
+            final_deltas[step.deficient] -= step.amount
+            final_deltas[step.reserve] += step.amount
+        final = RequirementSet(requirements.action_id, final_reqs)
     if not feasible:
         outcome = CompensationOutcome.INFEASIBLE
     elif steps:
@@ -251,5 +310,5 @@ def compensate(
         steps=steps,
         initial_requirements=requirements,
         final_requirements=final,
-        final_report=is_feasible_fuzzy(compute_delta(final, profile), fuzz),
+        final_report=is_feasible_fuzzy(final_deltas, fuzz),
     )

@@ -1,9 +1,13 @@
 """Pearson correlation, Monte Carlo exact permutation tests, classification.
 
 Determinism contract: every stochastic routine is a pure function of its
-inputs and an explicit integer seed. Resample ``i`` is row ``i`` of a single
-counter-based (Philox) stream keyed by the seed, drawn in fixed chunks of
-rows; a p-value table applies the same rows to every pair (no seed is
+inputs and an explicit integer seed. Resample ``i`` is the stable argsort of
+row ``i`` of ``Generator(Philox(key=seed)).random((n_resamples, n))``, drawn
+in fixed chunks of rows as raw 64-bit words: ``random`` maps a word w to
+(w >> 11) / 2**53, so w >> 11 orders a row as the doubles do, and a row's
+order is one plain sort of those keys packed above their column indices
+(past n = 2048, rows whose kept key bits tie are re-sorted stably on the
+full keys). A p-value table applies the same rows to every pair (no seed is
 derived per pair), so its entries are dependent across pairs. Statistics
 are cross products of scale-centred columns c = n*x - sum(x), and a
 chunk's null statistics are one batched matrix product. When the shifted
@@ -189,14 +193,57 @@ class PermutationTestResult:
             raise ValueError(f"p_value {self.p_value} outside (0, 1]")
 
 
+def _stable_order(words: np.ndarray) -> np.ndarray:
+    """Each row's stable argsort of the keys ``words >> 11``, by one plain sort.
+
+    ``Generator.random`` turns a raw Philox word w into (w >> 11) / 2**53,
+    so these keys order a row exactly as its doubles do. Each key is packed
+    above its column index, which takes the low shift = (n - 1).bit_length()
+    bits; packed keys are distinct, so an in-place sort orders them as a
+    stable argsort orders the keys, and their low bits are that order. Up
+    to n = 2048 the 53-bit key and the index fit in 64 bits. Past it the
+    packed key keeps only the word's top 64 - shift bits, and rows where
+    two kept prefixes tie are re-sorted stably on the full keys.
+    """
+    n = words.shape[1]
+    shift = (n - 1).bit_length()
+    drop = max(11, shift)  # low word bits left out of the packed key
+    packed = words >> drop
+    packed <<= shift
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort(axis=1)
+    if drop > 11:
+        kept = packed >> shift
+        tied = (kept[:, 1:] == kept[:, :-1]).any(axis=1)
+    packed &= np.uint64((1 << shift) - 1)
+    order = packed.view(np.intp)
+    if drop > 11:
+        order[tied] = np.argsort(words[tied] >> 11, axis=1, kind="stable")
+    return order
+
+
+def _resample_orders(seed: int, n_resamples: int, n: int):
+    """The resample rows in chunks of at most _CHUNK rows.
+
+    Row r is the stable argsort of row r of
+    ``Generator(Philox(key=seed)).random((n_resamples, n))``, ordered from
+    the raw words that ``random`` would scale.
+    """
+    bits = np.random.Philox(key=np.uint64(seed))
+    for start in range(0, n_resamples, _CHUNK):
+        yield _stable_order(bits.random_raw((min(_CHUNK, n_resamples - start), n)))
+
+
 def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
     """Resamples b[i, j], i < j, whose statistic reaches pair (i, j)'s observed one.
 
     The statistic is |sum(c_i * c_j)| over scale-centred columns; the null
     permutes column j. Every pair sees the same rows: row r is the stable
-    argsort of row r of the Philox stream keyed by ``seed``, so it depends
-    on (seed, r) only. A null within scipy's relative tolerance of 100 eps
-    below the observed value counts as reaching it. Every column is
+    argsort of row r of ``Generator(Philox(key=seed)).random((n_resamples,
+    n))``, so it depends on (seed, r) only; each chunk's rows come from one
+    plain sort of packed raw-word keys (``_stable_order``). A null within
+    scipy's relative tolerance of 100 eps below the observed value counts
+    as reaching it. Every column is
     counted: a constant one's nulls and observed value are all 0, so its
     count is n_resamples, and the p-value table masks it as undefined.
 
@@ -231,16 +278,9 @@ def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
         null = partial(np.einsum, "in,rnj->rij", columns.T, optimize=False)
     counts = np.zeros((width, width), dtype=np.int64)
     # every chunk gathers into one buffer, since a fresh array per chunk raises peak RSS; take fills
-    # it in place only in mode "clip" (the default mode buffers), and argsort's indices are in range
+    # it in place only in mode "clip" (the default mode buffers), and the orders' indices are in range
     buffer = np.empty((min(_CHUNK, n_resamples), n, width), dtype=columns.dtype)
-    bits = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    for start in range(0, n_resamples if width > 1 else 0, _CHUNK):  # no pair: draw nothing
-        keys = bits.random((min(_CHUNK, n_resamples - start), n))
-        perms = np.argsort(keys, axis=1)  # the stable order in every row without a tied key
-        # a stable sort of every row costs 3x this tie check (430 against 141 µs per chunk at n = 430)
-        ordered = np.take_along_axis(keys, perms, axis=1)
-        tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        perms[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+    for perms in _resample_orders(seed, n_resamples if width > 1 else 0, n):  # no pair: draw nothing
         permuted = np.take(columns, perms, axis=0, out=buffer[: len(perms)], mode="clip")
         nulls = null(permuted)  # [r, i, j]: pair (i, j) under row r
         counts += np.count_nonzero(np.abs(nulls) >= reach, axis=0)

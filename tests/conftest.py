@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from capnet import network, taxonomy
@@ -37,3 +39,24 @@ def final_graph(built_graph, reference_correlations, candidates):
 @pytest.fixture(scope="session")
 def sitting_set(catalog):
     return taxonomy.sitting_over_table_set(catalog)
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """Run ``action()`` with the cyclic collector off; return what gc.collect() then frees.
+
+    A reference cycle (such as a recursive closure's cell pointing back at
+    its function) is freed only by that collector, so a nonzero count means
+    the action left one behind.
+    """
+
+    def run(action):
+        gc.collect()
+        gc.disable()
+        try:
+            action()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    return run

@@ -23,6 +23,12 @@ def pearson_two_pass(x, y):
     return sxy / math.sqrt(sxx * syy)
 
 
+def stable_permutation_rows(seed, rows, n):
+    """The resample rows of a run: stable argsorts of one block of Philox doubles."""
+    keys = np.random.Generator(np.random.Philox(key=seed)).random((rows, n))
+    return np.argsort(keys, axis=1, kind="stable")
+
+
 def permutation_exceedances_exact(x, y, perms):
     """Rows pi of ``perms`` with |n*sum(x*y[pi]) - sum(x)*sum(y)| >= the identity's.
 

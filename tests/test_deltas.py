@@ -86,6 +86,10 @@ class TestComputeDelta:
         with pytest.raises(IncompleteProfileError) as err:
             compute_delta(RequirementSet("k", {A: 4, B: 1}), profile_of({A: 4}))
         assert B in err.value.missing
+        # two missing ids, required out of order, are listed sorted
+        with pytest.raises(IncompleteProfileError) as err:
+            compute_delta(RequirementSet("k", {C: 1, A: 4, B: 1}), profile_of({A: 4}))
+        assert err.value.missing == (B, C)
 
 
 class TestDeficitSum:
@@ -326,19 +330,21 @@ class TestCompensate:
             assert sum(step.amount for step in trace.steps) == 24
 
 
-# SHA-256 of the concatenated trace documents of the batch below. Any change
-# to verdicts, step order, amounts or id rendering shows up here; update the
-# digest only together with a declared change of the trace output.
+# SHA-256 of the concatenated trace documents of the batch below, and of
+# their text reports, whose infeasible lines come from the final report.
+# Any change to verdicts, step order, amounts, violated clauses or id
+# rendering shows up here; update a digest only together with a declared
+# change of the trace output.
 GOLDEN_TRACE_SHA256 = "6b6449fc102cd0440a67aa34bf7527afd22a7edcb84f3371e7baea4030c6bfea"
+GOLDEN_REPORT_SHA256 = "faaca5d7bed4ba1ac3c1ff33ab93515ceaa6787a8d3e526350cd68a67766d0d4"
 
 
-def test_golden_trace_batch_on_default_graph(final_graph, sitting_set):
+def golden_queries(sitting_set):
+    """The golden batch: 600 (requirements, agent, fuzz) queries on 40 agents."""
     rng = random.Random(20260418)
     agents = [
         profile_of({cap: rng.randint(0, 6) for cap in sitting_set}) for _ in range(40)
     ]
-    digest = hashlib.sha256()
-    outcomes = Counter()
     for n in range(600):
         agent = rng.choice(agents)
         ids = rng.sample(sitting_set, rng.randint(2, 12))
@@ -347,8 +353,29 @@ def test_golden_trace_batch_on_default_graph(final_graph, sitting_set):
             xi={cap: rng.randint(0, 2) for cap in ids if rng.random() < 0.3},
             theta=rng.randint(0, 3),
         )
-        trace = compensate(RequirementSet(f"q{n}", reqs), agent, final_graph, fuzz)
+        yield RequirementSet(f"q{n}", reqs), agent, fuzz
+
+
+def test_golden_trace_batch_on_default_graph(final_graph, sitting_set):
+    digest, reports = hashlib.sha256(), hashlib.sha256()
+    outcomes = Counter()
+    for requirements, agent, fuzz in golden_queries(sitting_set):
+        trace = compensate(requirements, agent, final_graph, fuzz)
         outcomes[trace.outcome] += 1
         digest.update(trace.to_document().encode("utf-8"))
+        reports.update(trace.text_report().encode("utf-8"))
+        # the final report is derived from the flow; it must be the final requirements' own
+        assert trace.final_report == is_feasible_fuzzy(compute_delta(trace.final_requirements, agent), fuzz)
     assert min(outcomes[outcome] for outcome in CompensationOutcome) >= 50
     assert digest.hexdigest() == GOLDEN_TRACE_SHA256
+    assert reports.hexdigest() == GOLDEN_REPORT_SHA256
+
+
+def test_compensate_leaves_no_cyclic_garbage(final_graph, sitting_set, cyclic_garbage):
+    queries = list(golden_queries(sitting_set))
+
+    def run():
+        for requirements, agent, fuzz in queries:
+            compensate(requirements, agent, final_graph, fuzz)
+
+    assert cyclic_garbage(run) == 0

@@ -192,6 +192,11 @@ class TestDatasetFile:
         back = load_dataset(path, catalog)
         assert list(back) == list(dataset)
 
+    def test_read_leaves_no_cyclic_garbage(self, sitting_set, cyclic_garbage):
+        config = GeneratorConfig(ids=tuple(sitting_set), agents=25)
+        lines = write_dataset(generate_synthetic_profiles(config, seed=2), sitting_set).splitlines()
+        assert cyclic_garbage(lambda: read_dataset(lines)) == 0
+
     def test_missing_cells_stay_missing(self):
         lines = ["agent_id,phase,3.02.03,3.03.04", "a,unspecified,,4"]
         dataset = read_dataset(lines)

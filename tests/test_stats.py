@@ -17,16 +17,12 @@ from capnet.stats import (
     pearson,
     permutation_test,
     profile_matrix,
+    _resample_orders,
+    _stable_order,
 )
 from capnet.taxonomy import parse_capability_id as pid
 
-from oracles import ks_distance_from_uniform, pearson_two_pass, permutation_exceedances_exact
-
-
-def _resample_rows(seed, n_resamples, n):
-    """A run's resample rows drawn and argsorted in one block."""
-    keys = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random((n_resamples, n))
-    return np.argsort(keys, axis=1, kind="stable")
+from oracles import ks_distance_from_uniform, pearson_two_pass, permutation_exceedances_exact, stable_permutation_rows
 
 
 class TestPearson:
@@ -234,7 +230,7 @@ class TestPermutationTest:
         # Their float sums need not equal the observed one bit for bit; they still count.
         x = [0.4, 0.7, -1.2, -0.7, -0.4, 6.4]
         y = [1, 1, 1, 1, 1, 4]
-        unchanged = int((np.array(y)[_resample_rows(3, 300, 6)] == y).all(axis=1).sum())
+        unchanged = int((np.array(y)[stable_permutation_rows(3, 300, 6)] == y).all(axis=1).sum())
         assert unchanged > 0
         assert permutation_test(x, y, 300, seed=3).p_value == (unchanged + 1) / 301
 
@@ -244,28 +240,25 @@ class TestPermutationTest:
         rng = np.random.default_rng(19)
         x = rng.integers(0, 7, size=90).astype(float)
         y = rng.integers(0, 7, size=90).astype(float)
-        b = permutation_exceedances_exact(x, y, _resample_rows(23, n_resamples, 90))
+        b = permutation_exceedances_exact(x, y, stable_permutation_rows(23, n_resamples, 90))
         result = permutation_test(x, y, n_resamples, seed=23)
         assert 0 < b < n_resamples
         assert result.p_value == (b + 1) / (n_resamples + 1)
 
     def test_rows_with_tied_keys_are_stable_argsorts(self, monkeypatch):
         # keys on a grid of 64 steps tie in nearly every row, most often between positions
-        # that are not neighbours; the default argsort may order tied positions unstably
-        real = np.random.Generator
-
-        class CoarseKeys:
-            def __init__(self, bit_generator):
-                self.generator = real(bit_generator)
-
-            def random(self, shape):
-                return np.floor(self.generator.random(shape) * 64) / 64
+        # that are not neighbours; the default argsort may order tied positions unstably.
+        # Raw words cut to their top 6 bits are the words of those keys
+        class CoarseWords(np.random.Philox):
+            def random_raw(self, size=None, output=True):
+                return super().random_raw(size) >> 58 << 58
 
         rng = np.random.default_rng(29)
         data = rng.integers(0, 7, size=(40, 4)).astype(float)
-        keys = CoarseKeys(np.random.Philox(key=np.uint64(17))).random((70, 40))
+        keys = np.floor(np.random.Generator(np.random.Philox(key=17)).random((70, 40)) * 64) / 64
+        assert np.array_equal(keys, (CoarseWords(key=17).random_raw((70, 40)) >> 11) / 2.0**53)
         rows = np.argsort(keys, axis=1, kind="stable")
-        monkeypatch.setattr(np.random, "Generator", CoarseKeys)
+        monkeypatch.setattr(np.random, "Philox", CoarseWords)
         table = pairwise_permutation_pvalues(data, [pid(f"3.03.{k:02d}") for k in (2, 4, 6, 8)], 70, seed=17)
         for i in range(4):
             for j in range(i + 1, 4):
@@ -284,7 +277,7 @@ class TestPermutationTest:
         x, y = (np.where(rng.random(n) < 0.8, 431.0, 0.0) for _ in range(2))
         real, seen = np.matmul, set()
         monkeypatch.setattr(np, "matmul", lambda a, b: seen.add(b.dtype) or real(a, b))
-        b = permutation_exceedances_exact(x, y, _resample_rows(5, 70, n))
+        b = permutation_exceedances_exact(x, y, stable_permutation_rows(5, 70, n))
         assert permutation_test(x, y, 70, seed=5).p_value == (b + 1) / 71
         assert seen == {np.dtype(dtype)}
 
@@ -302,8 +295,32 @@ class TestPermutationTest:
         x = rng.integers(0, 7, size=64).astype(float)
         x[0] += -x.sum() % 64
         y = rng.integers(-6, 1, size=64).astype(float)
-        b = permutation_exceedances_exact(x, y, _resample_rows(21, 45, 64))
+        b = permutation_exceedances_exact(x, y, stable_permutation_rows(21, 45, 64))
         assert permutation_test(move(x), y, 45, seed=21).p_value == (b + 1) / 46
+
+
+class TestResampleOrder:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("n", [2, 430, 2048, 2049, 5000])
+    def test_rows_equal_stable_argsorts_of_the_doubles(self, seed, n):
+        # 40 rows: one full chunk of 32 and one of 8. Past n = 2048 the packed keys drop low bits
+        rows = np.concatenate(list(_resample_orders(seed, 40, n)))
+        assert np.array_equal(rows, stable_permutation_rows(seed, 40, n))
+
+    @pytest.mark.parametrize("n", [2048, 2049, 5000])
+    def test_keys_tied_in_their_kept_bits_are_resorted(self, n):
+        # a packed key holds the whole key up to n = 2048; past it, only the word's top
+        # 64 - (n - 1).bit_length() bits. Row 0: column 5's key exceeds column 9's by one in its
+        # lowest bit, which those cut; row 1: columns 3 and 7 hold the same key (their words
+        # differ below it), so they stay in column order
+        words = np.random.default_rng(n).integers(0, 2**64, size=(3, n), dtype=np.uint64)
+        words[0, 9] = words[0, 5] >> 12 << 12
+        words[0, 5] = words[0, 9] | 1 << 11
+        words[1, 7] = words[1, 3] ^ 0x7FF
+        order = _stable_order(words)
+        assert np.array_equal(order, np.argsort(words >> 11, axis=1, kind="stable"))
+        assert list(order[0]).index(9) < list(order[0]).index(5)
+        assert list(order[1]).index(3) < list(order[1]).index(7)
 
 
 class TestPairwisePvalues:
@@ -329,7 +346,7 @@ class TestPairwisePvalues:
     @pytest.mark.parametrize("n_resamples", [1, 31, 32, 33, 255, 256, 257, 600])
     def test_entries_equal_single_pair_test(self, n_resamples):
         dataset, ids, data = self._dataset()
-        rows = _resample_rows(12, n_resamples, len(data))
+        rows = stable_permutation_rows(12, n_resamples, len(data))
         # column 3 is constant at 4; the second input holds 0.1 there, a constant that is not an integer
         fractional = data.copy()
         fractional[:, 3] = 0.1
@@ -353,6 +370,10 @@ class TestPairwisePvalues:
         dataset, ids, _ = self._dataset()
         with pytest.raises(ValueError):
             pairwise_permutation_pvalues(dataset, ids, 0, seed=0)
+
+    def test_leaves_no_cyclic_garbage(self, cyclic_garbage):
+        dataset, ids, _ = self._dataset()
+        assert cyclic_garbage(lambda: pairwise_permutation_pvalues(dataset, ids, 100, seed=4)) == 0
 
     def test_prebuilt_profile_matrix_gives_same_tables(self):
         dataset, ids, data = self._dataset()
