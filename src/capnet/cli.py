@@ -3,8 +3,10 @@
 Subcommands: build-graph, synthesize, analyze, allocate, gen-data. Every
 run is reproducible: randomness flows through explicit --seed flags, and
 artifacts are written only to files named by flags (reports go to stdout).
-Only synthesize loads scipy's solvers: it imports ``synthesis`` when it
-runs, so the other commands start without scipy.optimize and scipy.sparse.
+Each command imports the heavy modules it needs when it runs: synthesize
+loads scipy's solvers (``synthesis``), analyze loads numpy (``stats``) and
+gen-data numpy (its generator). Importing this module and running
+build-graph or allocate load neither numpy nor scipy.
 
 Exit codes: 0 success/feasible, 2 usage error, 3 input or data error,
 4 infeasible, 5 internal invariant violation. Commands raise; ``main``
@@ -22,7 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import deltas as deltas_mod
-from . import network, profiles, stats, taxonomy
+from . import network, profiles, taxonomy
 from .errors import (
     AnnotationError,
     CapnetError,
@@ -140,17 +142,22 @@ def cmd_synthesize(graph_path, catalog_path, n_min, p_max, p_hat_max, out_path, 
 
 
 def cmd_analyze(data_path, catalog_path, phase, threshold, resamples, seed, out_corr, out_pvalues):
-    """Filter a dataset, compute correlations and permutation p-values."""
+    """Filter a dataset, compute correlations and permutation p-values.
+
+    The dataset is read into score rows and filtered straight into the one
+    matrix both tables read; no ``Profile`` is built.
+    """
+    from . import stats  # here, not at the top: build-graph and allocate start without numpy
+
     catalog = _load_catalog(catalog_path)
-    dataset = profiles.load_dataset(data_path, catalog)
+    table = profiles.load_scores(data_path, catalog)
     if phase != "all":
-        dataset = dataset.with_phase(profiles.Phase(phase))
+        table = table.with_phase(profiles.Phase(phase))
     evaluation_set = taxonomy.sitting_over_table_set(catalog)
-    kept = profiles.filter_profiles(dataset, evaluation_set, threshold)
-    print(f"retained {len(kept)} of {len(dataset)} profiles")
-    if len(kept) < 2:
+    data = table.retained(evaluation_set, threshold)
+    print(f"retained {len(data)} of {len(table)} profiles")
+    if len(data) < 2:
         raise DatasetError("fewer than 2 profiles survive the completeness/dispersion filter")
-    data = stats.profile_matrix(kept, evaluation_set)
     matrix = stats.correlation_matrix(data, evaluation_set)
     if matrix.undefined_ids():
         names = ", ".join(str(c) for c in matrix.undefined_ids())

@@ -13,14 +13,17 @@ are cross products of scale-centred columns c = n*x - sum(x), and a
 chunk's null statistics are one batched matrix product. When the shifted
 columns y = x - min(x) are integers that give c = n*y - sum(y), and the
 squares of c sum below 2**53, that product goes to BLAS over y: the null
-is n*(n*T - sum(y_i)*sum(y_j)) with T = y_i'y_j[pi], rebuilt in int64.
-Every product and partial sum of T is an integer no larger than T, and
+is n*(n*T - sum(y_i)*sum(y_j)) with T = y_i'y_j[pi]. Every product and
+partial sum of T is an integer no larger than T, and
 T <= sqrt(sum(y_i**2) * sum(y_j**2)) (Cauchy-Schwarz). That is at most
 n*max(y)**2, so float32 holds T exactly while that stays below 2**24,
 and float64 does always, since sum(y**2) <= sum(c**2) < 2**53. So T is
 exact whatever order, blocking or thread split BLAS uses, and observed
-and permuted values tie where integers do; n*T and sum(y_i)*sum(y_j)
-stay below 2**54, so int64 holds the rebuild. Profiles of 0-6 scores
+and permuted values tie where integers do. No null is rebuilt: a pair's
+null reaches its observed value exactly where T passes one of two
+integer thresholds (see ``_exceedances``), computed once per pair in
+int64, which holds them since n*T and sum(y_i)*sum(y_j) stay below
+2**54. Profiles of 0-6 scores
 qualify for n < 100,000, since sum(c**2) <= 9*n**3 < 2**53, and there
 always use float32, since 36*n < 2**24. Other input is reduced over c
 by einsum, whose order does not depend on BLAS/OpenMP thread settings,
@@ -37,7 +40,6 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -234,6 +236,15 @@ def _resample_orders(seed: int, n_resamples: int, n: int):
         yield _stable_order(bits.random_raw((min(_CHUNK, n_resamples - start), n)))
 
 
+def _thresholds(reach: np.ndarray, cross: np.ndarray, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer bounds (high, low): for integers 0 <= T < top, |n*(n*T - cross)| >= reach exactly where T >= high or T <= low.
+
+    Derived in ``_exceedances``.
+    """
+    least = -(-np.ceil(reach).astype(np.int64) // n)
+    return np.clip(-(-(cross + least) // n), -1, top), np.clip((cross - least) // n, -1, top)
+
+
 def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
     """Resamples b[i, j], i < j, whose statistic reaches pair (i, j)'s observed one.
 
@@ -249,8 +260,17 @@ def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
 
     On integer scores the product gathers the shifted scores y = x - min(x),
     in float32 when max(y)**2 * n < 2**24 and in float64 otherwise, and
-    the nulls are rebuilt from y exactly (see the module docstring); the
-    counts equal those of the product over c. Other input multiplies c.
+    T = y_i'y_j[pi] is exact (see the module docstring). There the null is
+    the integer c_i'c_j[pi] = n*(n*T - S), S = sum(y_i)*sum(y_j), and
+    |null| <= sqrt(sum(c_i**2) * sum(c_j**2)) < 2**53, so it converts to a
+    double exactly and |null| >= reach is a comparison of integers: it
+    holds where |null| >= R = ceil(reach), that is where |n*T - S| >= q =
+    ceil(R / n), that is where T >= ceil((S + q) / n) or T <= floor((S - q)
+    / n). Both thresholds are computed once per pair in int64 and clipped
+    to [-1, top], top = 2**24 for float32 columns and 2**53 for float64, so
+    each is exact in the columns' dtype; as 0 <= T < top, the clip changes
+    no comparison. Each chunk compares its product with them directly, and
+    the counts are those of the nulls. Other input multiplies c.
     """
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
@@ -268,22 +288,26 @@ def _exceedances(data: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
     # columns are stored column-major (order="F"): at 430 x 22 one call took 15.0 ms on 1,000 integer
     # resamples and 16.3 ms on 200 float ones, against 15.9 and 35.2 ms on row-major columns
     if exact:
-        # y reproduces c exactly, so the rebuilt null of the identity row is the observed value;
+        # y reproduces c exactly, so the null of the identity row is the observed value;
         # every partial sum of T = y'y[pi] is an integer of at most n * max(y)**2, and below 2**53
-        columns = shifted.astype(np.float32 if shifted.max(initial=0) ** 2 * n < 2**24 else np.float64, order="F")
+        small = shifted.max(initial=0) ** 2 * n < 2**24
+        columns = shifted.astype(np.float32 if small else np.float64, order="F")
         cross = np.outer(sums.astype(np.int64), sums.astype(np.int64))
-        null = lambda permuted: n * (n * np.matmul(columns.T, permuted).astype(np.int64) - cross)
+        high, low = (bound.astype(columns.dtype) for bound in _thresholds(reach, cross, n, 2**24 if small else 2**53))
+
+        def reaches(permuted):
+            totals = np.matmul(columns.T, permuted)  # T of every pair under every row
+            return (totals >= high) | (totals <= low)
     else:
         columns = centred.astype(float, order="F")
-        null = partial(np.einsum, "in,rnj->rij", columns.T, optimize=False)
+        reaches = lambda permuted: np.abs(np.einsum("in,rnj->rij", columns.T, permuted, optimize=False)) >= reach
     counts = np.zeros((width, width), dtype=np.int64)
     # every chunk gathers into one buffer, since a fresh array per chunk raises peak RSS; take fills
     # it in place only in mode "clip" (the default mode buffers), and the orders' indices are in range
     buffer = np.empty((min(_CHUNK, n_resamples), n, width), dtype=columns.dtype)
     for perms in _resample_orders(seed, n_resamples if width > 1 else 0, n):  # no pair: draw nothing
         permuted = np.take(columns, perms, axis=0, out=buffer[: len(perms)], mode="clip")
-        nulls = null(permuted)  # [r, i, j]: pair (i, j) under row r
-        counts += np.count_nonzero(np.abs(nulls) >= reach, axis=0)
+        counts += np.count_nonzero(reaches(permuted), axis=0)  # [r, i, j]: pair (i, j) under row r
     return np.triu(counts, 1)
 
 

@@ -288,14 +288,18 @@ def test_criterion_8_determinism(tmp_path):
         "--out-pvalues",
         "pvalues.csv",
     ]
-    artifacts = ("graph.json", "sequences.csv", "sequences.txt", "data.csv", "corr.csv", "pvalues.csv")
+    # the other phase branch: every row, pre and post rehabilitation
+    analyze_all_args = analyze_args[:-4] + ["--phase", "all", "--out-corr", "corr-all.csv", "--out-pvalues", "pvalues-all.csv"]
+    artifacts = (
+        "graph.json", "sequences.csv", "sequences.txt", "data.csv", "corr.csv", "pvalues.csv", "corr-all.csv", "pvalues-all.csv"
+    )
 
     outputs = {}
     for label, threads in (("run1", 1), ("run2", 1), ("run4", 4)):
         workdir = tmp_path / label
         workdir.mkdir()
         stdout = []
-        for args in (graph_args, gen_args, synth_args, analyze_args):
+        for args in (graph_args, gen_args, synth_args, analyze_args, analyze_all_args):
             stdout.append(_run_cli(args, workdir, threads))
         outputs[label] = {name: (workdir / name).read_bytes() for name in artifacts}
         outputs[label]["stdout"] = "\n".join(stdout)

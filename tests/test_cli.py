@@ -426,20 +426,29 @@ class TestAnalyze:
         assert not (tmp_path / "d.csv").exists()
 
     def test_profile_matrix_built_once(self, runner, tmp_path, monkeypatch):
-        from capnet import stats
+        # analyze builds one matrix, from the score rows, hands that array to both tables and
+        # constructs no Profile
+        from capnet import profiles, stats
 
-        built = []
-        real = stats.profile_matrix
-        monkeypatch.setattr(stats, "profile_matrix", lambda *a: built.append(1) or real(*a))
+        built, tables, made = [], [], []
         data = tmp_path / "data.csv"
         runner.invoke(main, ["gen-data", "--count", "40", "--seed", "5", "--out", str(data)])
+        retained, post_init = profiles.ScoreTable.retained, profiles.Profile.__post_init__
+        monkeypatch.setattr(profiles.ScoreTable, "retained", lambda *a: built.append(retained(*a)) or built[-1])
+        monkeypatch.setattr(stats, "profile_matrix", lambda *a: built.append("profile_matrix"))
+        monkeypatch.setattr(profiles.Profile, "__post_init__", lambda self: made.append(self) or post_init(self))
+        for name in ("correlation_matrix", "pairwise_permutation_pvalues"):
+            real = getattr(stats, name)
+            monkeypatch.setattr(stats, name, lambda data, *a, real=real: tables.append(data) or real(data, *a))
         result = runner.invoke(
             main,
             ["analyze", "--data", str(data), "--resamples", "9",
              "--out-corr", str(tmp_path / "c.csv"), "--out-pvalues", str(tmp_path / "p.csv")],
         )
         assert result.exit_code == 0, result.output
-        assert len(built) == 1
+        assert len(built) == 1 and len(tables) == 2
+        assert all(matrix is built[0] for matrix in tables)
+        assert made == []
 
     def test_zero_threshold_keeps_complete_profiles(self, runner, tmp_path):
         data = tmp_path / "data.csv"
@@ -966,7 +975,8 @@ def test_arbitrary_file_bytes_never_crash(fuzz_partners, command, option, first_
     assert result.exit_code in (0, EXIT_USAGE, EXIT_DATA, EXIT_INFEASIBLE), (result.output, repr(result.exception))
 
 
-# Runs every subcommand in one fresh interpreter and lists, after each, the scipy and click modules loaded.
+# Runs every subcommand in one fresh interpreter and lists, after each, the scipy, click and numpy
+# modules loaded. allocate runs before gen-data, the first command that needs numpy.
 LAZY_SOLVER_SCRIPT = """
 import json, sys
 from importlib import resources
@@ -978,16 +988,16 @@ def fixture(name):
 def modules(package):
     return sorted(m for m in sys.modules if m.split(".")[0] == package)
 
-steps = [["import", 0, modules("scipy"), modules("click")]]
+steps = [["import", 0, modules("scipy"), modules("click"), modules("numpy")]]
 def run(*args):
     code = cli.main(list(args), standalone_mode=False)
-    steps.append([args[0], code or 0, modules("scipy"), modules("click")])
+    steps.append([args[0], code or 0, modules("scipy"), modules("click"), modules("numpy")])
 
 run("build-graph", "--out-graph", "graph.json")
-run("gen-data", "--count", "40", "--seed", "1", "--out", "data.csv")
-run("analyze", "--data", "data.csv", "--resamples", "99", "--out-corr", "corr.csv", "--out-pvalues", "p.csv")
 run("allocate", "--requirements", fixture("demo_requirements.csv"), "--profiles", fixture("demo_profile.csv"),
     "--agent", "demo", "--graph", "graph.json")
+run("gen-data", "--count", "40", "--seed", "1", "--out", "data.csv")
+run("analyze", "--data", "data.csv", "--resamples", "99", "--out-corr", "corr.csv", "--out-pvalues", "p.csv")
 run("synthesize", "--graph", "graph.json", "--out", "plan.csv")
 print(json.dumps(steps))
 """
@@ -999,7 +1009,10 @@ def test_only_synthesize_loads_the_solvers(tmp_path):
     proc = subprocess.run([sys.executable, "-c", LAZY_SOLVER_SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout.splitlines()[-1])
-    assert [step[:2] for step in steps] == [[name, 0] for name in ("import", "build-graph", "gen-data", "analyze", "allocate", "synthesize")]
-    assert all(scipy == [] for _, _, scipy, _ in steps[:-1]), steps
+    assert [step[:2] for step in steps] == [[name, 0] for name in ("import", "build-graph", "allocate", "gen-data", "analyze", "synthesize")]
+    assert all(scipy == [] for _, _, scipy, _, _ in steps[:-1]), steps
     assert {"scipy.optimize", "scipy.sparse"} <= set(steps[-1][2])
-    assert all(click == [] for _, _, _, click in steps), steps
+    assert all(click == [] for _, _, _, click, _ in steps), steps
+    # the import, build-graph and allocate start without numpy; gen-data loads it
+    assert all(numpy == [] for _, _, _, _, numpy in steps[:3]), steps
+    assert "numpy" in steps[3][4]

@@ -1,9 +1,11 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
 from capnet import profiles
+from capnet.cli import EXIT_DATA, main
 from capnet.errors import ConfigError, DatasetError, QuantificationError
 from capnet.profiles import (
     GeneratorConfig,
@@ -14,10 +16,13 @@ from capnet.profiles import (
     filter_profiles,
     generate_synthetic_profiles,
     load_dataset,
+    load_scores,
     propagate_main_level,
     read_dataset,
+    read_scores,
     write_dataset,
 )
+from capnet.stats import profile_matrix
 from capnet.taxonomy import parse_capability_id as pid
 from capnet.taxonomy import parse_score
 
@@ -317,3 +322,91 @@ class TestScoreCheck:
         values[pid("3.03.04")] = 5
         values[pid("3.02.03")] = 1
         assert profile.values == requirements.requirements == {pid("3.03.04"): 3}
+
+
+# Every malformed dataset file of the tests above.
+MALFORMED_FILES = {
+    "repeated-id": ["agent_id,phase,3.02.03,3.03.04,3.3.4", "demo,unspecified,5,0,4"],
+    "malformed-id": ["agent_id,phase,3.03.04,3.x", "a,unspecified,4,4"],
+    "unknown-id": ["agent_id,phase,3.03.04,9.99.99", "a,unspecified,4,4"],
+    "unknown-id-empty": ["agent_id,phase,3.03.04,9.99.99", "a,unspecified,4,"],
+    "fullwidth": ["agent_id,phase,3.02.03,3.03.04", "demo,unspecified,5,５"],
+    "underscore": ["agent_id,phase,3.02.03,3.03.04", "demo,unspecified,5,0_4"],
+    "sign": ["agent_id,phase,3.02.03,3.03.04", "demo,unspecified,5,+4"],
+    "duplicate": ["agent_id,phase,3.03.04", "a,pre_rehab,4", "a,pre_rehab,5"],
+    "later-duplicate": ["agent_id,phase,3.03.04", "a,pre_rehab,4", "a,post_rehab,5", "b,pre_rehab,3", "a,post_rehab,6"],
+    "off-scale": ["agent_id,phase,3.02.03,3.03.04", "a,pre_rehab,4,5", "b,pre_rehab,9,5"],
+    "range-then-digits": ["agent_id,phase,3.02.03,3.03.04", "b,pre_rehab,4,5", "a,pre_rehab,9,x"],
+    "digits-then-range": ["agent_id,phase,3.02.03,3.03.04", "b,pre_rehab,4,5", "a,pre_rehab,x,9"],
+    "digits-twice": ["agent_id,phase,3.02.03,3.03.04", "b,pre_rehab,4,5", "a,pre_rehab,x,y"],
+    "bad-phase": ["agent_id,phase,3.02.03,3.03.04", "a,rehab,9,x"],
+    "earlier-off-scale": ["agent_id,phase,3.02.03,3.03.04", "a,pre_rehab,4,7", "b,pre_rehab,x,5"],
+    "earlier-non-integer": ["agent_id,phase,3.02.03,3.03.04", "a,pre_rehab,4,x", "b,pre_rehab,7,5"],
+}
+
+
+def _reorder_columns(text, order):
+    """Dataset ``text`` with its capability columns in ``order``, given as positions among them."""
+    rows = [line.split(",") for line in text.splitlines()]
+    return "".join(",".join(row[:2] + [row[2 + k] for k in order]) + "\n" for row in rows)
+
+
+class TestScoreTable:
+    def test_rows_hold_the_file_scores(self):
+        lines = ["agent_id,phase,3.02.03,3.03.04", "a,unspecified,,4", "b,pre_rehab, 04,6", "a,pre_rehab,0,"]
+        table = read_scores(lines)
+        assert table.ids == (pid("3.02.03"), pid("3.03.04"))
+        assert table.agents == ("a", "b", "a")
+        assert table.phases == (Phase.UNSPECIFIED, Phase.PRE_REHAB, Phase.PRE_REHAB)
+        assert table.scores == ((-1, 4), (4, 6), (0, -1))
+        assert {type(score) for row in table.scores for score in row} == {int}
+        assert table.dataset() == read_dataset(lines)
+        pre = table.with_phase(Phase.PRE_REHAB)
+        assert (pre.agents, pre.scores, len(pre)) == (("b", "a"), ((4, 6), (0, -1)), 2)
+        assert len(table.with_phase(Phase.POST_REHAB)) == 0
+
+    def test_read_leaves_no_cyclic_garbage(self, sitting_set, cyclic_garbage):
+        config = GeneratorConfig(ids=tuple(sitting_set), agents=25)
+        lines = write_dataset(generate_synthetic_profiles(config, seed=2), sitting_set).splitlines()
+        assert cyclic_garbage(lambda: read_scores(lines)) == 0
+
+    @pytest.mark.parametrize("agents, seed", [(7, 1), (40, 2), (150, 3)])
+    @pytest.mark.parametrize("fraction", [0.0, 0.15, 1.0])
+    @pytest.mark.parametrize("layout", ["canonical", "shuffled", "lacking"])
+    def test_retained_equals_filtered_profile_matrix(self, tmp_path, catalog, sitting_set, agents, seed, fraction, layout):
+        # the header may list the evaluation ids in any order, or lack one, which leaves no row complete
+        config = GeneratorConfig(ids=tuple(sitting_set), agents=agents, degenerate_fraction=fraction)
+        written = [cap for k, cap in enumerate(sitting_set) if layout != "lacking" or k != 5]
+        text = write_dataset(generate_synthetic_profiles(config, seed), written)
+        if layout == "shuffled":
+            text = _reorder_columns(text, random.Random(seed).sample(range(len(written)), len(written)))
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        table, dataset = load_scores(path, catalog), load_dataset(path, catalog)
+        kept_rows = 0
+        for phase in (Phase.PRE_REHAB, Phase.POST_REHAB, None):
+            rows = table if phase is None else table.with_phase(phase)
+            profiles_of_phase = dataset if phase is None else dataset.with_phase(phase)
+            assert len(rows) == len(profiles_of_phase)
+            for threshold in (0.0, 0.2):
+                kept = filter_profiles(profiles_of_phase, sitting_set, threshold)
+                expected = profile_matrix(kept, sitting_set).reshape(len(kept), len(sitting_set))
+                retained = rows.retained(sitting_set, threshold)
+                assert retained.dtype == np.float64 and retained.shape == expected.shape
+                assert np.array_equal(retained, expected)
+                kept_rows += len(kept)
+        assert (kept_rows == 0) == (layout == "lacking")
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+    def test_malformed_file_fails_alike_everywhere(self, tmp_path, capsys, catalog, name):
+        # read_scores, read_dataset and analyze name the same fault, and analyze exits 3 on it
+        lines = MALFORMED_FILES[name]
+        with pytest.raises(DatasetError) as raised:
+            read_dataset(lines, catalog)
+        with pytest.raises(DatasetError) as from_scores:
+            read_scores(lines, catalog)
+        assert str(from_scores.value) == str(raised.value)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["analyze", "--data", str(path), "--resamples", "9"], standalone_mode=False) == EXIT_DATA
+        assert capsys.readouterr() == ("", f"error: {raised.value}\n")

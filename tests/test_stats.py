@@ -19,6 +19,7 @@ from capnet.stats import (
     profile_matrix,
     _resample_orders,
     _stable_order,
+    _thresholds,
 )
 from capnet.taxonomy import parse_capability_id as pid
 
@@ -280,6 +281,43 @@ class TestPermutationTest:
         b = permutation_exceedances_exact(x, y, stable_permutation_rows(5, 70, n))
         assert permutation_test(x, y, 70, seed=5).p_value == (b + 1) / 71
         assert seen == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("scale, dtype", [(1, np.float32), (1000, np.float64)], ids=["f32", "f64"])
+    def test_rows_that_tie_the_observed_value_count(self, monkeypatch, scale, dtype):
+        # x is symmetric about its mean and y holds two top scores: a row that moves them onto x's
+        # two 6s (in either order) ties the observed value exactly, and one that moves them onto
+        # x's two 0s ties it with the opposite sign. At scale 1000, max(y)**2 * n >= 2**24
+        x = np.array([0, 0, 3, 3, 3, 6, 6]) * scale
+        y = np.array([0, 0, 0, 0, 0, 1, 1]) * scale
+        rows = stable_permutation_rows(8, 200, 7)
+        signed = 7 * (y[rows] @ x) - x.sum() * y.sum()
+        observed = 7 * (y @ x) - x.sum() * y.sum()
+        moved = (rows != np.arange(7)).any(axis=1)
+        assert ((signed == observed) & moved).any() and (signed == -observed).any()
+        real, seen = np.matmul, set()
+        monkeypatch.setattr(np, "matmul", lambda a, b: seen.add(b.dtype) or real(a, b))
+        b = permutation_exceedances_exact(x, y, rows)
+        assert b == np.count_nonzero(np.abs(signed) == observed)
+        assert permutation_test(x.astype(float), y.astype(float), 200, seed=8).p_value == (b + 1) / 201
+        assert seen == {np.dtype(dtype)}
+
+    def test_thresholds_clipped_at_both_ends(self):
+        # the bounds stand for the null at every integer T below top, also where they are clipped:
+        # a reach past any null puts the unclipped high above top and low below -1
+        top, n = 60, 5
+        for cross in range(0, 200, 7):
+            for reach in (0.0, 0.5, 37.0, 37.2, 499.9, 3e3, 1e6):
+                high, low = _thresholds(np.array(reach), np.array(cross, dtype=np.int64), n, top)
+                assert -1 <= low <= high <= top
+                for t in range(top):
+                    assert (t >= high or t <= low) == (abs(n * (n * t - cross)) >= reach), (cross, reach, t)
+        assert _thresholds(np.array(1e6), np.array(0, dtype=np.int64), n, top) == (top, -1)
+        # in the kernel: three top scores per column give a low bound of floor(2 * 18**2 / 100 - 108)
+        # = -102 for the observed pair, clipped to -1
+        x, y = np.zeros(100), np.zeros(100)
+        x[:3], y[:3] = 6, 6
+        b = permutation_exceedances_exact(x, y, stable_permutation_rows(3, 80, 100))
+        assert permutation_test(x, y, 80, seed=3).p_value == (b + 1) / 81
 
     @pytest.mark.parametrize(
         "move",
