@@ -150,7 +150,7 @@ def cmd_analyze(data_path, catalog_path, phase, threshold, resamples, seed, out_
     from . import stats  # here, not at the top: build-graph and allocate start without numpy
 
     catalog = _load_catalog(catalog_path)
-    table = profiles.load_scores(data_path, catalog)
+    table = profiles.load_dataset(data_path, catalog)
     if phase != "all":
         table = table.with_phase(profiles.Phase(phase))
     evaluation_set = taxonomy.sitting_over_table_set(catalog)

@@ -5,13 +5,15 @@ requirement set maps capability ids to the demands of one action. Dataset
 files are CSV: columns ``agent_id, phase`` followed by one column per
 capability id in canonical order; an empty cell means "not assessed".
 
-A dataset file is read once into score rows (``read_scores``): a
-``ScoreTable`` of the header ids, each row's agent and phase, and one
-tuple of ints per row, -1 where a cell is empty. ``Profile`` objects are
-built from those rows only on request (``ScoreTable.dataset``, which
-``read_dataset`` returns); ``ScoreTable.retained`` turns them straight
-into the filtered matrix that the statistics read. numpy is imported by
-the functions that use it, so reading a dataset loads no numpy.
+A dataset is one ``ScoreTable``: the header ids, each row's agent and
+phase, and one tuple of ints per row, -1 where a cell is empty.
+``read_dataset`` reads a file into it once and ``generate_synthetic_profiles``
+builds one. A ``Profile`` is built only for a row that is asked for:
+iterating a table yields one per row, ``select`` builds the chosen row's.
+The filter rule (complete over a set, spread reaching a threshold) is
+written once: ``filter_profiles`` keeps its rows as a table,
+``ScoreTable.retained`` returns their matrix. numpy is imported by the
+functions that use it, so reading a dataset loads no numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapabilityIdError, ConfigError, DatasetError, QuantificationError
 from .taxonomy import (
@@ -43,12 +45,14 @@ __all__ = [
     "Phase",
     "Profile",
     "RequirementSet",
-    "ProfileDataset",
     "ScoreTable",
     "GeneratorConfig",
     "propagate_main_level",
     "filter_profiles",
     "generate_synthetic_profiles",
+    "read_dataset",
+    "load_dataset",
+    "write_dataset",
 ]
 
 
@@ -109,43 +113,89 @@ class RequirementSet:
             raise DatasetError(f"requirements {self.action_id}: unknown capability ids {ids}")
 
 
-class ProfileDataset:
-    """Ordered collection of profiles with unique (agent_id, phase) keys."""
+@dataclass(frozen=True)
+class ScoreTable:
+    """A dataset: the capability ``ids``, then each row's agent, phase and scores.
 
-    def __init__(self, profiles: Iterable[Profile]):
-        self.profiles = tuple(profiles)
-        seen = set()
-        for profile in self.profiles:
-            key = (profile.agent_id, profile.phase)
-            if key in seen:
-                raise DatasetError(f"duplicate row for agent {profile.agent_id!r} phase {profile.phase.value}")
-            seen.add(key)
+    ``scores[k][c]`` is row k's score for ``ids[c]``, a plain int on the
+    0..6 scale, or -1 where it was not assessed. Rows keep their order, and
+    their (agent, phase) keys are unique: a repeat is a DatasetError.
+    Iterating yields one ``Profile`` per row, holding its assessed scores.
+    """
+
+    ids: tuple[CapabilityId, ...]
+    agents: tuple[str, ...]
+    phases: tuple[Phase, ...]
+    scores: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(set(zip(self.agents, self.phases))) < len(self.agents):
+            seen = set()
+            for agent, phase in zip(self.agents, self.phases):
+                if (agent, phase) in seen:
+                    raise DatasetError(f"duplicate row for agent {agent!r} phase {phase.value}")
+                seen.add((agent, phase))
 
     def __len__(self) -> int:
-        return len(self.profiles)
+        return len(self.agents)
 
-    def __iter__(self):
-        return iter(self.profiles)
+    def __iter__(self) -> Iterator[Profile]:
+        return map(self._profile, range(len(self)))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProfileDataset) and self.profiles == other.profiles
+    def _profile(self, k: int) -> Profile:
+        return Profile(self.agents[k], self.phases[k], {cap: s for cap, s in zip(self.ids, self.scores[k]) if s >= 0})
 
-    def with_phase(self, phase: Phase) -> "ProfileDataset":
-        return ProfileDataset(p for p in self.profiles if p.phase is phase)
+    def _rows(self, rows: Sequence[int]) -> ScoreTable:
+        return ScoreTable(self.ids, *(tuple(column[k] for k in rows) for column in (self.agents, self.phases, self.scores)))
+
+    def with_phase(self, phase: Phase) -> ScoreTable:
+        return self._rows([k for k, row_phase in enumerate(self.phases) if row_phase is phase])
 
     def select(self, agent_id: str, phase: Phase | None = None) -> Profile:
         """The agent's profile in ``phase``; with no phase, the agent's only profile.
 
         No match is a DatasetError; several matches (no phase given) are a
-        ConfigError naming the phases found.
+        ConfigError naming the phases found. Only the match's ``Profile`` is built.
         """
-        found = [p for p in self.profiles if p.agent_id == agent_id and (phase is None or p.phase is phase)]
+        rows = enumerate(zip(self.agents, self.phases))
+        found = [k for k, (agent, row_phase) in rows if agent == agent_id and (phase is None or row_phase is phase)]
         if not found:
             raise DatasetError(f"no profile for agent {agent_id!r}" + (f" phase {phase.value}" if phase else ""))
         if len(found) > 1:
-            phases = ", ".join(p.phase.value for p in found)
+            phases = ", ".join(self.phases[k].value for k in found)
             raise ConfigError(f"agent {agent_id!r} has profiles for phases {phases}; name one")
-        return found[0]
+        return self._profile(found[0])
+
+    def retained(self, capability_set: Sequence[CapabilityId], threshold: float = 0.2) -> np.ndarray:
+        """The float matrix of the rows that ``filter_profiles`` keeps, one column per id of ``capability_set``.
+
+        Rows stay in order; with none left the shape is (0, len(capability_set)).
+        No ``Profile`` is built.
+        """
+        return self._filtered(capability_set, threshold)[1]
+
+    def _filtered(self, capability_set: Sequence[CapabilityId], threshold: float) -> tuple[np.ndarray, np.ndarray]:
+        """The filter rule: a mask of the rows kept, and their float matrix over ``capability_set``.
+
+        A row is kept when it is complete over the set and the population
+        standard deviation of its scores there reaches ``threshold``. A
+        negative or NaN threshold is a ConfigError.
+        """
+        import numpy as np
+
+        if not threshold >= 0:
+            raise ConfigError(f"threshold must be non-negative, got {threshold}")
+        rows = np.array(self.scores, dtype=np.int8).reshape(len(self), len(self.ids))
+        position = {cap: c for c, cap in enumerate(self.ids)}
+        if all(cap in position for cap in capability_set):
+            picked = rows[:, [position[cap] for cap in capability_set]]
+        else:  # a column the ids lack is empty in every row
+            picked = np.full((len(self), len(capability_set)), -1, dtype=np.int8)
+        kept = (picked >= 0).all(axis=1)
+        data = picked[kept].astype(float)
+        dispersed = data.std(axis=1) >= threshold
+        kept[kept] = dispersed  # of the complete rows, those that spread
+        return kept, data[dispersed]
 
 
 def propagate_main_level(profile: Profile) -> Profile:
@@ -168,33 +218,17 @@ def propagate_main_level(profile: Profile) -> Profile:
 
 
 def filter_profiles(
-    dataset: ProfileDataset,
+    dataset: ScoreTable,
     capability_set: Sequence[CapabilityId],
     threshold: float = 0.2,
-) -> ProfileDataset:
-    """Keep profiles complete over the set whose dispersion >= threshold.
+) -> ScoreTable:
+    """Keep the rows complete over the set whose dispersion >= threshold.
 
     Near-constant profiles (therapists scoring everything the same) and
     incomplete profiles are dropped; input order is preserved.
     """
-    import numpy as np
-
-    needed = set(capability_set)
-    complete = [profile for profile in dataset if profile.values.keys() >= needed]
-    data = np.array([[profile.values[cap] for cap in capability_set] for profile in complete], dtype=float)
-    data = data.reshape(len(complete), len(capability_set))
-    return ProfileDataset(profile for profile, kept in zip(complete, _dispersed(data, threshold)) if kept)
-
-
-def _dispersed(data: np.ndarray, threshold: float) -> np.ndarray:
-    """The filter rule: which rows of a complete profiles x ids float matrix spread by at least ``threshold``.
-
-    The spread is a row's population standard deviation. A negative or NaN
-    threshold is a ConfigError.
-    """
-    if not threshold >= 0:
-        raise ConfigError(f"threshold must be non-negative, got {threshold}")
-    return data.std(axis=1) >= threshold
+    kept, _ = dataset._filtered(capability_set, threshold)
+    return dataset._rows(kept.nonzero()[0].tolist())
 
 
 # -- synthetic generation ---------------------------------------------------
@@ -241,8 +275,8 @@ class GeneratorConfig:
             raise ConfigError("ids must not be empty")
 
 
-def generate_synthetic_profiles(config: GeneratorConfig, seed: int) -> ProfileDataset:
-    """Deterministic synthetic dataset of pre/post profile pairs."""
+def generate_synthetic_profiles(config: GeneratorConfig, seed: int) -> ScoreTable:
+    """Deterministic synthetic dataset of pre/post profile pairs, over ``config.ids`` in canonical order."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -252,7 +286,7 @@ def generate_synthetic_profiles(config: GeneratorConfig, seed: int) -> ProfileDa
     latent_w = math.sqrt(config.within_main_correlation)
     noise_w = math.sqrt(1.0 - config.within_main_correlation)
 
-    profiles = []
+    agents, phases, scores = [], [], []
     for agent in range(config.agents):
         # Every draw is made, in this order: the stream order fixes the dataset of a seed.
         latents = rng.normal(0.0, 1.0, size=len(mains))
@@ -271,27 +305,30 @@ def generate_synthetic_profiles(config: GeneratorConfig, seed: int) -> ProfileDa
         holes &= holed
         if holed and not holes.any():
             holes[0] = True  # a holed profile lacks at least one id
-        for phase, row in zip((Phase.PRE_REHAB, Phase.POST_REHAB), levels.tolist()):
-            values = {cap: v for cap, v, hole in zip(ids, row, holes) if not hole}
-            profiles.append(Profile(agent_id=f"A{agent:05d}", phase=phase, values=values))
-    return ProfileDataset(profiles)
+        levels[:, holes] = -1  # not assessed
+        agents += [f"A{agent:05d}"] * 2
+        phases += [Phase.PRE_REHAB, Phase.POST_REHAB]
+        scores += map(tuple, levels.tolist())
+    return ScoreTable(tuple(ids), tuple(agents), tuple(phases), tuple(scores))
 
 
 # -- dataset file format -----------------------------------------------------
 
 
-def write_dataset(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> str:
-    """Render a dataset to CSV text (one row per profile)."""
+def write_dataset(dataset: ScoreTable, ids: Sequence[CapabilityId]) -> str:
+    """Render a dataset to CSV text, one line per row, with a column per id of ``ids`` in canonical order.
+
+    A score the table lacks or holds as -1 is an empty cell.
+    """
     ids = sorted(ids)
+    column = {cap: c for c, cap in enumerate(dataset.ids)}
+    picks = [column.get(cap) for cap in ids]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["agent_id", "phase"] + [str(cap) for cap in ids])
-    for profile in dataset:
-        row = [profile.agent_id, profile.phase.value]
-        for cap in ids:
-            value = profile.values.get(cap)
-            row.append("" if value is None else str(value))
-        writer.writerow(row)
+    for agent, phase, row in zip(dataset.agents, dataset.phases, dataset.scores):
+        scores = (-1 if c is None else row[c] for c in picks)
+        writer.writerow([agent, phase.value] + ["" if score < 0 else str(score) for score in scores])
     return buffer.getvalue()
 
 
@@ -310,57 +347,8 @@ class _CellScores(dict):
 _PHASES = {phase.value: phase for phase in Phase}
 
 
-@dataclass(frozen=True)
-class ScoreTable:
-    """A dataset file's score rows: the header ``ids``, then each row's agent, phase and scores.
-
-    ``scores[k][c]`` is row k's score for ``ids[c]``, a plain int on the
-    0..6 scale, or -1 where the cell is empty ("not assessed"). Rows keep
-    the file's order, and their (agent, phase) keys are unique.
-    """
-
-    ids: tuple[CapabilityId, ...]
-    agents: tuple[str, ...]
-    phases: tuple[Phase, ...]
-    scores: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.agents)
-
-    def with_phase(self, phase: Phase) -> "ScoreTable":
-        rows = [k for k, row_phase in enumerate(self.phases) if row_phase is phase]
-        return ScoreTable(self.ids, *(tuple(column[k] for k in rows) for column in (self.agents, self.phases, self.scores)))
-
-    def dataset(self) -> ProfileDataset:
-        """The rows as ``Profile`` objects, each holding its assessed scores."""
-        return ProfileDataset(
-            Profile(agent, phase, {cap: score for cap, score in zip(self.ids, row) if score >= 0})
-            for agent, phase, row in zip(self.agents, self.phases, self.scores)
-        )
-
-    def retained(self, capability_set: Sequence[CapabilityId], threshold: float = 0.2) -> np.ndarray:
-        """The float matrix of the rows that ``filter_profiles`` keeps, one column per id of ``capability_set``.
-
-        Rows complete over the set whose spread reaches ``threshold`` stay,
-        in file order, so the matrix equals ``stats.profile_matrix`` of
-        ``filter_profiles(self.dataset(), capability_set, threshold)``; with
-        no row left its shape is (0, len(capability_set)). No ``Profile`` is
-        built.
-        """
-        import numpy as np
-
-        rows = np.array(self.scores, dtype=np.int8).reshape(len(self), len(self.ids))
-        position = {cap: c for c, cap in enumerate(self.ids)}
-        if all(cap in position for cap in capability_set):
-            picked = rows[:, [position[cap] for cap in capability_set]]
-        else:  # a column the header lacks is empty in every row
-            picked = np.full((len(self), len(capability_set)), -1, dtype=np.int8)
-        data = picked[(picked >= 0).all(axis=1)].astype(float)
-        return data[_dispersed(data, threshold)]
-
-
-def read_scores(lines: Iterable[str], catalog: CapabilityCatalog | None = None) -> ScoreTable:
-    """The score rows of dataset CSV ``lines``; a malformed file raises DatasetError.
+def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None) -> ScoreTable:
+    """The dataset in CSV ``lines``; a malformed file raises DatasetError.
 
     A header that does not start with ``agent_id,phase``, or whose ids are
     malformed, repeated or (with ``catalog``) unknown, is named as such. A
@@ -409,15 +397,6 @@ def read_scores(lines: Iterable[str], catalog: CapabilityCatalog | None = None) 
     return ScoreTable(tuple(ids), agents, phases, scores)
 
 
-def load_scores(path, catalog: CapabilityCatalog | None = None) -> ScoreTable:
+def load_dataset(path, catalog: CapabilityCatalog | None = None) -> ScoreTable:
     with open(path, newline="", encoding="utf-8") as handle:
-        return read_scores(handle, catalog)
-
-
-def read_dataset(lines: Iterable[str], catalog: CapabilityCatalog | None = None) -> ProfileDataset:
-    """The dataset in CSV ``lines`` as ``Profile`` objects; ``read_scores`` reads and checks it."""
-    return read_scores(lines, catalog).dataset()
-
-
-def load_dataset(path, catalog: CapabilityCatalog | None = None) -> ProfileDataset:
-    return load_scores(path, catalog).dataset()
+        return read_dataset(handle, catalog)

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DatasetError, UndefinedCorrelationError
-from .profiles import ProfileDataset
+from .profiles import ScoreTable
 from .taxonomy import CapabilityId
 
 __all__ = [
@@ -142,7 +142,7 @@ class CorrelationMatrix:
         return buffer.getvalue()
 
 
-def profile_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> np.ndarray:
+def profile_matrix(dataset: ScoreTable, ids: Sequence[CapabilityId]) -> np.ndarray:
     """Profiles x ids float matrix; every profile must be complete over ``ids``.
 
     Both table functions below accept this matrix in place of the dataset,
@@ -156,7 +156,7 @@ def profile_matrix(dataset: ProfileDataset, ids: Sequence[CapabilityId]) -> np.n
     return np.array([[profile.values[cap] for cap in ids] for profile in dataset], dtype=float)
 
 
-def _data_matrix(dataset: ProfileDataset | np.ndarray, ids: tuple[CapabilityId, ...]) -> np.ndarray:
+def _data_matrix(dataset: ScoreTable | np.ndarray, ids: tuple[CapabilityId, ...]) -> np.ndarray:
     """The dataset's ``profile_matrix``; either must hold at least 2 profiles, finite, one column per id.
 
     A dataset without profiles gives a matrix of shape (0,), so the row
@@ -172,7 +172,7 @@ def _data_matrix(dataset: ProfileDataset | np.ndarray, ids: tuple[CapabilityId, 
     return data
 
 
-def correlation_matrix(dataset: ProfileDataset | np.ndarray, ids: Sequence[CapabilityId]) -> CorrelationMatrix:
+def correlation_matrix(dataset: ScoreTable | np.ndarray, ids: Sequence[CapabilityId]) -> CorrelationMatrix:
     """Pairwise Pearson matrix over profile columns.
 
     The dataset must already be filtered: every profile complete over
@@ -327,7 +327,7 @@ def permutation_test(x, y, n_resamples: int = 10_000, seed: int = 0) -> Permutat
 
 
 def pairwise_permutation_pvalues(
-    dataset: ProfileDataset | np.ndarray,
+    dataset: ScoreTable | np.ndarray,
     ids: Sequence[CapabilityId],
     n_resamples: int = 10_000,
     seed: int = 0,

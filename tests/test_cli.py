@@ -515,6 +515,32 @@ class TestAllocate:
         result = runner.invoke(main, [*args, "--phase", "post_rehab"])
         assert result.exit_code != EXIT_USAGE, result.output
 
+    @pytest.mark.parametrize("phase", [None, "post_rehab"])
+    def test_unknown_agent_data_error(self, runner, graph_artifact, tmp_path, phase):
+        data = tmp_path / "data.csv"
+        assert runner.invoke(main, ["gen-data", "--count", "3", "--out", str(data)]).exit_code == 0
+        args = ["allocate", "--requirements", fixture_path("demo_requirements.csv"), "--profiles", str(data),
+                "--agent", "X", "--graph", str(graph_artifact)]
+        result = runner.invoke(main, args + (["--phase", phase] if phase else []))
+        assert result.exit_code == EXIT_DATA, result.output
+        assert (result.stdout, result.stderr) == ("", "error: no profile for agent 'X'" + (f" phase {phase}" if phase else "") + "\n")
+
+    def test_builds_the_chosen_row_profile_only(self, runner, graph_artifact, tmp_path, monkeypatch):
+        # of a 1,040-row file, allocate builds the selected row's Profile and propagate_main_level's
+        from capnet import profiles
+
+        data = tmp_path / "data.csv"
+        assert runner.invoke(main, ["gen-data", "--count", "520", "--seed", "1", "--out", str(data)]).exit_code == 0
+        made, post_init = [], profiles.Profile.__post_init__
+        monkeypatch.setattr(profiles.Profile, "__post_init__", lambda self: made.append(self) or post_init(self))
+        result = runner.invoke(
+            main,
+            ["allocate", "--requirements", fixture_path("demo_requirements.csv"), "--profiles", str(data),
+             "--agent", "A00007", "--phase", "post_rehab", "--graph", str(graph_artifact)],
+        )
+        assert result.exit_code in (0, EXIT_INFEASIBLE), result.output
+        assert 1 <= len(made) <= 2 and {(p.agent_id, p.phase) for p in made} == {("A00007", profiles.Phase.POST_REHAB)}
+
     def test_slack_options_and_trace(self, runner, graph_artifact, tmp_path):
         from capnet import deltas, profiles, taxonomy
 

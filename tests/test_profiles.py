@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import random
 
@@ -11,18 +12,15 @@ from capnet.profiles import (
     GeneratorConfig,
     Phase,
     Profile,
-    ProfileDataset,
     RequirementSet,
+    ScoreTable,
     filter_profiles,
     generate_synthetic_profiles,
     load_dataset,
-    load_scores,
     propagate_main_level,
     read_dataset,
-    read_scores,
     write_dataset,
 )
-from capnet.stats import profile_matrix
 from capnet.taxonomy import parse_capability_id as pid
 from capnet.taxonomy import parse_score
 
@@ -31,6 +29,13 @@ from oracles import population_std_two_pass
 
 def make_profile(values, agent="a1", phase=Phase.UNSPECIFIED):
     return Profile(agent_id=agent, phase=phase, values={pid(k): v for k, v in values.items()})
+
+
+def post_rehab_table(ids, rows):
+    """A ScoreTable over ``ids`` of post-rehab ``(agent, {id: score})`` rows, -1 where a row lacks an id."""
+    ids = tuple(ids)
+    scores = tuple(tuple(values.get(cap, -1) for cap in ids) for _, values in rows)
+    return ScoreTable(ids, tuple(agent for agent, _ in rows), (Phase.POST_REHAB,) * len(rows), scores)
 
 
 class TestPropagateMainLevel:
@@ -61,19 +66,17 @@ class TestPropagateMainLevel:
 
 class TestFilterProfiles:
     def test_constant_profile_dropped(self, sitting_set):
-        constant = Profile("a", Phase.POST_REHAB, {cap: 3 for cap in sitting_set})
-        dataset = ProfileDataset([constant])
+        dataset = post_rehab_table(sitting_set, [("a", {cap: 3 for cap in sitting_set})])
         assert len(filter_profiles(dataset, sitting_set, 0.2)) == 0
 
     def test_incomplete_profile_dropped(self, sitting_set):
         values = {cap: 3 for cap in sitting_set if str(cap) != "3.03.04"}
         values[pid("1.05.01")] = 5
-        dataset = ProfileDataset([Profile("a", Phase.POST_REHAB, values)])
+        dataset = post_rehab_table(sitting_set, [("a", values)])
         assert len(filter_profiles(dataset, sitting_set, 0.2)) == 0
 
     def test_zero_threshold_keeps_complete(self, sitting_set):
-        constant = Profile("a", Phase.POST_REHAB, {cap: 3 for cap in sitting_set})
-        dataset = ProfileDataset([constant])
+        dataset = post_rehab_table(sitting_set, [("a", {cap: 3 for cap in sitting_set})])
         assert len(filter_profiles(dataset, sitting_set, 0.0)) == 1
 
     def test_against_brute_force_refilter(self, sitting_set):
@@ -102,13 +105,11 @@ class TestFilterProfiles:
             assert list(kept) == [p for p, spread in spreads if spread >= threshold]
 
     def test_empty_dataset(self, sitting_set):
-        assert len(filter_profiles(ProfileDataset([]), sitting_set, 0.2)) == 0
+        assert len(filter_profiles(post_rehab_table(sitting_set, []), sitting_set, 0.2)) == 0
 
     def test_order_preserved(self, sitting_set):
         spread = {cap: (i % 7) for i, cap in enumerate(sitting_set)}
-        p1 = Profile("a", Phase.POST_REHAB, spread)
-        p2 = Profile("b", Phase.POST_REHAB, spread)
-        kept = filter_profiles(ProfileDataset([p1, p2]), sitting_set, 0.2)
+        kept = filter_profiles(post_rehab_table(sitting_set, [("a", spread), ("b", spread)]), sitting_set, 0.2)
         assert [p.agent_id for p in kept] == ["a", "b"]
 
 
@@ -205,7 +206,7 @@ class TestDatasetFile:
     def test_missing_cells_stay_missing(self):
         lines = ["agent_id,phase,3.02.03,3.03.04", "a,unspecified,,4"]
         dataset = read_dataset(lines)
-        profile = dataset.profiles[0]
+        (profile,) = dataset
         assert pid("3.02.03") not in profile.values
         assert profile.values[pid("3.03.04")] == 4
 
@@ -245,7 +246,7 @@ class TestDatasetFile:
             read_dataset(lines)
         # a library caller building the dataset itself meets the same check, without lines
         with pytest.raises(DatasetError, match="^duplicate row for agent 'a' phase pre_rehab$"):
-            ProfileDataset([Profile("a", Phase.PRE_REHAB), Profile("a", Phase.PRE_REHAB)])
+            ScoreTable((), ("a", "b", "a"), (Phase.PRE_REHAB,) * 3, ((), (), ()))
 
     def test_level_outside_scale_names_line_and_agent(self):
         lines = ["agent_id,phase,3.02.03,3.03.04", "a,pre_rehab,4,5", "b,pre_rehab,9,5"]
@@ -281,7 +282,7 @@ class TestDatasetFile:
     @pytest.mark.parametrize("cell", [" 4", "04", "4 ", "4"])
     def test_padded_cells_read_as_their_number(self, cell):
         lines = ["agent_id,phase,3.02.03,3.03.04", f"a,unspecified,{cell},{cell}"]
-        assert read_dataset(lines).profiles[0].values == {pid("3.02.03"): 4, pid("3.03.04"): 4}
+        assert next(iter(read_dataset(lines))).values == {pid("3.02.03"): 4, pid("3.03.04"): 4}
 
     def test_each_read_parses_its_own_cells(self, monkeypatch):
         # a read parses each distinct cell text once, and keeps nothing for the next read
@@ -354,27 +355,44 @@ def _reorder_columns(text, order):
 class TestScoreTable:
     def test_rows_hold_the_file_scores(self):
         lines = ["agent_id,phase,3.02.03,3.03.04", "a,unspecified,,4", "b,pre_rehab, 04,6", "a,pre_rehab,0,"]
-        table = read_scores(lines)
+        table = read_dataset(lines)
         assert table.ids == (pid("3.02.03"), pid("3.03.04"))
         assert table.agents == ("a", "b", "a")
         assert table.phases == (Phase.UNSPECIFIED, Phase.PRE_REHAB, Phase.PRE_REHAB)
         assert table.scores == ((-1, 4), (4, 6), (0, -1))
         assert {type(score) for row in table.scores for score in row} == {int}
-        assert table.dataset() == read_dataset(lines)
+        assert list(table) == [
+            make_profile({"3.03.04": 4}, "a"),
+            make_profile({"3.02.03": 4, "3.03.04": 6}, "b", Phase.PRE_REHAB),
+            make_profile({"3.02.03": 0}, "a", Phase.PRE_REHAB),
+        ]
+        assert table.select("a", Phase.PRE_REHAB) == make_profile({"3.02.03": 0}, "a", Phase.PRE_REHAB)
+        assert table.select("b") == make_profile({"3.02.03": 4, "3.03.04": 6}, "b", Phase.PRE_REHAB)
+        with pytest.raises(ConfigError, match="^agent 'a' has profiles for phases unspecified, pre_rehab; name one$"):
+            table.select("a")
+        with pytest.raises(DatasetError, match="^no profile for agent 'b' phase post_rehab$"):
+            table.select("b", Phase.POST_REHAB)
         pre = table.with_phase(Phase.PRE_REHAB)
         assert (pre.agents, pre.scores, len(pre)) == (("b", "a"), ((4, 6), (0, -1)), 2)
         assert len(table.with_phase(Phase.POST_REHAB)) == 0
 
     def test_read_leaves_no_cyclic_garbage(self, sitting_set, cyclic_garbage):
+        # neither the read nor the table's phase, filter and selection steps leave garbage behind
         config = GeneratorConfig(ids=tuple(sitting_set), agents=25)
         lines = write_dataset(generate_synthetic_profiles(config, seed=2), sitting_set).splitlines()
-        assert cyclic_garbage(lambda: read_scores(lines)) == 0
+
+        def steps():
+            table = read_dataset(lines).with_phase(Phase.POST_REHAB)
+            return list(filter_profiles(table, sitting_set)), table.retained(sitting_set), table.select("A00003")
+
+        assert cyclic_garbage(steps) == 0
 
     @pytest.mark.parametrize("agents, seed", [(7, 1), (40, 2), (150, 3)])
     @pytest.mark.parametrize("fraction", [0.0, 0.15, 1.0])
     @pytest.mark.parametrize("layout", ["canonical", "shuffled", "lacking"])
     def test_retained_equals_filtered_profile_matrix(self, tmp_path, catalog, sitting_set, agents, seed, fraction, layout):
-        # the header may list the evaluation ids in any order, or lack one, which leaves no row complete
+        # the header may list the evaluation ids in any order, or lack one, which leaves no row complete;
+        # the reference re-filters the CSV rows with the two-pass oracle
         config = GeneratorConfig(ids=tuple(sitting_set), agents=agents, degenerate_fraction=fraction)
         written = [cap for k, cap in enumerate(sitting_set) if layout != "lacking" or k != 5]
         text = write_dataset(generate_synthetic_profiles(config, seed), written)
@@ -382,30 +400,36 @@ class TestScoreTable:
             text = _reorder_columns(text, random.Random(seed).sample(range(len(written)), len(written)))
         path = tmp_path / "data.csv"
         path.write_text(text, encoding="utf-8")
-        table, dataset = load_scores(path, catalog), load_dataset(path, catalog)
+        header, *lines = csv.reader(text.splitlines())
+        cells = [dict(zip(header, line)) for line in lines]
+        table = load_dataset(path, catalog)
         kept_rows = 0
         for phase in (Phase.PRE_REHAB, Phase.POST_REHAB, None):
             rows = table if phase is None else table.with_phase(phase)
-            profiles_of_phase = dataset if phase is None else dataset.with_phase(phase)
-            assert len(rows) == len(profiles_of_phase)
+            of_phase = [row for row in cells if phase is None or row["phase"] == phase.value]
+            assert len(rows) == len(of_phase)
             for threshold in (0.0, 0.2):
-                kept = filter_profiles(profiles_of_phase, sitting_set, threshold)
-                expected = profile_matrix(kept, sitting_set).reshape(len(kept), len(sitting_set))
+                expected = [
+                    (row["agent_id"], row["phase"], [int(row.get(str(cap), "")) for cap in sitting_set])
+                    for row in of_phase
+                    if all(row.get(str(cap)) for cap in sitting_set)
+                ]
+                expected = [row for row in expected if population_std_two_pass(row[2]) >= threshold]
+                matrix = np.array([levels for _, _, levels in expected], dtype=float).reshape(len(expected), len(sitting_set))
                 retained = rows.retained(sitting_set, threshold)
-                assert retained.dtype == np.float64 and retained.shape == expected.shape
-                assert np.array_equal(retained, expected)
-                kept_rows += len(kept)
+                assert retained.dtype == np.float64 and retained.shape == matrix.shape
+                assert np.array_equal(retained, matrix)
+                kept = filter_profiles(rows, sitting_set, threshold)
+                assert [(p.agent_id, p.phase.value) for p in kept] == [(agent, phase) for agent, phase, _ in expected]
+                kept_rows += len(expected)
         assert (kept_rows == 0) == (layout == "lacking")
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
     def test_malformed_file_fails_alike_everywhere(self, tmp_path, capsys, catalog, name):
-        # read_scores, read_dataset and analyze name the same fault, and analyze exits 3 on it
+        # read_dataset and analyze name the same fault, and analyze exits 3 on it
         lines = MALFORMED_FILES[name]
         with pytest.raises(DatasetError) as raised:
             read_dataset(lines, catalog)
-        with pytest.raises(DatasetError) as from_scores:
-            read_scores(lines, catalog)
-        assert str(from_scores.value) == str(raised.value)
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["analyze", "--data", str(path), "--resamples", "9"], standalone_mode=False) == EXIT_DATA

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capnet.errors import DatasetError, UndefinedCorrelationError
-from capnet.profiles import Phase, Profile, ProfileDataset
+from capnet.profiles import Phase, Profile, ScoreTable
 from capnet.stats import (
     CorrelationStrength,
     classify_correlation,
@@ -24,6 +24,12 @@ from capnet.stats import (
 from capnet.taxonomy import parse_capability_id as pid
 
 from oracles import ks_distance_from_uniform, pearson_two_pass, permutation_exceedances_exact, stable_permutation_rows
+
+
+def post_rehab_table(ids, rows):
+    """A ScoreTable over ``ids`` holding one post-rehab row of scores per item of ``rows``, -1 for not assessed."""
+    agents = tuple(f"a{k}" for k in range(len(rows)))
+    return ScoreTable(tuple(ids), agents, (Phase.POST_REHAB,) * len(rows), tuple(tuple(int(v) for v in row) for row in rows))
 
 
 class TestPearson:
@@ -95,11 +101,7 @@ class TestPearson:
 class TestCorrelationMatrix:
     def _dataset(self, columns, n):
         ids = sorted(columns)
-        profiles = []
-        for i in range(n):
-            values = {cap: int(columns[cap][i]) for cap in ids}
-            profiles.append(Profile(f"a{i}", Phase.POST_REHAB, values))
-        return ProfileDataset(profiles), ids
+        return post_rehab_table(ids, [[columns[cap][i] for cap in ids] for i in range(n)]), ids
 
     def test_equal_columns_give_unit_offdiagonal(self):
         a, b = pid("1.05.01"), pid("1.05.02")
@@ -141,26 +143,21 @@ class TestCorrelationMatrix:
 
     def test_incomplete_profile_rejected(self):
         a, b = pid("1.05.01"), pid("1.05.02")
-        profiles = [
-            Profile("x", Phase.POST_REHAB, {a: 1, b: 2}),
-            Profile("y", Phase.POST_REHAB, {a: 3}),
-        ]
         with pytest.raises(DatasetError):
-            correlation_matrix(ProfileDataset(profiles), [a, b])
+            correlation_matrix(post_rehab_table([a, b], [[1, 2], [3, -1]]), [a, b])
 
     def test_only_the_incomplete_profile_is_named(self, monkeypatch):
         a, b, c = pid("1.05.01"), pid("1.05.02"), pid("1.06.01")
-        profiles = [Profile(f"x{k}", Phase.POST_REHAB, {a: k, b: 2, c: 3}) for k in range(4)]
-        profiles.append(Profile("y", Phase.POST_REHAB, {b: 3}))
+        rows = [[k, 2, 3] for k in range(4)] + [[-1, 3, -1]]
         named = []
         real = Profile.missing_from
         monkeypatch.setattr(Profile, "missing_from", lambda self, ids: named.append(self.agent_id) or real(self, ids))
-        assert profile_matrix(ProfileDataset(profiles[:4]), [c, a, b]).shape == (4, 3)
+        assert profile_matrix(post_rehab_table([a, b, c], rows[:4]), [c, a, b]).shape == (4, 3)
         assert named == []
         with pytest.raises(DatasetError) as err:
-            profile_matrix(ProfileDataset(profiles), [c, a, b])
-        assert str(err.value) == "profile y/post_rehab incomplete over ids: 1.05.01, 1.06.01"
-        assert named == ["y"]
+            profile_matrix(post_rehab_table([a, b, c], rows), [c, a, b])
+        assert str(err.value) == "profile a4/post_rehab incomplete over ids: 1.05.01, 1.06.01"
+        assert named == ["a4"]
 
 
 class TestPermutationTest:
@@ -375,11 +372,7 @@ class TestPairwisePvalues:
                 np.clip(6 - base + rng.integers(-3, 4, size=70), 0, 6),
             ]
         )
-        profiles = [
-            Profile(f"a{k}", Phase.POST_REHAB, {cap: int(v) for cap, v in zip(ids, row)})
-            for k, row in enumerate(columns)
-        ]
-        return ProfileDataset(profiles), ids, columns.astype(float)
+        return post_rehab_table(ids, columns), ids, columns.astype(float)
 
     @pytest.mark.parametrize("n_resamples", [1, 31, 32, 33, 255, 256, 257, 600])
     def test_entries_equal_single_pair_test(self, n_resamples):
@@ -433,7 +426,7 @@ class TestPairwisePvalues:
     @pytest.mark.parametrize("rows", [0, 1])
     def test_fewer_than_two_rows_rejected_from_either_input(self, rows):
         dataset, ids, data = self._dataset()
-        few = ProfileDataset(list(dataset)[:rows])
+        few = ScoreTable(dataset.ids, dataset.agents[:rows], dataset.phases[:rows], dataset.scores[:rows])
         for table in (correlation_matrix, lambda d, i: pairwise_permutation_pvalues(d, i, 99, seed=5)):
             for given_input in (few, data[:rows]):
                 with pytest.raises(DatasetError, match=f"need at least 2 profiles, got {rows}"):
@@ -476,15 +469,12 @@ class TestPairwisePvalues:
     def test_shape_and_symmetry(self):
         rng = np.random.default_rng(6)
         ids = [pid("1.05.01"), pid("1.05.02"), pid("3.01.01")]
-        profiles = [
-            Profile(f"a{i}", Phase.POST_REHAB, {cap: int(v) for cap, v in zip(ids, row)})
-            for i, row in enumerate(rng.integers(0, 7, size=(40, 3)))
-        ]
-        table = pairwise_permutation_pvalues(ProfileDataset(profiles), ids, 199, seed=3)
+        dataset = post_rehab_table(ids, rng.integers(0, 7, size=(40, 3)))
+        table = pairwise_permutation_pvalues(dataset, ids, 199, seed=3)
         assert np.array_equal(np.isnan(table.r), np.isnan(table.r.T))
         mask = ~np.isnan(table.r)
         assert np.array_equal(table.r[mask], table.r.T[mask])
-        again = pairwise_permutation_pvalues(ProfileDataset(profiles), ids, 199, seed=3)
+        again = pairwise_permutation_pvalues(dataset, ids, 199, seed=3)
         assert np.array_equal(table.r[mask], again.r[mask])
 
 
