@@ -206,15 +206,14 @@ def cmd_allocate(req_path, data_path, agent, phase, graph_path, xi, theta, out_t
 def cmd_gen_data(count, seed, correlation, degenerate_fraction, out_path):
     """Generate a deterministic synthetic profile dataset."""
     catalog = taxonomy.load_default_catalog()
-    ids = tuple(taxonomy.sitting_over_table_set(catalog))
     config = profiles.GeneratorConfig(
-        ids=ids,
+        ids=tuple(taxonomy.sitting_over_table_set(catalog)),
         agents=count,
         within_main_correlation=correlation,
         degenerate_fraction=degenerate_fraction,
     )
     dataset = profiles.generate_synthetic_profiles(config, seed)
-    _write((out_path, lambda: profiles.write_dataset(dataset, ids)))
+    _write((out_path, lambda: profiles.write_dataset(dataset)))
     print(f"wrote {len(dataset)} profiles for {count} agents")
 
 

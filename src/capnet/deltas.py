@@ -71,9 +71,6 @@ class FuzzyParams:
         if self.theta < 0:
             raise ConfigError(f"theta must be >= 0, got {self.theta}")
 
-    def xi_for(self, cap: CapabilityId) -> int:
-        return self.xi.get(cap, 0)
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:

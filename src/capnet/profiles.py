@@ -3,17 +3,19 @@
 A profile maps capability ids to an agent's quantified capacities; a
 requirement set maps capability ids to the demands of one action. Dataset
 files are CSV: columns ``agent_id, phase`` followed by one column per
-capability id in canonical order; an empty cell means "not assessed".
+capability id, each id at most once; an empty cell means "not assessed".
 
 A dataset is one ``ScoreTable``: the header ids, each row's agent and
-phase, and one tuple of ints per row, -1 where a cell is empty.
-``read_dataset`` reads a file into it once and ``generate_synthetic_profiles``
-builds one. A ``Profile`` is built only for a row that is asked for:
-iterating a table yields one per row, ``select`` builds the chosen row's.
-The filter rule (complete over a set, spread reaching a threshold) is
-written once: ``filter_profiles`` keeps its rows as a table,
-``ScoreTable.retained`` returns their matrix. numpy is imported by the
-functions that use it, so reading a dataset loads no numpy.
+phase, and per row one int per id, -1 where a cell is empty.
+``read_dataset`` reads a file into it once, ``generate_synthetic_profiles``
+builds one, ``write_dataset`` writes it in its own column and row order.
+Only the table lays its columns onto an id list: in ``ScoreTable.matrix``
+(shape (0, len(ids)) for no rows) and in the filter. ``Profile``s are
+built only for rows asked for: one per row when iterating, the chosen
+row's in ``select``. The filter rule (complete over a non-empty set,
+spread reaching a threshold) is written once: ``filter_profiles`` keeps
+its rows as a table, ``ScoreTable.retained`` returns their matrix. numpy
+is imported by the functions that use it, so reading a dataset loads no numpy.
 """
 
 from __future__ import annotations
@@ -118,9 +120,9 @@ class ScoreTable:
     """A dataset: the capability ``ids``, then each row's agent, phase and scores.
 
     ``scores[k][c]`` is row k's score for ``ids[c]``, a plain int on the
-    0..6 scale, or -1 where it was not assessed. Rows keep their order, and
-    their (agent, phase) keys are unique: a repeat is a DatasetError.
-    Iterating yields one ``Profile`` per row, holding its assessed scores.
+    0..6 scale, or -1 where it was not assessed. Rows keep their order; a
+    row with other than one score per id, or a repeated (agent, phase) key,
+    is a DatasetError. Iterating yields one ``Profile`` per row, of its assessed scores.
     """
 
     ids: tuple[CapabilityId, ...]
@@ -129,9 +131,11 @@ class ScoreTable:
     scores: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(set(zip(self.agents, self.phases))) < len(self.agents):
-            seen = set()
-            for agent, phase in zip(self.agents, self.phases):
+        if not set(map(len, self.scores)) <= {len(self.ids)} or len(set(zip(self.agents, self.phases))) < len(self.agents):
+            seen = set()  # one scan names the first row of another width or with a repeated key
+            for agent, phase, row in zip(self.agents, self.phases, self.scores):
+                if len(row) != len(self.ids):
+                    raise DatasetError(f"row for agent {agent!r} phase {phase.value} holds {len(row)} scores for {len(self.ids)} ids")
                 if (agent, phase) in seen:
                     raise DatasetError(f"duplicate row for agent {agent!r} phase {phase.value}")
                 seen.add((agent, phase))
@@ -166,6 +170,25 @@ class ScoreTable:
             raise ConfigError(f"agent {agent_id!r} has profiles for phases {phases}; name one")
         return self._profile(found[0])
 
+    def matrix(self, ids: Sequence[CapabilityId]) -> np.ndarray:
+        """The rows x ids float matrix; the first row incomplete over ``ids`` is a DatasetError naming what it lacks."""
+        picked = self._columns(ids)
+        incomplete = (picked < 0).any(axis=1)
+        if incomplete.any():
+            profile = self._profile(int(incomplete.argmax()))
+            names = ", ".join(str(m) for m in profile.missing_from(ids))
+            raise DatasetError(f"profile {profile.agent_id}/{profile.phase.value} incomplete over ids: {names}")
+        return picked.astype(float)
+
+    def _columns(self, ids: Sequence[CapabilityId]) -> np.ndarray:
+        """The int8 scores of every row, one column per id of ``ids``; an id the table lacks is a column of -1."""
+        import numpy as np
+
+        rows = np.array(self.scores, dtype=np.int8).reshape(len(self), len(self.ids))
+        rows = np.pad(rows, ((0, 0), (0, 1)), constant_values=-1)  # the last column stands for a lacking id
+        position = {cap: c for c, cap in enumerate(self.ids)}
+        return rows[:, [position.get(cap, -1) for cap in ids]]
+
     def retained(self, capability_set: Sequence[CapabilityId], threshold: float = 0.2) -> np.ndarray:
         """The float matrix of the rows that ``filter_profiles`` keeps, one column per id of ``capability_set``.
 
@@ -179,18 +202,14 @@ class ScoreTable:
 
         A row is kept when it is complete over the set and the population
         standard deviation of its scores there reaches ``threshold``. A
-        negative or NaN threshold is a ConfigError.
+        negative or NaN threshold is a ConfigError; an empty set, over
+        which no spread is defined, is a DatasetError.
         """
-        import numpy as np
-
         if not threshold >= 0:
             raise ConfigError(f"threshold must be non-negative, got {threshold}")
-        rows = np.array(self.scores, dtype=np.int8).reshape(len(self), len(self.ids))
-        position = {cap: c for c, cap in enumerate(self.ids)}
-        if all(cap in position for cap in capability_set):
-            picked = rows[:, [position[cap] for cap in capability_set]]
-        else:  # a column the ids lack is empty in every row
-            picked = np.full((len(self), len(capability_set)), -1, dtype=np.int8)
+        if not capability_set:
+            raise DatasetError("the capability set to filter over is empty")
+        picked = self._columns(capability_set)
         kept = (picked >= 0).all(axis=1)
         data = picked[kept].astype(float)
         dispersed = data.std(axis=1) >= threshold
@@ -273,6 +292,9 @@ class GeneratorConfig:
             )
         if not self.ids:
             raise ConfigError("ids must not be empty")
+        for k, cap in enumerate(self.ids):
+            if cap in self.ids[:k]:
+                raise ConfigError(f"id {cap} repeats in ids")
 
 
 def generate_synthetic_profiles(config: GeneratorConfig, seed: int) -> ScoreTable:
@@ -315,20 +337,13 @@ def generate_synthetic_profiles(config: GeneratorConfig, seed: int) -> ScoreTabl
 # -- dataset file format -----------------------------------------------------
 
 
-def write_dataset(dataset: ScoreTable, ids: Sequence[CapabilityId]) -> str:
-    """Render a dataset to CSV text, one line per row, with a column per id of ``ids`` in canonical order.
-
-    A score the table lacks or holds as -1 is an empty cell.
-    """
-    ids = sorted(ids)
-    column = {cap: c for c, cap in enumerate(dataset.ids)}
-    picks = [column.get(cap) for cap in ids]
+def write_dataset(dataset: ScoreTable) -> str:
+    """Render a dataset to CSV text: a column per id and a line per row, in the table's order; -1 is an empty cell."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["agent_id", "phase"] + [str(cap) for cap in ids])
+    writer.writerow(["agent_id", "phase"] + [str(cap) for cap in dataset.ids])
     for agent, phase, row in zip(dataset.agents, dataset.phases, dataset.scores):
-        scores = (-1 if c is None else row[c] for c in picks)
-        writer.writerow([agent, phase.value] + ["" if score < 0 else str(score) for score in scores])
+        writer.writerow([agent, phase.value] + ["" if score < 0 else str(score) for score in row])
     return buffer.getvalue()
 
 

@@ -32,6 +32,8 @@ bit-identical across runs and thread settings.
 
 The exceedance counts cover every column, constant ones too; a p-value
 table masks each pair that touches a constant column as undefined (NaN).
+A ``ScoreTable`` reaches both tables as its ``matrix`` over the ids, of
+shape (0, len(ids)) when it has no rows, so no ``Profile`` is read here.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "PermutationTestResult",
     "CorrelationStrength",
     "pearson",
-    "profile_matrix",
     "correlation_matrix",
     "permutation_test",
     "pairwise_permutation_pvalues",
@@ -142,27 +143,13 @@ class CorrelationMatrix:
         return buffer.getvalue()
 
 
-def profile_matrix(dataset: ScoreTable, ids: Sequence[CapabilityId]) -> np.ndarray:
-    """Profiles x ids float matrix; every profile must be complete over ``ids``.
-
-    Both table functions below accept this matrix in place of the dataset,
-    so a caller that needs both builds it once.
-    """
-    wanted = set(ids)
-    for profile in dataset:
-        if not profile.values.keys() >= wanted:
-            names = ", ".join(str(m) for m in profile.missing_from(ids))
-            raise DatasetError(f"profile {profile.agent_id}/{profile.phase.value} incomplete over ids: {names}")
-    return np.array([[profile.values[cap] for cap in ids] for profile in dataset], dtype=float)
-
-
 def _data_matrix(dataset: ScoreTable | np.ndarray, ids: tuple[CapabilityId, ...]) -> np.ndarray:
-    """The dataset's ``profile_matrix``; either must hold at least 2 profiles, finite, one column per id.
+    """The table's ``matrix`` over ``ids``, or the matrix given: at least 2 profiles, finite, one column per id.
 
-    A dataset without profiles gives a matrix of shape (0,), so the row
-    count is checked before the shape; a 0-d array fails the shape check.
+    A table without rows gives shape (0, len(ids)); the row count is checked
+    before the shape, and skipped for a 0-d array, which fails the shape check.
     """
-    data = dataset if isinstance(dataset, np.ndarray) else profile_matrix(dataset, ids)
+    data = dataset if isinstance(dataset, np.ndarray) else dataset.matrix(ids)
     if data.ndim and len(data) < 2:
         raise DatasetError(f"need at least 2 profiles, got {len(data)}")
     if data.ndim != 2 or data.shape[1] != len(ids):
@@ -176,7 +163,8 @@ def correlation_matrix(dataset: ScoreTable | np.ndarray, ids: Sequence[Capabilit
     """Pairwise Pearson matrix over profile columns.
 
     The dataset must already be filtered: every profile complete over
-    ``ids``; it may also be given as its ``profile_matrix``. Constant
+    ``ids``; it may also be given as its ``ScoreTable.matrix``, so a caller
+    that needs this table and the p-values builds that matrix once. Constant
     columns yield recorded-undefined (NaN) cells rather than propagating
     through. Symmetric by construction (upper triangle mirrored).
     """
@@ -338,7 +326,7 @@ def pairwise_permutation_pvalues(
     so entry (i, j) equals ``permutation_test(column i, column j,
     n_resamples, seed)`` exactly, and entries are dependent across pairs.
     Pairs touching a constant column are undefined (NaN). The dataset may
-    also be given as its ``profile_matrix``.
+    also be given as its ``ScoreTable.matrix``.
     """
     ids = tuple(ids)
     data = _data_matrix(dataset, ids)

@@ -360,6 +360,18 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", "--data", str(data)])
         assert result.exit_code == EXIT_DATA
 
+    def test_catalog_without_sitting_over_table_ids_data_error(self, runner, tmp_path):
+        # with no id to filter over, the filter refuses the empty set: one error line, no numpy warning
+        catalog, data = tmp_path / "catalog.csv", tmp_path / "data.csv"
+        catalog.write_text(
+            "id,name,category,posture,laterality\n1.01,Sitting,upstream,sitting,n/a\n"
+            "1.05.03,Standing - Bent Posture,over_table,standing,n/a\n"
+        )
+        data.write_text("agent_id,phase,1.01,1.05.03\na,post_rehab,3,4\nb,post_rehab,5,2\n")
+        result = runner.invoke(main, ["analyze", "--data", str(data), "--catalog", str(catalog), "--resamples", "9"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert (result.stdout, result.stderr) == ("", "error: the capability set to filter over is empty\n")
+
     def test_constant_column_reported_undefined(self, runner, tmp_path):
         from capnet import taxonomy
 
@@ -427,7 +439,7 @@ class TestAnalyze:
 
     def test_profile_matrix_built_once(self, runner, tmp_path, monkeypatch):
         # analyze builds one matrix, from the score rows, hands that array to both tables and
-        # constructs no Profile
+        # constructs no Profile; the tables do not lay the rows out again with ScoreTable.matrix
         from capnet import profiles, stats
 
         built, tables, made = [], [], []
@@ -435,7 +447,7 @@ class TestAnalyze:
         runner.invoke(main, ["gen-data", "--count", "40", "--seed", "5", "--out", str(data)])
         retained, post_init = profiles.ScoreTable.retained, profiles.Profile.__post_init__
         monkeypatch.setattr(profiles.ScoreTable, "retained", lambda *a: built.append(retained(*a)) or built[-1])
-        monkeypatch.setattr(stats, "profile_matrix", lambda *a: built.append("profile_matrix"))
+        monkeypatch.setattr(profiles.ScoreTable, "matrix", lambda *a: built.append("matrix"))
         monkeypatch.setattr(profiles.Profile, "__post_init__", lambda self: made.append(self) or post_init(self))
         for name in ("correlation_matrix", "pairwise_permutation_pvalues"):
             real = getattr(stats, name)

@@ -298,7 +298,7 @@ class TestCompensate:
             compensated += 1
             assert trace.final_report.feasible
             delta = {cap: reqs[cap] - caps[cap] for cap in reqs}
-            lower = sum(max(0, d - fuzz.xi_for(cap)) for cap, d in delta.items() if d > 0)
+            lower = sum(max(0, d - fuzz.xi.get(cap, 0)) for cap, d in delta.items() if d > 0)
             aggregate = sum(d for d in delta.values() if d > 0) - fuzz.theta
             assert sum(step.amount for step in trace.steps) == max(lower, aggregate)
             used = [(step.deficient, step.reserve) for step in trace.steps]

@@ -107,6 +107,17 @@ class TestFilterProfiles:
     def test_empty_dataset(self, sitting_set):
         assert len(filter_profiles(post_rehab_table(sitting_set, []), sitting_set, 0.2)) == 0
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.2])
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_empty_capability_set_rejected(self, sitting_set, threshold, rows):
+        # no row has a spread over no id, so the filter refuses the set rather than keep nothing
+        spread = {cap: (i % 7) for i, cap in enumerate(sitting_set)}
+        dataset = post_rehab_table(sitting_set, [("a", spread), ("b", spread)][:rows])
+        for keep in (lambda s: filter_profiles(dataset, s, threshold), lambda s: dataset.retained(s, threshold)):
+            with pytest.raises(DatasetError, match="^the capability set to filter over is empty$"):
+                keep([])
+        assert dataset.matrix(()).shape == (rows, 0)
+
     def test_order_preserved(self, sitting_set):
         spread = {cap: (i % 7) for i, cap in enumerate(sitting_set)}
         kept = filter_profiles(post_rehab_table(sitting_set, [("a", spread), ("b", spread)]), sitting_set, 0.2)
@@ -126,7 +137,7 @@ class TestGenerator:
         a = generate_synthetic_profiles(config, seed=11)
         b = generate_synthetic_profiles(config, seed=11)
         assert a == b
-        assert write_dataset(a, sitting_set) == write_dataset(b, sitting_set)
+        assert write_dataset(a) == write_dataset(b)
 
     def test_seed_changes_output(self, sitting_set):
         config = GeneratorConfig(ids=tuple(sitting_set), agents=40)
@@ -140,6 +151,11 @@ class TestGenerator:
         assert len(dataset) == 20
         phases = {p.phase for p in dataset}
         assert phases == {Phase.PRE_REHAB, Phase.POST_REHAB}
+
+    def test_repeated_id_rejected(self, sitting_set):
+        # the header written from such a config would repeat the id, which read_dataset refuses
+        with pytest.raises(ConfigError, match=r"^id 3\.03\.04 repeats in ids$"):
+            GeneratorConfig(ids=(*sitting_set, pid("3.3.4")))
 
     def test_invalid_config(self, sitting_set):
         with pytest.raises(ConfigError):
@@ -170,7 +186,7 @@ class TestGenerator:
                         ids=tuple(ids), agents=30, within_main_correlation=rho, degenerate_fraction=fraction
                     )
                     dataset = generate_synthetic_profiles(config, seed=5)
-                    digest.update(write_dataset(dataset, ids).encode("utf-8"))
+                    digest.update(write_dataset(dataset).encode("utf-8"))
         assert digest.hexdigest() == GOLDEN_DATASET_SHA256
 
     def test_within_main_correlation_exceeds_cross_complex(self, sitting_set):
@@ -192,15 +208,29 @@ class TestDatasetFile:
     def test_round_trip(self, sitting_set, catalog, tmp_path):
         config = GeneratorConfig(ids=tuple(sitting_set), agents=25)
         dataset = generate_synthetic_profiles(config, seed=2)
-        text = write_dataset(dataset, sitting_set)
+        text = write_dataset(dataset)
         path = tmp_path / "data.csv"
         path.write_text(text, encoding="utf-8")
         back = load_dataset(path, catalog)
         assert list(back) == list(dataset)
 
+    @pytest.mark.parametrize("layout", ["canonical", "shuffled"])
+    def test_write_reproduces_the_file_read(self, tmp_path, sitting_set, layout):
+        # gen-data output, or the same file with its columns shuffled, is written back byte for byte
+        path = tmp_path / "data.csv"
+        assert main(["gen-data", "--count", "60", "--seed", "3", "--out", str(path)], standalone_mode=False) == 0
+        text = path.read_text(encoding="utf-8")
+        order = list(range(len(sitting_set)))
+        if layout == "shuffled":
+            random.Random(3).shuffle(order)
+            text = _reorder_columns(text, order)
+        table = read_dataset(text.splitlines())
+        assert table.ids == tuple(sitting_set[k] for k in order) and any(-1 in row for row in table.scores)
+        assert write_dataset(table) == text
+
     def test_read_leaves_no_cyclic_garbage(self, sitting_set, cyclic_garbage):
         config = GeneratorConfig(ids=tuple(sitting_set), agents=25)
-        lines = write_dataset(generate_synthetic_profiles(config, seed=2), sitting_set).splitlines()
+        lines = write_dataset(generate_synthetic_profiles(config, seed=2)).splitlines()
         assert cyclic_garbage(lambda: read_dataset(lines)) == 0
 
     def test_missing_cells_stay_missing(self):
@@ -376,10 +406,25 @@ class TestScoreTable:
         assert (pre.agents, pre.scores, len(pre)) == (("b", "a"), ((4, 6), (0, -1)), 2)
         assert len(table.with_phase(Phase.POST_REHAB)) == 0
 
+    @pytest.mark.parametrize("row, width", [((), 0), ((3, 4), 2)], ids=["short", "long"])
+    def test_row_of_another_width_rejected(self, row, width):
+        a = pid("3.03.04")
+        with pytest.raises(DatasetError, match=f"^row for agent 'b' phase pre_rehab holds {width} scores for 1 ids$"):
+            ScoreTable((a,), ("a", "b"), (Phase.PRE_REHAB,) * 2, ((3,), row))
+
+    def test_matrix_lays_the_rows_onto_ids(self):
+        a, b, c = pid("3.02.03"), pid("3.03.04"), pid("1.05.01")
+        table = ScoreTable((a, b), ("x", "y"), (Phase.PRE_REHAB,) * 2, ((1, 2), (3, 4)))
+        matrix = table.matrix([b, a])
+        assert matrix.dtype == np.float64 and matrix.tolist() == [[2.0, 1.0], [4.0, 3.0]]
+        with pytest.raises(DatasetError, match=r"^profile x/pre_rehab incomplete over ids: 1\.05\.01$"):
+            table.matrix([a, c])  # an id the table lacks is not assessed in any row
+        assert table.with_phase(Phase.POST_REHAB).matrix([b, a, c]).shape == (0, 3)
+
     def test_read_leaves_no_cyclic_garbage(self, sitting_set, cyclic_garbage):
         # neither the read nor the table's phase, filter and selection steps leave garbage behind
         config = GeneratorConfig(ids=tuple(sitting_set), agents=25)
-        lines = write_dataset(generate_synthetic_profiles(config, seed=2), sitting_set).splitlines()
+        lines = write_dataset(generate_synthetic_profiles(config, seed=2)).splitlines()
 
         def steps():
             table = read_dataset(lines).with_phase(Phase.POST_REHAB)
@@ -394,10 +439,11 @@ class TestScoreTable:
         # the header may list the evaluation ids in any order, or lack one, which leaves no row complete;
         # the reference re-filters the CSV rows with the two-pass oracle
         config = GeneratorConfig(ids=tuple(sitting_set), agents=agents, degenerate_fraction=fraction)
-        written = [cap for k, cap in enumerate(sitting_set) if layout != "lacking" or k != 5]
-        text = write_dataset(generate_synthetic_profiles(config, seed), written)
+        text = write_dataset(generate_synthetic_profiles(config, seed))
         if layout == "shuffled":
-            text = _reorder_columns(text, random.Random(seed).sample(range(len(written)), len(written)))
+            text = _reorder_columns(text, random.Random(seed).sample(range(len(sitting_set)), len(sitting_set)))
+        elif layout == "lacking":
+            text = _reorder_columns(text, [k for k in range(len(sitting_set)) if k != 5])
         path = tmp_path / "data.csv"
         path.write_text(text, encoding="utf-8")
         header, *lines = csv.reader(text.splitlines())

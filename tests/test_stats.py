@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capnet.errors import DatasetError, UndefinedCorrelationError
-from capnet.profiles import Phase, Profile, ScoreTable
+from capnet.profiles import GeneratorConfig, Phase, Profile, ScoreTable, generate_synthetic_profiles
 from capnet.stats import (
     CorrelationStrength,
     classify_correlation,
@@ -16,7 +16,6 @@ from capnet.stats import (
     pairwise_permutation_pvalues,
     pearson,
     permutation_test,
-    profile_matrix,
     _resample_orders,
     _stable_order,
     _thresholds,
@@ -152,12 +151,25 @@ class TestCorrelationMatrix:
         named = []
         real = Profile.missing_from
         monkeypatch.setattr(Profile, "missing_from", lambda self, ids: named.append(self.agent_id) or real(self, ids))
-        assert profile_matrix(post_rehab_table([a, b, c], rows[:4]), [c, a, b]).shape == (4, 3)
+        assert post_rehab_table([a, b, c], rows[:4]).matrix([c, a, b]).shape == (4, 3)
         assert named == []
         with pytest.raises(DatasetError) as err:
-            profile_matrix(post_rehab_table([a, b, c], rows), [c, a, b])
+            post_rehab_table([a, b, c], rows).matrix([c, a, b])
         assert str(err.value) == "profile a4/post_rehab incomplete over ids: 1.05.01, 1.06.01"
         assert named == ["a4"]
+        with pytest.raises(DatasetError, match=r"^profile a4/post_rehab incomplete over ids: 1\.05\.01, 1\.06\.01$"):
+            correlation_matrix(post_rehab_table([a, b, c], rows), [c, a, b])
+
+    def test_complete_table_read_without_profiles(self, sitting_set, monkeypatch):
+        # both tables read a complete 1,040-row gen-data table as one matrix, building no Profile
+        config = GeneratorConfig(ids=tuple(sitting_set), agents=520, degenerate_fraction=0.0)
+        table = generate_synthetic_profiles(config, seed=1)
+        assert len(table) == 1040 and min(map(min, table.scores)) >= 0
+        made, post_init = [], Profile.__post_init__
+        monkeypatch.setattr(Profile, "__post_init__", lambda self: made.append(self) or post_init(self))
+        correlation_matrix(table, sitting_set)
+        pairwise_permutation_pvalues(table, sitting_set, 9, seed=1)
+        assert made == []
 
 
 class TestPermutationTest:
@@ -408,7 +420,7 @@ class TestPairwisePvalues:
 
     def test_prebuilt_profile_matrix_gives_same_tables(self):
         dataset, ids, data = self._dataset()
-        built = profile_matrix(dataset, ids)
+        built = dataset.matrix(ids)
         assert np.array_equal(built, data)
         for table in (correlation_matrix, lambda d, i: pairwise_permutation_pvalues(d, i, 99, seed=5)):
             direct, reused = table(dataset, ids), table(built, ids)
