@@ -122,7 +122,8 @@ class ScoreTable:
     ``scores[k][c]`` is row k's score for ``ids[c]``, a plain int on the
     0..6 scale, or -1 where it was not assessed. Rows keep their order; a
     row with other than one score per id, or a repeated (agent, phase) key,
-    is a DatasetError. Iterating yields one ``Profile`` per row, of its assessed scores.
+    is a DatasetError, and so is any other score once ``matrix``, ``retained``
+    or the filter reads it. Iterating yields one ``Profile`` per row, of its assessed scores.
     """
 
     ids: tuple[CapabilityId, ...]
@@ -181,10 +182,23 @@ class ScoreTable:
         return picked.astype(float)
 
     def _columns(self, ids: Sequence[CapabilityId]) -> np.ndarray:
-        """The int8 scores of every row, one column per id of ``ids``; an id the table lacks is a column of -1."""
+        """The int8 scores of every row, one column per id of ``ids``; an id the table lacks is a column of -1.
+
+        A score off -1..6 is a DatasetError naming the first row and id that hold one.
+        """
         import numpy as np
 
-        rows = np.array(self.scores, dtype=np.int8).reshape(len(self), len(self.ids))
+        try:
+            rows = np.array(self.scores, dtype=np.int64)
+        except OverflowError:  # a score beyond int64 is off the scale like any other
+            rows = np.array(self.scores, dtype=object)
+        rows = rows.reshape(len(self), len(self.ids))
+        off = (rows < -1) | (rows > 6)
+        if off.any():
+            k = int(off.any(axis=1).argmax())
+            c = int(off[k].argmax())
+            raise DatasetError(f"row for agent {self.agents[k]!r} phase {self.phases[k].value} scores {self.scores[k][c]} for {self.ids[c]}, off the 0..6 scale")
+        rows = rows.astype(np.int8)
         rows = np.pad(rows, ((0, 0), (0, 1)), constant_values=-1)  # the last column stands for a lacking id
         position = {cap: c for c, cap in enumerate(self.ids)}
         return rows[:, [position.get(cap, -1) for cap in ids]]

@@ -157,6 +157,37 @@ def lex_min_cover_by_columns(paths, node_set, p_max, p_hat_max):
     return tuple(int(w) for w in np.flatnonzero(lo))
 
 
+def largest_antichain_by_subsets(nodes, arcs):
+    """Every largest set of nodes no two of which are joined by a walk along ``arcs``, sorted.
+
+    Finds each node's descendants by a depth-first walk, then tries every
+    subset, largest first. Keep ``nodes`` small.
+    """
+    successors = {node: [] for node in nodes}
+    for source, target in arcs:
+        successors[source].append(target)
+
+    def descendants(node):
+        seen, stack = set(), [node]
+        while stack:
+            for child in successors[stack.pop()]:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        return seen
+
+    below = {node: descendants(node) for node in nodes}
+    for size in range(len(nodes), 0, -1):
+        found = [
+            subset
+            for subset in itertools.combinations(sorted(nodes), size)
+            if not any(b in below[a] or a in below[b] for a, b in itertools.combinations(subset, 2))
+        ]
+        if found:
+            return found
+    return []
+
+
 def cover_lp_bound(paths, node_set, p_max, p_hat_max):
     """Optimum of the LP relaxation over every given path (0 <= x <= 1), or None if infeasible.
 

@@ -421,6 +421,15 @@ class TestScoreTable:
             table.matrix([a, c])  # an id the table lacks is not assessed in any row
         assert table.with_phase(Phase.POST_REHAB).matrix([b, a, c]).shape == (0, 3)
 
+    @pytest.mark.parametrize("bad", [7, -2, 200, 2**64])
+    def test_score_off_the_scale_rejected(self, bad):
+        a, b = pid("3.02.03"), pid("3.03.04")
+        table = ScoreTable((a, b), ("x", "y", "z"), (Phase.PRE_REHAB,) * 3, ((1, 2), (3, bad), (4, bad)))
+        message = f"^row for agent 'y' phase pre_rehab scores {bad} for 3.03.04, off the 0..6 scale$"
+        for read in (lambda: table.matrix([a, b]), lambda: table.retained([b]), lambda: filter_profiles(table, [a])):
+            with pytest.raises(DatasetError, match=message):
+                read()
+
     def test_read_leaves_no_cyclic_garbage(self, sitting_set, cyclic_garbage):
         # neither the read nor the table's phase, filter and selection steps leave garbage behind
         config = GeneratorConfig(ids=tuple(sitting_set), agents=25)

@@ -30,6 +30,8 @@ from oracles import (
     brute_force_cover,
     brute_force_lex_min_cover,
     cover_lp_bound,
+    has_cycle_dfs,
+    largest_antichain_by_subsets,
     lex_min_cover_by_columns,
     simple_paths_by_permutations,
 )
@@ -290,9 +292,11 @@ class TestSolveCover:
         "build, error, message",
         [
             (lambda: CoverProblem(paths=((A,),), node_set=(A, B, A)), ConfigError, "node_set contains duplicates"),
+            (lambda: CoverProblem(paths=((A, A, B), (B,)), node_set=(A, B), p_max=1, p_hat_max=1), ConfigError,
+             "path 9.01 9.01 9.02 visits a node more than once"),
             (lambda: PathPricer(ConjugationGraph(nodes=(A,), edges=()), 0), ValueError, "n_min must be >= 1, got 0"),
         ],
-        ids=["cover-repeated-node", "pricer-n-min-zero"],
+        ids=["cover-repeated-node", "cover-path-revisits-a-node", "pricer-n-min-zero"],
     )
     def test_malformed_input_rejected(self, build, error, message):
         with pytest.raises(error, match=message):
@@ -319,9 +323,11 @@ class TestLexicographicCover:
                 assert solve_cover(problem).selected == expected
                 feasible += 1
 
-    def test_pinned_benchmark_instances(self, final_graph, milp_calls):
+    def test_pinned_benchmark_instances(self, final_graph, milp_calls, monkeypatch):
         from capnet.synthesis import synthesize
 
+        columns, spy = [], cover.milp
+        monkeypatch.setattr(cover, "milp", lambda c, **kwargs: columns.append(len(c)) or spy(c, **kwargs))
         # The plan-lex benchmark's instances (131-489 columns), read only.
         pool = json.loads(LEX_POOL.read_text(encoding="utf-8"))["instances"]
         for inst in pool:
@@ -331,10 +337,12 @@ class TestLexicographicCover:
             assert result.solution.selected == tuple(inst["selected"])
             assert result.solution.lexicographic
         mips = sum(integral for integral, _ in milp_calls)
-        # 5 first solves and 57 probes, each an LP first and a MIP only when its LP point is
-        # fractional: here one probe of the 351-column instance
+        # 5 first solves and 51 probes over the columns that meet every maximum antichain, each
+        # an LP first and a MIP only when its LP point is fractional: here one probe of the
+        # 351-column instance. Unfiltered, the five took 63 calls over 12,910 columns.
         assert mips <= 2
-        assert len(milp_calls) <= 90
+        assert len(milp_calls) <= 57
+        assert sum(columns) <= 6129
 
     def test_fractional_lp_probe_is_not_trusted(self, milp_calls):
         # Paths of the complete DAG on 4-8 nodes, every node visited exactly p_max times.
@@ -519,6 +527,89 @@ class TestLexicographicCover:
             assert result.solution.selected == tuple(inst["selected"])
             assert widths and widths == sorted(widths, reverse=True)
             assert widths[-1] < inst["columns"]
+
+
+def _walks_in_order(rng):
+    """3-7 nodes and 4-14 paths, each some nodes in one shuffled order; one draw in five adds a path against it."""
+    nodes = tuple(pid(f"9.{i:02d}") for i in range(1, rng.randint(3, 7) + 1))
+    order = rng.sample(nodes, len(nodes))
+    paths = [tuple(sorted(rng.sample(nodes, rng.randint(1, len(nodes))), key=order.index)) for _ in range(rng.randint(4, 14))]
+    if rng.random() < 0.2:
+        a, b = sorted(rng.sample(nodes, 2), key=order.index)
+        paths.append((b, a))
+    return nodes, tuple(paths)
+
+
+class TestAntichainFilter:
+    def test_width_and_antichains_match_the_subset_search(self):
+        rng = random.Random(15)
+        for _ in range(120):
+            nodes = [pid(f"9.{i:02d}") for i in range(1, rng.randint(1, 12) + 1)]
+            order, density = rng.sample(nodes, len(nodes)), rng.random()
+            arcs = [(a, b) for i, a in enumerate(order) for b in order[i + 1 :] if rng.random() < density]
+            # each arc as a two-node path: the paths walk exactly the DAG's order
+            reach = cover._precedence(tuple(arcs), tuple(nodes))
+            chains = cover._chain_partition(reach)
+            largest = largest_antichain_by_subsets(nodes, arcs)
+            assert len(chains) == len(largest[0])
+            assert sorted(v for chain in chains for v in chain) == list(range(len(nodes)))
+            assert all(reach[u] >> v & 1 for chain in chains for u, v in zip(chain, chain[1:]))
+            # every antichain found is pairwise unreachable by the oracle's own walk; here the search finds them all
+            found = [tuple(nodes[v] for v in cover._bits(a)) for a in cover._maximum_antichains(reach, chains)]
+            assert sorted(found) == largest
+
+    def test_cyclic_precedence_has_no_order(self):
+        assert cover._precedence(((A, B), (B, A)), (A, B)) is None
+        assert cover._precedence(((A, C), (C, B), (B, A)), (A, B)) is None  # the cycle runs through C
+        assert cover._precedence(((A, C), (C, B)), (A, B)) == [0b10, 0b00]  # C relays A before B
+
+    def test_filtered_solve_equals_the_column_oracle(self):
+        # An instance is tight when its optimum k* is p_max·width, gap when k* is larger.
+        # The filter settles exactly the tight ones it shrinks; every other instance runs unfiltered.
+        rng = random.Random(36)
+        kinds = dict.fromkeys(["tight", "gap", "infeasible", "cyclic"], 0)
+        filtered = 0
+        while min(kinds.values()) < 6:
+            nodes, paths = _walks_in_order(rng)
+            p_max = rng.randint(1, 3)
+            p_hat = p_max + (rng.random() < 0.3)
+            if min(sum(n in p for p in paths) for n in nodes) < p_max:
+                continue
+            arcs = {step for path in paths for step in zip(path, path[1:])}
+            expected = lex_min_cover_by_columns(paths, nodes, p_max, p_hat)
+            if has_cycle_dfs(nodes, arcs):
+                kind = "cyclic"
+            elif expected is None:
+                kind = "infeasible"
+            else:
+                kind = "tight" if len(expected) == p_max * len(largest_antichain_by_subsets(nodes, arcs)[0]) else "gap"
+            kinds[kind] += 1
+            problem = CoverProblem(paths=paths, node_set=nodes, p_max=p_max, p_hat_max=p_hat)
+            if expected is None:
+                with pytest.raises(InfeasibleCoverError):
+                    solve_cover(problem)
+            else:
+                assert solve_cover(problem).selected == expected
+            if kind == "tight":  # every path of the oracle's minimum meets every maximum antichain found
+                reach = cover._precedence(paths, nodes)
+                for antichain in cover._maximum_antichains(reach, cover._chain_partition(reach)):
+                    assert all(any(antichain >> nodes.index(n) & 1 for n in paths[w]) for w in expected)
+            selection = cover._tight_lexicographic_minimum(problem, cover._visit_rows(paths, nodes))
+            if selection is not None:
+                assert kind == "tight" and tuple(selection) == expected
+                filtered += 1
+        assert filtered >= kinds["tight"] // 2  # 77 of 78 with scipy 1.17
+
+    def test_gap_instance_with_a_feasible_filter_runs_unfiltered(self, final_graph):
+        # Width 4 at p_max 1, but the optimum is 5. The filtered columns hold a 5-path selection
+        # whose lexicographic minimum starts at 17; over every column it starts at 7.
+        nodes = "1.05.01 3.01.01 3.02.01 3.02.03 3.03.02 3.03.06 3.03.08 3.03.10 3.04.02 3.04.04 3.04.06 3.04.10 5.01.01 5.01.03"
+        sub = final_graph.restricted_to([pid(n) for n in nodes.split()])
+        paths = enumerate_paths(sub, 4)
+        problem = CoverProblem(paths=paths, node_set=sub.nodes, p_max=1, p_hat_max=2)
+        assert len(cover._chain_partition(cover._precedence(paths, sub.nodes))) == 4
+        assert solve_cover(problem).selected == lex_min_cover_by_columns(paths, sub.nodes, 1, 2) == (7, 64, 101, 127, 130)
+        assert cover._tight_lexicographic_minimum(problem, cover._visit_rows(paths, sub.nodes)) is None
 
 
 @pytest.fixture
