@@ -32,7 +32,7 @@ from .errors import (
     DatasetError,
     InfeasibleCoverError,
 )
-from .taxonomy import DEFAULT_N_MIN, DEFAULT_P_HAT_MAX, DEFAULT_P_MAX
+from .taxonomy import DEFAULT_N_MIN, DEFAULT_P_HAT_MAX, DEFAULT_P_MAX, MODERATE_R
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -260,7 +260,7 @@ def _parser() -> argparse.ArgumentParser:
     option("--interrelations", dest="table_path", help="Interrelation table CSV (default: packaged).")
     option("--candidates", dest="cand_path", help="Strong-candidate table CSV (default: packaged).")
     option("--correlations", dest="corr_path", help="Pairwise correlation CSV (default: packaged reference values).")
-    option("--threshold", type=float, default=0.4, help="Prune edges with |r| below this (default: %(default)s).")
+    option("--threshold", type=float, default=MODERATE_R, help="Prune edges with |r| below this (default: %(default)s).")
     option("--repair", action=argparse.BooleanOptionalAction, default=True, help="Add the moderate reachability-repair pair (on unless --no-repair).")
     option("--out-graph", help="Write the structured graph document here.")
     option("--out-dot", help="Write the dot rendering here.")

@@ -63,6 +63,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from graphlib import CycleError, TopologicalSorter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -288,26 +289,21 @@ def _precedence(paths, node_set) -> list[int] | None:
 
     Bit v of entry u is set when a chain of path steps leads from node u to
     node v. Nodes outside ``node_set`` relay the order and are then dropped.
+    ``graphlib`` sorts each node after its successors, or finds a cycle.
     """
     index = {node: j for j, node in enumerate(node_set)}
     steps = {step for path in paths for step in zip(path, path[1:])}
     for node in {node for step in steps for node in step}.difference(index):
         index[node] = len(index)
-    successors: list[list[int]] = [[] for _ in index]
-    indegree = [0] * len(index)
+    successors: dict[int, list[int]] = {u: [] for u in range(len(index))}
     for a, b in steps:
         successors[index[a]].append(index[b])
-        indegree[index[b]] += 1
-    ready = [u for u, d in enumerate(indegree) if not d]
-    for u in ready:  # Kahn's topological order; ``ready`` grows as it is read
-        for v in successors[u]:
-            indegree[v] -= 1
-            if not indegree[v]:
-                ready.append(v)
-    if len(ready) < len(index):
+    try:
+        sinks_first = tuple(TopologicalSorter(successors).static_order())
+    except CycleError:
         return None
     reach = [0] * len(index)
-    for u in reversed(ready):
+    for u in sinks_first:
         for v in successors[u]:
             reach[u] |= 1 << v | reach[v]
     within = (1 << len(node_set)) - 1

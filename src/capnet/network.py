@@ -19,8 +19,9 @@ source, which one depth-first search over the accepted edges decides.
 
 A ConjugationGraph stores itself in canonical order (nodes sorted, edges
 sorted by (source, target)), so every export and every traversal follows
-that one order whatever order the graph was built in. Cycles are found by
-the standard library's ``graphlib``.
+that one order whatever order the graph was built in. The graph owns its
+links (``successors`` and ``predecessors``, sorted) and its ``order``:
+``graphlib``'s static order, both its acyclicity check and the DP order.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .errors import (
     MissingCorrelationError,
 )
 from .taxonomy import (
+    MODERATE_R,
+    STRONG_R,
     CapabilityCatalog,
     CapabilityId,
     Category,
@@ -112,6 +115,7 @@ class ConjugationGraph:
     edges: tuple[Edge, ...]
     categories: tuple[tuple[CapabilityId, str], ...] = ()
     dropped_edges: tuple[Edge, ...] = field(default=(), compare=False)
+    order: tuple[CapabilityId, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
@@ -128,32 +132,30 @@ class ConjugationGraph:
             if key in seen_pairs or rev in seen_pairs:
                 raise GraphConstructionError(f"parallel edge on pair {edge.source}, {edge.target}")
             seen_pairs.add(key)
-        cycle = find_cycle(self.nodes, [(e.source, e.target) for e in self.edges])
-        if cycle is not None:
-            pretty = " -> ".join(str(n) for n in cycle)
-            raise GraphConstructionError(f"graph contains a cycle: {pretty}")
+        try:
+            object.__setattr__(self, "order", tuple(TopologicalSorter(self.predecessors).static_order()))
+        except CycleError as exc:
+            raise GraphConstructionError(f"graph contains a cycle: {' -> '.join(map(str, exc.args[1]))}") from None
 
     # -- queries ---------------------------------------------------------
 
     @cached_property
-    def _arcs(self) -> frozenset[tuple[CapabilityId, CapabilityId]]:
-        """Every (source, target) edge orientation."""
-        return frozenset((e.source, e.target) for e in self.edges)
+    def successors(self) -> Mapping[CapabilityId, tuple[CapabilityId, ...]]:
+        """Node -> the targets of its out-edges, sorted."""
+        return _linked(self.nodes, ((e.source, e.target) for e in self.edges))
+
+    @cached_property
+    def predecessors(self) -> Mapping[CapabilityId, tuple[CapabilityId, ...]]:
+        """Node -> the sources of its in-edges, sorted (edges sort by source first)."""
+        return _linked(self.nodes, ((e.target, e.source) for e in self.edges))
 
     @cached_property
     def adjacency(self) -> Mapping[CapabilityId, tuple[CapabilityId, ...]]:
         """Node -> sorted neighbours joined by an edge in either direction."""
-        joined: dict[CapabilityId, set[CapabilityId]] = {node: set() for node in self.nodes}
-        for source, target in self._arcs:
-            joined[source].add(target)
-            joined[target].add(source)
-        return MappingProxyType({node: tuple(sorted(near)) for node, near in joined.items()})
-
-    def successors(self, node: CapabilityId) -> list[CapabilityId]:
-        return [n for n in self.adjacency.get(node, ()) if (node, n) in self._arcs]
+        return MappingProxyType({n: tuple(sorted(self.successors[n] + self.predecessors[n])) for n in self.nodes})
 
     def has_edge(self, a: CapabilityId, b: CapabilityId) -> bool:
-        return (a, b) in self._arcs
+        return b in self.successors.get(a, ())
 
     def edge_pairs(self) -> set[frozenset[CapabilityId]]:
         return {e.pair() for e in self.edges}
@@ -170,13 +172,18 @@ class ConjugationGraph:
         return ConjugationGraph(nodes=nodes, edges=edges, categories=cats)
 
 
+def _linked(nodes, arcs) -> Mapping:
+    """Node -> the far ends of the (near, far) arcs it is the near end of, in arc order."""
+    linked: dict = {node: [] for node in nodes}
+    for near, far in arcs:
+        linked[near].append(far)
+    return MappingProxyType({node: tuple(ends) for node, ends in linked.items()})
+
+
 def find_cycle(nodes, arcs) -> list | None:
     """One cycle in edge direction, first node repeated last, or None."""
-    sources: dict = {node: [] for node in nodes}
-    for source, target in arcs:
-        sources[target].append(source)
     try:
-        TopologicalSorter(sources).prepare()
+        TopologicalSorter(_linked(nodes, ((target, source) for source, target in arcs))).prepare()
     except CycleError as exc:
         return exc.args[1]
     return None
@@ -320,8 +327,8 @@ def augment_strong(
 
     A ``not_in_table`` candidate (absent from the interrelation table, not
     excluded by a feasibility class) whose pair is not yet an edge is added
-    when strong (|r| >= 0.8) or, with ``repair``, moderate (0.4 <= |r| <
-    0.8: the reachability-repair pair); a weak one (|r| < 0.4) never is.
+    when strong (|r| >= STRONG_R) or, with ``repair``, moderate (MODERATE_R
+    <= |r| < STRONG_R: the reachability-repair pair); a weak one never is.
     The bands are those of ``stats.classify_correlation``. Raises
     GraphConstructionError if an added edge names a node outside the graph
     or would create a cycle; the unknown node is reported first.
@@ -329,7 +336,7 @@ def augment_strong(
     edges = list(graph.edges)
     existing = graph.edge_pairs()
     for cand in candidates:
-        if cand.verdict is not CandidateVerdict.NOT_IN_TABLE or abs(cand.r) < (0.4 if repair else 0.8):
+        if cand.verdict is not CandidateVerdict.NOT_IN_TABLE or abs(cand.r) < (MODERATE_R if repair else STRONG_R):
             continue
         pair = frozenset((cand.c1, cand.c2))
         if pair in existing:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DatasetError, UndefinedCorrelationError
 from .profiles import ScoreTable
-from .taxonomy import CapabilityId
+from .taxonomy import MODERATE_R, STRONG_R, CapabilityId
 
 __all__ = [
     "CorrelationMatrix",
@@ -344,12 +344,12 @@ class CorrelationStrength(str, Enum):
 
 
 def classify_correlation(r: float) -> CorrelationStrength:
-    """weak: |r| < 0.4; moderate: 0.4 <= |r| < 0.8; strong: |r| >= 0.8."""
+    """weak: |r| < MODERATE_R; moderate: MODERATE_R <= |r| < STRONG_R; strong: |r| >= STRONG_R."""
     if not abs(r) <= 1.0:
         raise ValueError(f"|r| must be <= 1, got {r}")
     magnitude = abs(r)
-    if magnitude < 0.4:
+    if magnitude < MODERATE_R:
         return CorrelationStrength.WEAK
-    if magnitude < 0.8:
+    if magnitude < STRONG_R:
         return CorrelationStrength.MODERATE
     return CorrelationStrength.STRONG

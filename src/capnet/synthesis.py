@@ -21,8 +21,7 @@ from __future__ import annotations
 import csv
 import heapq
 import io
-from dataclasses import dataclass
-from graphlib import TopologicalSorter
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -35,7 +34,7 @@ from .cover import (
     solve_cover,
     solve_priced_cover,
 )
-from .errors import AnnotationError
+from .errors import AnnotationError, InfeasibleCoverError
 from .network import ConjugationGraph
 from .taxonomy import DEFAULT_N_MIN, DEFAULT_P_HAT_MAX, DEFAULT_P_MAX, CapabilityId, parse_capability_id
 
@@ -68,25 +67,26 @@ def enumerate_paths(graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN) -> tupl
     """All simple directed paths with at least n_min nodes, in lexicographic order.
 
     Paths may begin and end on any node. A preorder walk from each node in
-    canonical order over canonically ordered successors emits them in
+    canonical order over the graph's sorted ``successors`` emits them in
     lexicographic order. It leaves every node whose longest onward path
-    cannot bring the trail to n_min nodes, so each node it enters lies on
-    a path it emits. The walk keeps its own stack, so a path may be longer
-    than Python's recursion limit.
+    (counted back along ``graph.order``) cannot bring the trail to n_min
+    nodes, so each node it enters lies on a path it emits. The walk keeps
+    its own stack, so a path may be longer than Python's recursion limit.
     """
-    pricer = PathPricer(graph, n_min)
-    n, successors = pricer.n_min, pricer._successors
+    if n_min < 1:
+        raise ValueError(f"n_min must be >= 1, got {n_min}")
+    successors = graph.successors
     longest: dict[CapabilityId, int] = {}
-    for node in reversed(pricer._order):
+    for node in reversed(graph.order):
         longest[node] = 1 + max((longest[target] for target in successors[node]), default=0)
     collected: list[tuple[CapabilityId, ...]] = []
     trail: list[CapabilityId] = []
     pending = [iter(successors)]  # per depth, the nodes still to try after the trail so far
     while pending:
         for node in pending[-1]:
-            if len(trail) + longest[node] >= n:
+            if len(trail) + longest[node] >= n_min:
                 trail.append(node)
-                if len(trail) >= n:
+                if len(trail) >= n_min:
                     collected.append(tuple(trail))
                 pending.append(iter(successors[node]))
                 break
@@ -101,27 +101,22 @@ class PathPricer:
     """The directed paths of at least n_min nodes, counted and priced without listing them.
 
     The graph is a DAG, so every directed path is simple, and a DP over the
-    states (node, nodes so far capped at n_min) in topological order
-    reaches each path once: ``count`` is the exact path count, ``best``
-    the k paths of largest node-weight sum. No path has more nodes than the
-    graph, so n_min is capped at one more than that.
+    states (node, nodes so far capped at n_min), along ``graph.order`` from
+    ``graph.predecessors``, reaches each path once: ``count`` is the exact
+    path count, ``best`` the k paths of largest node-weight sum. No path
+    has more nodes than the graph, so n_min is capped at one more than that.
     """
 
     def __init__(self, graph: ConjugationGraph, n_min: int = DEFAULT_N_MIN):
         if n_min < 1:
             raise ValueError(f"n_min must be >= 1, got {n_min}")
+        self.graph = graph
         self.n_min = n_min = min(n_min, len(graph.nodes) + 1)
-        self._successors = {node: graph.successors(node) for node in graph.nodes}
-        self._predecessors: dict[CapabilityId, list[CapabilityId]] = {node: [] for node in graph.nodes}
-        for node, targets in self._successors.items():
-            for target in targets:
-                self._predecessors[target].append(node)
-        self._order = tuple(TopologicalSorter(self._predecessors).static_order())
         ending: dict[CapabilityId, list[int]] = {}
-        for node in self._order:
+        for node in graph.order:
             counts = [0] * (n_min + 1)
             counts[1] = 1
-            for source in self._predecessors[node]:
+            for source in graph.predecessors[node]:
                 for length, paths in enumerate(ending[source]):
                     counts[min(length + 1, n_min)] += paths
             ending[node] = counts
@@ -136,14 +131,14 @@ class PathPricer:
         returned paths are spelled out; equal sums rank in the order their
         entries were made, predecessor by predecessor.
         """
-        n = self.n_min
+        n, graph = self.n_min, self.graph
         # per node and length, the k best entries (sum, node, the entry it extends or None)
         ending: dict[CapabilityId, list[list[tuple]]] = {}
-        for node in self._order:
+        for node in graph.order:
             w = weight[node]
             states: list[list[tuple]] = [[] for _ in range(n + 1)]
             states[1].append((w, node, None))
-            for source in self._predecessors[node]:
+            for source in graph.predecessors[node]:
                 for length, ranked in enumerate(ending[source]):
                     states[min(length + 1, n)].extend((entry[0] + w, node, entry) for entry in ranked)
             ending[node] = [heapq.nlargest(k, ranked, key=itemgetter(0)) for ranked in states]
@@ -294,22 +289,22 @@ def synthesize(
 ) -> SynthesisResult:
     """Full pipeline: count, enumerate or price, solve the cover exactly, annotate, name, lint.
 
-    When pricing does not prove its selection optimal (see
+    A requested node the graph lacks lies on no path, like an isolated one:
+    InfeasibleCoverError names them all. When pricing does not prove its
+    selection optimal (see
     ``solve_priced_cover``), the paths are enumerated after all, so that
     ``solve_cover`` settles the instance and names any binding nodes.
     """
     subgraph = graph.restricted_to(node_set)
     pricer = PathPricer(subgraph, n_min)
+    problem = CoverProblem(paths=(), node_set=subgraph.nodes, p_max=p_max, p_hat_max=p_hat_max)  # settings first
+    if absent := sorted(set(node_set).difference(subgraph.nodes)):
+        raise InfeasibleCoverError(absent)
     priced = None
     if pricer.count > DEFAULT_LEX_LIMIT:
         priced = solve_priced_cover(pricer, subgraph.nodes, p_max, p_hat_max)
     if priced is None:
-        problem = CoverProblem(
-            paths=enumerate_paths(subgraph, n_min),
-            node_set=subgraph.nodes,
-            p_max=p_max,
-            p_hat_max=p_hat_max,
-        )
+        problem = replace(problem, paths=enumerate_paths(subgraph, n_min))
         solution = solve_cover(problem)
     else:
         problem, solution = priced

@@ -36,6 +36,8 @@ __all__ = [
     "DEFAULT_N_MIN",
     "DEFAULT_P_MAX",
     "DEFAULT_P_HAT_MAX",
+    "MODERATE_R",
+    "STRONG_R",
     "quantification_label",
     "Category",
     "Posture",
@@ -128,6 +130,11 @@ QUANT_LABELS = ("0", "1", "2", "3-", "3+", "4", "5")
 DEFAULT_N_MIN = 4
 DEFAULT_P_MAX = 6
 DEFAULT_P_HAT_MAX = 7
+
+# Correlation bands by |r|: weak below MODERATE_R, moderate from it, strong from STRONG_R.
+# The graph's pruning default, its repair rule and the statistics' classes all read these two edges.
+MODERATE_R = 0.4
+STRONG_R = 0.8
 
 
 def quantification(value) -> int:

@@ -276,6 +276,21 @@ class TestSynthesize:
         assert result.exit_code == EXIT_INFEASIBLE
         assert "3.01.03" in result.output or "3.01.03" in (result.stderr or "")
 
+    def test_capability_absent_from_graph_names_node(self, runner, graph_artifact, tmp_path):
+        doc = json.loads(graph_artifact.read_text())
+        doc["nodes"] = [n for n in doc["nodes"] if n["id"] != "3.01.03"]
+        doc["edges"] = [e for e in doc["edges"] if "3.01.03" not in (e["from"], e["to"])]
+        graph = tmp_path / "without.json"
+        graph.write_text(json.dumps(doc))
+        out = tmp_path / "seq.csv"
+        result = runner.invoke(main, ["synthesize", "--graph", str(graph), "--out", str(out)])
+        assert result.exit_code == EXIT_INFEASIBLE, result.output
+        assert result.stderr == "error: cover infeasible; binding nodes: 3.01.03\n"
+        assert not out.exists()
+        # a bad setting is still named first
+        result = runner.invoke(main, ["synthesize", "--graph", str(graph), "--p-max", "0"])
+        assert (result.exit_code, result.stderr) == (EXIT_USAGE, "error: p_max must be >= 1, got 0\n")
+
     @pytest.mark.parametrize("n_min", ["0", "-1"])
     def test_n_min_below_one_usage_error(self, runner, graph_artifact, n_min):
         result = runner.invoke(main, ["synthesize", "--graph", str(graph_artifact), "--n-min", n_min])

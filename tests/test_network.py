@@ -246,7 +246,7 @@ class TestReachabilityInvariant:
         def longest_from(node):
             if node in best:
                 return best[node]
-            value = 1 + max((longest_from(s) for s in sub.successors(node)), default=0)
+            value = 1 + max((longest_from(s) for s in sub.successors[node]), default=0)
             best[node] = value
             return value
 
@@ -448,13 +448,18 @@ class TestGraphType:
         assert pid("3.02.03") in final_graph.adjacency[pid("3.03.04")]
         assert pid("5.01.04") not in final_graph.adjacency[pid("1.05.01")]
 
-    def test_cached_adjacency_equals_edge_scan(self, final_graph):
-        edges = final_graph.edges
-        for node in final_graph.nodes:
-            out = sorted(e.target for e in edges if e.source == node)
-            into = sorted(e.source for e in edges if e.target == node)
-            assert final_graph.successors(node) == out
-            assert final_graph.adjacency[node] == tuple(sorted(out + into))
-            for other in final_graph.nodes:
-                scan = any(e.source == node and e.target == other for e in edges)
-                assert final_graph.has_edge(node, other) == scan
+    def test_cached_adjacency_equals_edge_scan(self, final_graph, sitting_set):
+        for graph in (final_graph, final_graph.restricted_to(sitting_set)):
+            edges = graph.edges
+            for node in graph.nodes:
+                out = tuple(sorted(e.target for e in edges if e.source == node))
+                into = tuple(sorted(e.source for e in edges if e.target == node))
+                assert graph.successors[node] == out
+                assert graph.predecessors[node] == into
+                assert graph.adjacency[node] == tuple(sorted(out + into))
+                for other in graph.nodes:
+                    scan = any(e.source == node and e.target == other for e in edges)
+                    assert graph.has_edge(node, other) == scan
+            assert sorted(graph.order) == list(graph.nodes)  # each node once
+            position = {node: i for i, node in enumerate(graph.order)}
+            assert all(position[e.source] < position[e.target] for e in edges)

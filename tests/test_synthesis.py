@@ -295,8 +295,9 @@ class TestSolveCover:
             (lambda: CoverProblem(paths=((A, A, B), (B,)), node_set=(A, B), p_max=1, p_hat_max=1), ConfigError,
              "path 9.01 9.01 9.02 visits a node more than once"),
             (lambda: PathPricer(ConjugationGraph(nodes=(A,), edges=()), 0), ValueError, "n_min must be >= 1, got 0"),
+            (lambda: enumerate_paths(ConjugationGraph(nodes=(A,), edges=()), 0), ValueError, "n_min must be >= 1, got 0"),
         ],
-        ids=["cover-repeated-node", "cover-path-revisits-a-node", "pricer-n-min-zero"],
+        ids=["cover-repeated-node", "cover-path-revisits-a-node", "pricer-n-min-zero", "enumerate-n-min-zero"],
     )
     def test_malformed_input_rejected(self, build, error, message):
         with pytest.raises(error, match=message):
@@ -819,6 +820,17 @@ class TestPipeline:
         result = synthesize(graph, [A, B, C, D], n_min=4, p_max=1, p_hat_max=1)
         assert result.solution.objective == 1
         assert result.sequences[0].capability_ids() == (A, B, C, D)
+
+    def test_requested_nodes_absent_from_the_graph_bind(self, final_graph, sitting_set):
+        # the default plan without 3.01.03 would otherwise select 24 sequences that never visit it
+        head_sideways = pid("3.01.03")
+        graph = final_graph.restricted_to(n for n in final_graph.nodes if n != head_sideways)
+        with pytest.raises(InfeasibleCoverError) as err:
+            synthesis.synthesize(graph, sitting_set)
+        assert err.value.binding_nodes == (head_sideways,)
+        with pytest.raises(InfeasibleCoverError) as err:
+            synthesis.synthesize(chain_graph(A, B, C, D), [E, A, B, C, D], n_min=4, p_max=1, p_hat_max=1)
+        assert err.value.binding_nodes == (E,)
 
     def test_byte_identical_sequence_tables(self, final_graph, sitting_set):
         from capnet.synthesis import synthesize
